@@ -20,12 +20,13 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .characters import character_from_lattice_points, demazure_character_oracle
 from .marked_poset import build_marked_poset, ehrhart_count, marked_chain_points
 from .polytope import (
+    PointSet,
     UnboundedFaceError,
     degree_histogram,
     dilate,
@@ -86,7 +87,6 @@ class JobSpec:
     max_dim: int = 400
     max_rank: int = 6
     with_rep: bool = True
-    extras: dict = field(default_factory=dict)
 
     def subset(self) -> RootSubset:
         if self.A is not None:
@@ -295,10 +295,16 @@ def _verify_checks(job: JobSpec) -> dict:
         record("minkowski", "skipped", reason="unbounded face")
         record("normality", "skipped", reason="unbounded face")
     else:
+        # With mu = lambda, S + S(mu) and S(lambda + mu) are also the first
+        # normality step, S + S and S(2 lambda): each is formed only once.
+        reuse: dict[int, tuple[PointSet, PointSet]] = {}
         try:
-            Smu = enumerate_lattice_points(A, mu)
+            Smu = S if mu == lam else enumerate_lattice_points(A, mu)
             Ssum = enumerate_lattice_points(A, lam + mu)
-            ok = minkowski_sum(S, Smu) == Ssum
+            both = minkowski_sum(S, Smu)
+            if mu == lam:
+                reuse[2] = (both, Ssum)
+            ok = both == Ssum
             record("minkowski", "pass" if ok else "fail",
                    left=len(S), right=len(Smu), total=len(Ssum))
         except UnboundedFaceError as exc:
@@ -307,8 +313,12 @@ def _verify_checks(job: JobSpec) -> dict:
             ok = True
             acc = S
             for k in (2, 3):
-                acc = minkowski_sum(acc, S)
-                ok = ok and acc == enumerate_lattice_points(A, lam.scale(k))
+                if k in reuse:
+                    acc, target = reuse[k]
+                else:
+                    acc = minkowski_sum(acc, S)
+                    target = enumerate_lattice_points(A, lam.scale(k))
+                ok = ok and acc == target
             record("normality", "pass" if ok else "fail", checked_dilations=[2, 3])
         except UnboundedFaceError as exc:
             record("normality", "fail", error=str(exc))
@@ -316,7 +326,8 @@ def _verify_checks(job: JobSpec) -> dict:
     try:
         poset = build_marked_poset(A, lam)
         chain = len(marked_chain_points(poset))
-        pairs = [(ehrhart_count(A, lam, t, "chain"), ehrhart_count(A, lam, t, "order"))
+        pairs = [(chain if t == 1 else ehrhart_count(A, lam, t, "chain"),
+                  ehrhart_count(A, lam, t, "order"))
                  for t in (1, 2, 3)]
         agree = all(c == o for c, o in pairs)
         detail = {"chain_count": chain, "ehrhart": [list(p) for p in pairs]}
@@ -426,6 +437,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "weyl-scan":
+            if args.n < 1:
+                raise ValueError(f"rank must be >= 1, got {args.n}")
             job = JobSpec(command=args.command, n=args.n, fmt=args.format,
                            max_rank=args.max_rank)
             return cmd_weyl_scan(job)

@@ -202,13 +202,40 @@ def in_polytope(point: LatticePoint, lam: DominantWeight) -> bool:
 
 
 def minkowski_sum(S1: PointSet, S2: PointSet) -> PointSet:
-    """Pairwise sums {s + t}, deduplicated."""
+    """Pairwise sums {s + t}, deduplicated.
+
+    Each point is packed into one int in mixed radix: coordinate c occupies
+    a field of w_c = (max_c S1 + max_c S2).bit_length() bits, the fields laid
+    out one after another.  Coordinates must be nonnegative (ValueError
+    otherwise), so every coordinate of s + t lies in 0 .. max_c S1 + max_c S2
+    < 2**w_c and fits its field.  No field sum carries into the next, hence
+    pack(s) + pack(t) = pack(s + t) and distinct sums have distinct packed
+    values: deduplicating the packed ints and unpacking the survivors gives
+    exactly the set of tuple sums.
+    """
     if S1.n != S2.n or S1.roots != S2.roots:
         raise ValueError("Minkowski sum needs matching rank and root order")
-    sums = {
-        tuple(a + b for a, b in zip(s, t)) for s in S1.tuples for t in S2.tuples
-    }
-    return PointSet(S1.n, S1.roots, frozenset(sums))
+    if not S1.tuples or not S2.tuples:
+        return PointSet(S1.n, S1.roots, frozenset())
+    cols1, cols2 = list(zip(*S1.tuples)), list(zip(*S2.tuples))
+    if any(min(col) < 0 for col in cols1 + cols2):
+        raise ValueError("lattice points have nonnegative coordinates")
+    fields = []
+    shift = 0
+    for c1, c2 in zip(cols1, cols2):
+        width = (max(c1) + max(c2)).bit_length()
+        fields.append((shift, (1 << width) - 1))
+        shift += width
+
+    def pack(points: frozenset[tuple[int, ...]]) -> list[int]:
+        return [sum(v << s for v, (s, _) in zip(p, fields)) for p in points]
+
+    outer, inner = sorted((pack(S1.tuples), pack(S2.tuples)), key=len)
+    sums: set[int] = set()
+    for a in outer:
+        sums.update(map(a.__add__, inner))
+    return PointSet(S1.n, S1.roots, frozenset(
+        tuple([x >> s & mask for s, mask in fields]) for x in sums))
 
 
 def dilate(S: PointSet, k: int) -> PointSet:

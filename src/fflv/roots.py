@@ -7,7 +7,7 @@ alpha_j of simple roots, encoded here as the pair (i, j) with 1 <= i <= j <= n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class Root(NamedTuple):
@@ -157,7 +157,3 @@ def dominance_covers(n: int) -> tuple[tuple[Root, Root], ...]:
         if r.j + 1 <= n:
             covers.append((r, Root(r.i, r.j + 1)))
     return tuple(sorted(covers))
-
-
-def root_iter_sorted(roots) -> Iterator[Root]:
-    return iter(sorted(roots))

@@ -194,12 +194,16 @@ def kempf_factorization(w: Permutation) -> tuple[int, ...]:
     w = w_1 w_2 ... w_n with w_i = s_{ell_i} ... s_i (ell_i = i-1: empty)."""
     n = w.n
     ells = []
-    cur = w
+    cur = list(w.images)
     for i in range(1, n + 1):
-        ell = cur(i) - 1
-        ells.append(ell)
-        cur = _segment(n, i, ell).inverse() * cur
-    if not cur.is_identity():
+        # Peel off w_i: apply its inverse, which sends ell+1 to i and v to v+1
+        # for i <= v <= ell, to the one-line images of what is left.
+        top = cur[i - 1]
+        ells.append(top - 1)
+        for k, v in enumerate(cur):
+            if i <= v <= top:
+                cur[k] = i if v == top else v + 1
+    if cur != list(range(1, n + 2)):
         raise AssertionError("segment factorization failed to terminate at identity")
     return tuple(ells)
 

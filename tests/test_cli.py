@@ -6,7 +6,11 @@ import sys
 
 import pytest
 
+import fflv.cli
 from fflv.cli import main, thread_count
+from fflv.polytope import enumerate_lattice_points
+from fflv.roots import DominantWeight
+from fflv.weyl import Permutation, inversion_roots
 
 
 def run(capsys, *argv):
@@ -44,6 +48,14 @@ def test_weyl_scan_csv_header(capsys):
     lines = out.splitlines()
     assert lines[0] == "w,length,is_kempf,is_triangular"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_weyl_scan_rejects_rank_below_one(capsys, n):
+    code, out, err = run(capsys, "weyl-scan", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "rank must be >= 1" in err
 
 
 def test_weyl_scan_rank_cap(capsys):
@@ -202,6 +214,57 @@ def test_verify_with_separate_mu(capsys):
     mink = data["checks"]["minkowski"]
     assert mink["status"] == "pass"
     assert (mink["left"], mink["right"], mink["total"]) == (3, 3, 8)
+
+
+def _record_polytope_calls(monkeypatch):
+    """Wrap the CLI's enumerator and Minkowski sum; return the call logs."""
+    weights, sums = [], []
+    enumerate_, minkowski = fflv.cli.enumerate_lattice_points, fflv.cli.minkowski_sum
+
+    def enumerate_recorded(A, lam):
+        weights.append(lam.coeffs)
+        return enumerate_(A, lam)
+
+    def minkowski_recorded(S1, S2):
+        sums.append((len(S1), len(S2)))
+        return minkowski(S1, S2)
+
+    monkeypatch.setattr(fflv.cli, "enumerate_lattice_points", enumerate_recorded)
+    monkeypatch.setattr(fflv.cli, "minkowski_sum", minkowski_recorded)
+    return weights, sums
+
+
+def test_verify_separate_mu_enumerates_its_own_faces(capsys, monkeypatch):
+    weights, sums = _record_polytope_calls(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--w-oneline", "4 3 2 1", "--lambda", "1,2,1",
+                       "--mu", "2,0,1", "--no-rep")
+    assert code == 0
+    A = inversion_roots(Permutation((4, 3, 2, 1)))
+    lam, mu = DominantWeight((1, 2, 1)), DominantWeight((2, 0, 1))
+    left, right, total = (len(enumerate_lattice_points(A, nu)) for nu in (lam, mu, lam + mu))
+    assert weights == [(1, 2, 1), (2, 0, 1), (3, 2, 2), (2, 4, 2), (3, 6, 3)]
+    assert sums == [(left, right), (left, left), (len(enumerate_lattice_points(A, lam.scale(2))), left)]
+    mink = json.loads(out)["checks"]["minkowski"]
+    assert mink == {"status": "pass", "left": left, "right": right, "total": total}
+    assert (left, right, total) == (175, 36, 1260)
+
+
+def test_verify_mu_equal_lambda_forms_each_polytope_once(capsys, monkeypatch):
+    weights, sums = _record_polytope_calls(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--w-oneline", "3 4 2 1", "--lambda", "2,1,1")
+    assert code == 0
+    assert weights == [(2, 1, 1), (4, 2, 2), (6, 3, 3)]
+    assert sums == [(76, 76), (720, 76)]
+    assert out == (
+        '{"case":"n=3 lambda=2,1,1 w=3 4 2 1","checks":{"character":{"deficit":0,'
+        '"lattice_mass":76,"oracle_mass":76,"status":"pass"},"marked_poset":'
+        '{"chain_count":76,"ehrhart":[[76,76],[720,720],[3360,3360]],"lattice_count":76,'
+        '"status":"pass"},"minkowski":{"left":76,"right":76,"status":"pass","total":720},'
+        '"normality":{"checked_dilations":[2,3],"status":"pass"},"points":{"count":76,'
+        '"status":"pass"},"rep":{"basis_ok":true,"dims":{"demazure":76,"lattice":76,'
+        '"oracle":76,"subset":76},"essential_ok":true,"graded_ok":true,"status":"pass"}},'
+        '"ok":true}\n'
+    )
 
 
 def test_verify_mu_rank_mismatch(capsys):

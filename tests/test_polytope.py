@@ -3,11 +3,12 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fflv.characters import weyl_dimension
 from fflv.polytope import (
     LatticePoint,
+    PointSet,
     UnboundedFaceError,
     build_inequalities,
     degree_histogram,
@@ -20,7 +21,7 @@ from fflv.polytope import (
     points_to_json,
     weight_and_degree,
 )
-from fflv.roots import DominantWeight, Root, fundamental_weight, rho
+from fflv.roots import DominantWeight, Root, all_positive_roots, fundamental_weight, rho
 from fflv.weyl import Permutation, RootSubset, inversion_roots
 
 
@@ -156,3 +157,47 @@ def test_k_fold_sums_exhaust_dilated_weight(m1, m2, k):
     for _ in range(k - 1):
         acc = minkowski_sum(acc, S)
     assert acc == enumerate_lattice_points(full(2), lam.scale(k))
+
+
+def tuple_minkowski(S1, S2):
+    """Reference Minkowski sum: every pair added coordinate by coordinate."""
+    return frozenset(tuple(a + b for a, b in zip(s, t)) for s in S1.tuples for t in S2.tuples)
+
+
+def point_set(*points):
+    dim = len(points[0])
+    return PointSet(3, all_positive_roots(3)[:dim], frozenset(points))
+
+
+@st.composite
+def point_set_pairs(draw):
+    """Two point sets over the same coordinates, each of its own size; some
+    coordinates are 0 throughout and values range past 2**20."""
+    dim = draw(st.integers(0, 6))
+    zero = draw(st.sets(st.integers(0, dim - 1))) if dim else set()
+    value = st.one_of(st.integers(0, 5), st.integers(2**20 - 2, 2**45))
+    vector = st.tuples(*(st.just(0) if c in zero else value for c in range(dim)))
+    return tuple(point_set(*draw(st.sets(vector, min_size=1, max_size=draw(st.integers(1, 25)))))
+                 for _ in range(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_set_pairs())
+@example((point_set(()), point_set(())))
+@example((point_set((1, 0, 2)), point_set((0, 0, 1), (3, 0, 0), (1, 0, 1), (2, 0, 7))))
+@example((point_set((2**20, 1), (2**21 + 3, 0)), point_set((2**20, 2**20), (1, 2**40))))
+def test_packed_minkowski_matches_tuple_sums(pair):
+    S1, S2 = pair
+    for left, right in ((S1, S2), (S2, S1)):
+        out = minkowski_sum(left, right)
+        assert (out.n, out.roots) == (S1.n, S1.roots)
+        assert out.tuples == tuple_minkowski(S1, S2)
+
+
+def test_minkowski_sum_edge_sets():
+    S = point_set((1, 2), (0, 0))
+    assert minkowski_sum(S, point_set((0, 0))) == S
+    empty = PointSet(3, S.roots, frozenset())
+    assert minkowski_sum(S, empty).tuples == frozenset()
+    with pytest.raises(ValueError):
+        minkowski_sum(S, point_set((-1, 0)))

@@ -105,7 +105,7 @@ def test_kempf_examples():
 
 def test_factorization_round_trip():
     """Segment tops rebuild the permutation, Kempf or not."""
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         for w in all_permutations(n):
             ells = kempf_factorization(w)
             assert len(ells) == n
