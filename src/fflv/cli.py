@@ -8,18 +8,14 @@ Four subcommands:
   verify        aggregate polytope / poset / module checks for one case
 
 All outputs are deterministic: identical invocations produce byte-identical
-results.  The FFLV_THREADS environment variable caps worker threads for
-batch sweeps.
+results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,7 +29,6 @@ from .polytope import (
     enumerate_lattice_points,
     minkowski_sum,
     points_to_csv,
-    points_to_json,
     weight_and_degree,
 )
 from .rep import (
@@ -56,20 +51,6 @@ from .weyl import (
     is_triangular_subset,
     parse_permutation,
 )
-
-
-def thread_count() -> int:
-    """Worker count for batch sweeps, capped by FFLV_THREADS."""
-    cap = os.environ.get("FFLV_THREADS")
-    if cap is not None:
-        try:
-            value = int(cap)
-        except ValueError:
-            raise ValueError(f"FFLV_THREADS must be an integer, got {cap!r}")
-        if value < 1:
-            raise ValueError(f"FFLV_THREADS must be positive, got {value}")
-        return value
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass
@@ -157,9 +138,7 @@ def cmd_weyl_scan(job: JobSpec) -> int:
             "is_triangular": is_triangular_element(w),
         }
 
-    elements = all_permutations(n)
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        rows = list(pool.map(describe, elements))
+    rows = [describe(w) for w in all_permutations(n)]
 
     bad = [r["w"] for r in rows if r["is_kempf"] and not r["is_triangular"]]
     counts = {
@@ -199,8 +178,6 @@ def cmd_points(job: JobSpec) -> int:
     if job.dilation > 1:
         S = dilate(S, job.dilation)
     if job.fmt == "json":
-        data = json.loads(points_to_json(S, lam))
-        data["count"] = len(S)
         enriched = []
         for pt in S:
             wt, deg = weight_and_degree(pt)
@@ -209,7 +186,8 @@ def cmd_points(job: JobSpec) -> int:
                 "weight": list(wt.coeffs),
                 "degree": deg,
             })
-        data["points"] = enriched
+        data = {"rank": S.n, "A": [[r.i, r.j] for r in S.roots],
+                "lambda": list(lam.coeffs), "count": len(S), "points": enriched}
         print(json.dumps(data, sort_keys=True, separators=(",", ":")))
     elif job.fmt == "csv":
         print(points_to_csv(S), end="")
@@ -347,26 +325,26 @@ def _verify_checks(job: JobSpec) -> dict:
     else:
         try:
             module = build_highest_weight_module(lam, cap=job.max_dim)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                report = verify_monomial_basis(module, A, lam)
-                dims = {"subset": report.submodule_dimension, "lattice": len(S)}
-                if job.w is not None:
-                    dims["demazure"] = demazure_submodule(module, job.w).dimension
-                    dims["oracle"] = demazure_character_oracle(job.w, lam).mass
-                profile = pbw_filtration_profile(module, A)
-                hist = degree_histogram(S)
-                incs = [profile[0]] + [profile[i] - profile[i - 1]
-                                       for i in range(1, len(profile))]
-                want = [hist.get(d, 0) for d in range(max(hist) + 1)] if hist else [1]
-                graded_ok = incs == want
-                essential_ok = essential_monomials(module, A) == S
+            report = verify_monomial_basis(module, A, lam)
+            dims = {"subset": report.submodule_dimension, "lattice": len(S)}
+            if job.w is not None:
+                dims["demazure"] = demazure_submodule(module, job.w).dimension
+                dims["oracle"] = oracle.mass
+            profile = pbw_filtration_profile(module, A)
+            hist = degree_histogram(S)
+            incs = [profile[0]] + [profile[i] - profile[i - 1]
+                                   for i in range(1, len(profile))]
+            want = [hist.get(d, 0) for d in range(max(hist) + 1)] if hist else [1]
+            graded_ok = incs == want
+            essential_ok = essential_monomials(module, A) == S
             basis_ok = report.ok
             status = "pass" if (basis_ok and graded_ok and essential_ok) else "fail"
             record("rep", status, dims=dims, basis_ok=basis_ok,
                    graded_ok=graded_ok, essential_ok=essential_ok)
         except DimensionCapError as exc:
             record("rep", "skipped", reason=str(exc))
+        except ArithmeticError as exc:
+            record("rep", "fail", error=str(exc))
     return checks
 
 

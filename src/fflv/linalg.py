@@ -47,7 +47,7 @@ class IntSpan:
         if width <= 0:
             raise ValueError(f"width must be positive, got {width}")
         self.width = width
-        self._rows: list[list[int]] = []
+        self._rows: list[tuple[int, ...]] = []
         self._pivots: list[int] = []
 
     @property
@@ -56,7 +56,7 @@ class IntSpan:
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(row) for row in self._rows)
+        return tuple(self._rows)
 
     def reduce(self, vector: Sequence[int]) -> list[int]:
         """Eliminate all pivot columns from a copy of the vector.
@@ -81,8 +81,9 @@ class IntSpan:
     def add(self, vector: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Insert a vector if it enlarges the span.
 
-        Returns the stored echelon row when the rank grew, None when the
-        vector was already in the span.
+        Returns the stored echelon row (an immutable tuple, shared with the
+        span) when the rank grew, None when the vector was already in the
+        span.
         """
         vec = self.reduce(vector)
         for piv, x in enumerate(vec):
@@ -90,11 +91,11 @@ class IntSpan:
                 break
         else:
             return None
-        vec = _normalize(vec)
+        row = tuple(_normalize(vec))
         at = bisect_left(self._pivots, piv)
-        self._rows.insert(at, vec)
+        self._rows.insert(at, row)
         insort(self._pivots, piv)
-        return tuple(vec)
+        return row
 
     def __contains__(self, vector: Sequence[int]) -> bool:
         return not any(self.reduce(vector))

@@ -116,13 +116,10 @@ def is_dyck_path_for(p: Sequence[Root], A: RootSubset) -> bool:
     return True
 
 
-def enumerate_dyck_paths_for(
-    A: RootSubset, split_blocks: bool = True
-) -> list[tuple[tuple[Root, ...], Root]]:
+def enumerate_dyck_paths_for(A: RootSubset) -> list[tuple[tuple[Root, ...], Root]]:
     """All grid-closed restricted paths for A, deduplicated, with base roots.
 
-    Restrictions of full paths are split into connected blocks (unless
-    split_blocks is false, which keeps gap-spanning restrictions whole), then
+    Restrictions of full paths are split into connected blocks, then
     filtered by the grid condition.  Two full paths restricting to the same
     root sequence yield one entry.  Sorted by root sequence.
     """
@@ -131,8 +128,7 @@ def enumerate_dyck_paths_for(
         p = restrict_path(q, A)
         if not p:
             continue
-        pieces = connected_blocks(p) if split_blocks else [p]
-        for piece in pieces:
+        for piece in connected_blocks(p):
             if piece not in found and is_dyck_path_for(piece, A):
                 found[piece] = base_root(piece)
     return sorted(found.items())

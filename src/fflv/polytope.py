@@ -114,14 +114,9 @@ class PointSet:
         return sorted(self.tuples)
 
 
-def build_inequalities(
-    A: RootSubset, lam: DominantWeight, split_blocks: bool = True
-) -> list[Inequality]:
+def build_inequalities(A: RootSubset, lam: DominantWeight) -> list[Inequality]:
     """One inequality per grid-closed restricted path of A, in path order."""
-    return [
-        Inequality(roots, pairing(lam, base))
-        for roots, base in enumerate_dyck_paths_for(A, split_blocks=split_blocks)
-    ]
+    return [Inequality(roots, pairing(lam, base)) for roots, base in enumerate_dyck_paths_for(A)]
 
 
 def enumerate_integer_points(
@@ -166,13 +161,11 @@ def enumerate_integer_points(
     return PointSet(n, roots, frozenset(found))
 
 
-def enumerate_lattice_points(
-    A: RootSubset, lam: DominantWeight, split_blocks: bool = True
-) -> PointSet:
+def enumerate_lattice_points(A: RootSubset, lam: DominantWeight) -> PointSet:
     """All integer points of the face polytope of A at the given weight."""
     if lam.n != A.n:
         raise ValueError(f"weight rank {lam.n} != subset rank {A.n}")
-    ineqs = build_inequalities(A, lam, split_blocks=split_blocks)
+    ineqs = build_inequalities(A, lam)
     return enumerate_integer_points(A.n, A.sorted_roots(), ineqs)
 
 

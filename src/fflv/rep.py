@@ -14,8 +14,7 @@ E_{i,j+1}, so lowering moves weight down the dominance order.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -24,7 +23,7 @@ from .characters import to_partition, weyl_dimension
 from .linalg import IntSpan
 from .polytope import LatticePoint, PointSet, enumerate_lattice_points
 from .roots import DominantWeight, Root, all_positive_roots
-from .weyl import Permutation, RootSubset, is_triangular_subset, reduced_word
+from .weyl import Permutation, RootSubset, reduced_word
 
 Vector = tuple[int, ...]
 _SubsetKey = tuple[int, ...]
@@ -142,13 +141,20 @@ class ExplicitModule:
 
     The generator is the cyclic vector the basis was grown from; the basis
     rows are integer vectors in echelon form, so the dimension is their
-    count and membership tests need no further elimination.
+    count and membership tests need no further elimination.  Entry d of the
+    profile is the dimension of the span of all products of at most d of
+    the generating operators applied to the generator; the last entry is
+    the dimension.  Lowering closures of this module are kept per root
+    subset, so each one is computed once.
     """
 
     space: TensorSpace
     weight: DominantWeight
     generator: Vector
     basis: tuple[Vector, ...]
+    profile: tuple[int, ...]
+    _subsets: dict[tuple[Root, ...], "ExplicitModule"] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -166,27 +172,36 @@ class ExplicitModule:
 
 def _closure(
     space: TensorSpace,
-    starts: Iterable[Vector],
+    start: Vector,
     tables: Sequence[_OpTable],
     cap: Optional[int] = None,
     what: str = "module",
-) -> tuple[Vector, ...]:
-    """Smallest span containing the start vectors and closed under the ops."""
+) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Smallest span containing the start vector and closed under the ops.
+
+    Grown breadth first, one degree at a time: the rows that entered at
+    degree d span the degree-d products modulo all shorter ones, so applying
+    every op to them alone reaches degree d + 1.  Returns the echelon rows
+    and the rank after each degree, up to the degree where the span stops
+    growing.
+    """
     span = IntSpan(space.dimension)
-    frontier: list[Vector] = []
-    for vec in starts:
-        row = span.add(vec)
-        if row is not None:
-            frontier.append(row)
+    row = span.add(start)
+    frontier = [row] if row is not None else []
+    profile = [span.rank]
     while frontier:
-        vec = frontier.pop()
-        for table in tables:
-            row = span.add(space.apply(table, vec))
-            if row is not None:
-                if cap is not None and span.rank > cap:
-                    raise DimensionCapError(span.rank, cap, what)
-                frontier.append(row)
-    return span.rows
+        fresh: list[Vector] = []
+        for vec in frontier:
+            for table in tables:
+                row = span.add(space.apply(table, vec))
+                if row is not None:
+                    if cap is not None and span.rank > cap:
+                        raise DimensionCapError(span.rank, cap, what)
+                    fresh.append(row)
+        if fresh:
+            profile.append(span.rank)
+        frontier = fresh
+    return span.rows, tuple(profile)
 
 
 def build_highest_weight_module(lam: DominantWeight, cap: int = 400) -> ExplicitModule:
@@ -202,12 +217,13 @@ def build_highest_weight_module(lam: DominantWeight, cap: int = 400) -> Explicit
         raise DimensionCapError(expected, cap)
     space = TensorSpace.from_weight(lam)
     simple = [space.lowering_table(Root(i, i)) for i in range(1, n + 1)]
-    basis = _closure(space, [space.highest_vector()], simple, cap=cap)
+    top = space.highest_vector()
+    basis, profile = _closure(space, top, simple, cap=cap)
     if len(basis) != expected:
         raise ArithmeticError(
             f"highest weight closure has dimension {len(basis)}, expected {expected}"
         )
-    return ExplicitModule(space, lam, space.highest_vector(), basis)
+    return ExplicitModule(space, lam, top, basis, profile)
 
 
 def extremal_vector(module: ExplicitModule, w: Permutation) -> Vector:
@@ -261,24 +277,27 @@ def demazure_submodule(module: ExplicitModule, w: Permutation) -> ExplicitModule
     space = module.space
     gen = extremal_vector(module, w)
     tables = [space.raising_table(r) for r in all_positive_roots(space.n)]
-    basis = _closure(space, [gen], tables, what="Borel closure")
-    return ExplicitModule(space, module.weight, gen, basis)
+    basis, profile = _closure(space, gen, tables, what="Borel closure")
+    return ExplicitModule(space, module.weight, gen, basis, profile)
 
 
 def subset_submodule(module: ExplicitModule, A: RootSubset) -> ExplicitModule:
-    """Span generated from the highest vector by the lowerings in A."""
+    """Span generated from the highest vector by the lowerings in A.
+
+    The closure is defined for every subset A, triangular or not.  It is
+    computed once per module and subset; later calls return the same object.
+    """
     space = module.space
     if A.n != space.n:
         raise ValueError(f"subset rank {A.n} does not match module rank {space.n}")
-    if not is_triangular_subset(A):
-        warnings.warn(
-            f"root subset {sorted(r.label for r in A.members)} is not triangular;"
-            " the closure is still well defined",
-            stacklevel=2,
-        )
-    tables = [space.lowering_table(r) for r in A.sorted_roots()]
-    basis = _closure(space, [module.generator], tables, what="lowering closure")
-    return ExplicitModule(space, module.weight, module.generator, basis)
+    roots = A.sorted_roots()
+    sub = module._subsets.get(roots)
+    if sub is None:
+        tables = [space.lowering_table(r) for r in roots]
+        basis, profile = _closure(space, module.generator, tables, what="lowering closure")
+        sub = ExplicitModule(space, module.weight, module.generator, basis, profile)
+        module._subsets[roots] = sub
+    return sub
 
 
 def _ordered_image(
@@ -344,9 +363,7 @@ def verify_monomial_basis(
     if lam != module.weight:
         raise ValueError(f"module was built for {module.weight}, not {lam}")
     points = enumerate_lattice_points(A, lam)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sub = subset_submodule(module, A)
+    sub = subset_submodule(module, A)
     span = IntSpan(module.space.dimension)
     witness: Optional[LatticePoint] = None
     for point in points:
@@ -370,24 +387,7 @@ def pbw_filtration_profile(module: ExplicitModule, A: RootSubset) -> list[int]:
     once the dimension stabilizes.  Successive differences count lattice
     points by degree when the monomial basis theorem applies.
     """
-    space = module.space
-    tables = [space.lowering_table(r) for r in A.sorted_roots()]
-    span = IntSpan(space.dimension)
-    first = span.add(module.generator)
-    dims = [span.rank]
-    frontier = [first] if first is not None else []
-    while frontier:
-        fresh: list[Vector] = []
-        for vec in frontier:
-            for table in tables:
-                row = span.add(space.apply(table, vec))
-                if row is not None:
-                    fresh.append(row)
-        if span.rank == dims[-1]:
-            break
-        dims.append(span.rank)
-        frontier = fresh
-    return dims
+    return list(subset_submodule(module, A).profile)
 
 
 def _tall_first(roots: Iterable[Root]) -> list[Root]:
@@ -419,9 +419,7 @@ def essential_monomials(
     if order not in ("revlex", "lex"):
         raise ValueError(f"order must be 'revlex' or 'lex', got {order!r}")
     space = module.space
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        target = subset_submodule(module, A).dimension
+    target = subset_submodule(module, A).dimension
     listing = _tall_first(A.members)
     span = IntSpan(space.dimension)
     found: list[dict[Root, int]] = []
@@ -459,41 +457,13 @@ def cartan_component_dimension(
         raise ValueError("weights and subset must share one rank")
     left = TensorSpace.from_weight(lam)
     right = TensorSpace.from_weight(mu)
-    d1, d2 = left.dimension, right.dimension
-    if d1 * d2 > 40000:
-        raise DimensionCapError(d1 * d2, 40000, "tensor ambient")
-    width = d1 * d2
-
-    def pair_table(root: Root) -> _OpTable:
-        t1 = left.lowering_table(root)
-        t2 = right.lowering_table(root)
-        rows: list[tuple[tuple[int, int], ...]] = []
-        for i1 in range(d1):
-            for i2 in range(d2):
-                entries = [(j1 * d2 + i2, c) for j1, c in t1[i1]]
-                entries += [(i1 * d2 + j2, c) for j2, c in t2[i2]]
-                rows.append(tuple(entries))
-        return tuple(rows)
-
-    tables = [pair_table(r) for r in A.sorted_roots()]
-    start = [0] * width
-    h1 = left.highest_vector().index(1)
-    h2 = right.highest_vector().index(1)
-    start[h1 * d2 + h2] = 1
-
-    span = IntSpan(width)
-    frontier = [span.add(tuple(start))]
-    while frontier:
-        vec = frontier.pop()
-        for table in tables:
-            out = [0] * width
-            for i, v in enumerate(vec):
-                if v:
-                    for t, c in table[i]:
-                        out[t] += c * v
-            row = span.add(out)
-            if row is not None:
-                if span.rank > cap:
-                    raise DimensionCapError(span.rank, cap, "diagonal closure")
-                frontier.append(row)
-    return span.rank
+    width = left.dimension * right.dimension
+    if width > 40000:
+        raise DimensionCapError(width, 40000, "tensor ambient")
+    # Over the concatenated factors the lexicographic basis index of a pair
+    # is i1 * d2 + i2, and E_ab summed over all factors is the diagonal action.
+    space = TensorSpace(n, left.factors + right.factors)
+    tables = [space.lowering_table(r) for r in A.sorted_roots()]
+    basis, _ = _closure(space, space.highest_vector(), tables, cap=cap,
+                        what="diagonal closure")
+    return len(basis)

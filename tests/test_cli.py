@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import fflv.cli
-from fflv.cli import main, thread_count
+from fflv.cli import main
 from fflv.polytope import enumerate_lattice_points
 from fflv.roots import DominantWeight
 from fflv.weyl import Permutation, inversion_roots
@@ -274,33 +274,24 @@ def test_verify_mu_rank_mismatch(capsys):
     assert "same rank" in err
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("FFLV_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("FFLV_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_count()
-    monkeypatch.setenv("FFLV_THREADS", "lots")
-    with pytest.raises(ValueError):
-        thread_count()
-    monkeypatch.delenv("FFLV_THREADS")
-    assert thread_count() >= 1
-
-
-def test_scan_output_is_thread_count_independent(capsys, monkeypatch):
-    monkeypatch.setenv("FFLV_THREADS", "1")
-    code1, out1, _ = run(capsys, "weyl-scan", "--n", "3", "--format", "json")
-    monkeypatch.setenv("FFLV_THREADS", "4")
-    code2, out2, _ = run(capsys, "weyl-scan", "--n", "3", "--format", "json")
-    assert code1 == code2 == 0
-    assert out1 == out2
+def test_verify_reports_unstable_essential_scan_as_a_failed_check(capsys):
+    code, out, err = run(capsys, "verify", "--A", "1.1,2.2", "--lambda", "1,1")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False
+    rep = data["checks"]["rep"]
+    assert rep["status"] == "fail"
+    assert "did not stabilize" in rep["error"]
+    assert "Traceback" not in err
 
 
 def test_repeated_runs_are_byte_identical(capsys):
-    args = ("points", "--w", "s2 s1", "--lambda", "2,1", "--format", "json")
-    _, out1, _ = run(capsys, *args)
-    _, out2, _ = run(capsys, *args)
-    assert out1 == out2
+    for args in (("points", "--w", "s2 s1", "--lambda", "2,1", "--format", "json"),
+                 ("weyl-scan", "--n", "3", "--format", "json")):
+        code1, out1, _ = run(capsys, *args)
+        code2, out2, _ = run(capsys, *args)
+        assert code1 == code2 == 0
+        assert out1 == out2
 
 
 def test_module_entry_point():

@@ -1,8 +1,12 @@
 """Explicit modules, extremal vectors, monomial bases, and graded profiles."""
 
+import warnings
+
 import pytest
 
+import fflv.rep
 from fflv.characters import demazure_dimension_oracle, weyl_dimension
+from fflv.cli import main
 from fflv.polytope import degree_histogram, enumerate_lattice_points
 from fflv.rep import (
     DimensionCapError,
@@ -95,12 +99,21 @@ def test_subset_submodule_matches_lattice_count_for_triangular():
         assert sub.dimension == demazure_submodule(module, w).dimension
 
 
-def test_subset_submodule_warns_when_not_triangular():
-    lam = rho(3)
-    module = build_highest_weight_module(lam)
+def test_subset_submodule_is_silent_when_not_triangular():
+    module = build_highest_weight_module(rho(3))
     A = inversion_roots(Permutation.from_word((1, 3, 2), 3))
-    with pytest.warns(UserWarning):
-        subset_submodule(module, A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sub = subset_submodule(module, A)
+    assert sub.dimension == 13
+
+
+def test_subset_submodule_is_computed_once_per_subset():
+    module = build_highest_weight_module(DominantWeight((2, 1)))
+    A = RootSubset.full(2)
+    sub = subset_submodule(module, A)
+    assert subset_submodule(module, A) is sub
+    assert subset_submodule(module, inversion_roots(Permutation.from_word((1,), 2))) is not sub
 
 
 def test_monomial_vector_validation():
@@ -139,8 +152,7 @@ def test_non_triangular_example_still_has_a_monomial_basis():
     assert report.submodule_dimension == 13
     assert report.ok
     assert demazure_submodule(module, w).dimension == 13
-    with pytest.warns(UserWarning):
-        sub = subset_submodule(module, A)
+    sub = subset_submodule(module, A)
     borel = demazure_submodule(module, w)
     sub_span = sub.span()
     assert any(row not in sub_span for row in borel.basis)
@@ -156,6 +168,8 @@ def test_pbw_profile_matches_degree_histogram():
     assert histogram == {0: 1, 1: 3, 2: 4}
     increments = [dims[0]] + [b - a for a, b in zip(dims, dims[1:])]
     assert increments == [histogram[d] for d in sorted(histogram)]
+    assert subset_submodule(module, A).profile == (1, 4, 8)
+    assert module.profile[-1] == module.dimension == 8
 
 
 def test_essential_monomials_recover_lattice_points():
@@ -185,3 +199,47 @@ def test_cartan_component_dimensions():
         cartan_component_dimension(lam, DominantWeight((1,)), A)
     with pytest.raises(DimensionCapError):
         cartan_component_dimension(lam, lam, A, cap=3)
+
+
+def _pair_table(left, right, root):
+    """Reference diagonal action on the tensor product of two spaces: the
+    entries for (i1, i2) at index i1 * d2 + i2, left factor first."""
+    t1, t2 = left.lowering_table(root), right.lowering_table(root)
+    d2 = right.dimension
+    rows = []
+    for i1 in range(left.dimension):
+        for i2 in range(d2):
+            entries = [(j1 * d2 + i2, c) for j1, c in t1[i1]]
+            entries += [(i1 * d2 + j2, c) for j2, c in t2[i2]]
+            rows.append(tuple(entries))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("lam,mu", [
+    (DominantWeight((1, 1)), DominantWeight((1, 0))),
+    (DominantWeight((0, 2)), DominantWeight((1, 1))),
+    (DominantWeight((1, 0, 1)), DominantWeight((0, 1, 0))),
+    (DominantWeight((1, 1, 0)), DominantWeight((0, 0, 0))),
+])
+def test_concatenated_factors_give_the_diagonal_action(lam, mu):
+    left, right = TensorSpace.from_weight(lam), TensorSpace.from_weight(mu)
+    space = TensorSpace(lam.n, left.factors + right.factors)
+    assert space.dimension == left.dimension * right.dimension
+    h1, h2 = left.highest_vector().index(1), right.highest_vector().index(1)
+    assert space.highest_vector().index(1) == h1 * right.dimension + h2
+    for root in RootSubset.full(lam.n).sorted_roots():
+        assert space.lowering_table(root) == _pair_table(left, right, root)
+
+
+def test_rank3_verify_runs_three_closures(capsys, monkeypatch):
+    whats = []
+    closure = fflv.rep._closure
+
+    def counted(space, start, tables, cap=None, what="module"):
+        whats.append(what)
+        return closure(space, start, tables, cap=cap, what=what)
+
+    monkeypatch.setattr(fflv.rep, "_closure", counted)
+    assert main(["verify", "--w-oneline", "4 3 2 1", "--lambda", "1,1,1"]) == 0
+    capsys.readouterr()
+    assert whats == ["module", "lowering closure", "Borel closure"]
