@@ -285,13 +285,22 @@ def test_verify_reports_unstable_essential_scan_as_a_failed_check(capsys):
     assert "Traceback" not in err
 
 
+def test_scan_output_is_thread_count_independent(capsys, monkeypatch):
+    # The scan runs in one thread; a leftover FFLV_THREADS setting is ignored.
+    monkeypatch.setenv("FFLV_THREADS", "1")
+    code1, out1, _ = run(capsys, "weyl-scan", "--n", "3", "--format", "json")
+    monkeypatch.setenv("FFLV_THREADS", "4")
+    code2, out2, _ = run(capsys, "weyl-scan", "--n", "3", "--format", "json")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_repeated_runs_are_byte_identical(capsys):
-    for args in (("points", "--w", "s2 s1", "--lambda", "2,1", "--format", "json"),
-                 ("weyl-scan", "--n", "3", "--format", "json")):
-        code1, out1, _ = run(capsys, *args)
-        code2, out2, _ = run(capsys, *args)
-        assert code1 == code2 == 0
-        assert out1 == out2
+    args = ("points", "--w", "s2 s1", "--lambda", "2,1", "--format", "json")
+    code1, out1, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args)
+    assert code1 == code2 == 0
+    assert out1 == out2
 
 
 def test_module_entry_point():
