@@ -430,6 +430,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_points(job)
         if args.command == "char-compare":
             return cmd_char_compare(job)
+        if args.max_dim < 1:
+            raise ValueError(f"dimension cap must be >= 1, got {args.max_dim}")
         job.max_dim = args.max_dim
         job.with_rep = not args.no_rep
         if args.mu is not None:

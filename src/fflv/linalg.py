@@ -1,106 +1,161 @@
-"""Exact integer row spaces with fraction-free elimination.
+"""Exact integer row spaces with fraction-free elimination on sparse vectors.
 
 Every rank and membership computation in this package runs over the
-integers.  A growing row space keeps its rows in echelon form (strictly
-increasing pivot columns, gcd-reduced, positive leading entry), so
-inserting a vector answers "did the rank grow" without ever leaving
-exact arithmetic.
+integers.  Vectors are sparse: a sorted tuple of ``(index, coeff)`` pairs
+with nonzero coefficients.  That form is hashable and reads as zero or
+nonzero under ``any()``, like a dense vector; ``densify`` turns it into a
+dense tuple where one is needed.  A growing row space keeps its rows in
+echelon form (one pivot column per row, gcd-reduced, positive leading
+entry), so inserting a vector answers "did the rank grow" without ever
+leaving exact arithmetic, and in time proportional to the support of the
+vector rather than to the ambient width.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
+
+SparseVector = tuple[tuple[int, int], ...]
 
 
-def _normalize(vec: list[int]) -> list[int]:
-    """Divide out the gcd and make the leading nonzero entry positive."""
+def densify(vector: SparseVector, width: int) -> tuple[int, ...]:
+    """The dense tuple of a sparse vector in an ambient space of this width."""
+    dense = [0] * width
+    for i, x in vector:
+        dense[i] = x
+    return tuple(dense)
+
+
+def _content_free(vec: dict[int, int]) -> None:
+    """Divide out the gcd of the coefficients, in place."""
     g = 0
-    for x in vec:
+    for x in vec.values():
         g = gcd(g, x)
         if g == 1:
-            break
+            return
     if g > 1:
-        vec = [x // g for x in vec]
-    for x in vec:
-        if x > 0:
-            return vec
-        if x < 0:
-            return [-y for y in vec]
-    return vec
+        for k in vec:
+            vec[k] //= g
 
 
 class IntSpan:
     """Row space of integer vectors supporting exact rank-growth queries.
 
-    Rows are stored in echelon form: each row's first nonzero entry (its
-    pivot) sits in a column no other row uses, and rows are ordered by
-    pivot column.  Reduction is fraction-free: a vector is scaled by the
-    pivot entry before subtraction, then gcd-normalized, so all
-    intermediate values stay integral.
+    Rows are kept in echelon form, keyed by their pivot (first nonzero)
+    column: no row is nonzero at a column where an earlier-inserted row has
+    its pivot.  A vector is reduced by eliminating, smallest column first,
+    every pivot column in its support; eliminating one column creates
+    entries only at larger columns, so a heap of pending pivot columns
+    visits each column the vector reaches and no other.  Elimination is
+    fraction-free: the vector is scaled by the pivot entry (divided by its
+    gcd with the eliminated coefficient) before the subtraction, and the
+    content is divided out after any scaling, so all values stay integral
+    and small.
+
+    The result does not depend on the order of elimination.  Two
+    reductions r = a v + s and r' = a' v + s' (a, a' nonzero, s, s' in the
+    span) give a' r - a r' in the span and zero on every pivot column; a
+    nonzero span element is nonzero at the smallest pivot among the rows it
+    uses, so a' r = a r', and gcd and sign normalization pick the same
+    multiple.  So eliminating column by column over the whole width gives
+    the same rows, pivots and ranks.  Vectors of different weights have
+    disjoint supports, so a span of weight vectors is in effect eliminated
+    one weight space at a time.
     """
 
-    __slots__ = ("width", "_rows", "_pivots")
+    __slots__ = ("width", "_rows")
 
     def __init__(self, width: int) -> None:
         if width <= 0:
             raise ValueError(f"width must be positive, got {width}")
         self.width = width
-        self._rows: list[tuple[int, ...]] = []
-        self._pivots: list[int] = []
+        self._rows: dict[int, SparseVector] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._rows)
+    def rows(self) -> tuple[SparseVector, ...]:
+        """The echelon rows in increasing order of pivot column."""
+        return tuple(self._rows[p] for p in sorted(self._rows))
 
-    def reduce(self, vector: Sequence[int]) -> list[int]:
+    def _entries(self, vector: Union[SparseVector, Sequence[int]]) -> dict[int, int]:
+        """A mutable copy of the vector; a dense one is converted here, once.
+
+        A sequence whose first entry is an int is dense and must have
+        ``width`` entries; otherwise it is sparse, and empty means zero.
+        """
+        if vector and isinstance(vector[0], int):
+            if len(vector) != self.width:
+                raise ValueError(f"vector has length {len(vector)}, expected {self.width}")
+            return {i: x for i, x in enumerate(vector) if x}
+        if vector and not 0 <= vector[0][0] <= vector[-1][0] < self.width:
+            raise ValueError(f"vector has an index outside 0..{self.width - 1}")
+        return dict(vector)
+
+    def reduce(self, vector: Union[SparseVector, Sequence[int]]) -> SparseVector:
         """Eliminate all pivot columns from a copy of the vector.
 
-        The result is zero exactly when the vector lies in the span.
+        The result is gcd-normalized with a positive leading entry, and it
+        is zero (the empty tuple) exactly when the vector lies in the span.
         """
-        vec = list(vector)
-        if len(vec) != self.width:
-            raise ValueError(f"vector has length {len(vec)}, expected {self.width}")
-        for row, piv in zip(self._rows, self._pivots):
-            c = vec[piv]
-            if not c:
+        vec = self._entries(vector)
+        rows = self._rows
+        todo = [k for k in vec if k in rows]
+        heapify(todo)
+        while todo:
+            piv = heappop(todo)
+            c = vec.get(piv)
+            if c is None:
                 continue
-            lead = row[piv]
-            for k in range(piv):
-                vec[k] *= lead
-            for k in range(piv, self.width):
-                vec[k] = vec[k] * lead - c * row[k]
-            vec = _normalize(vec)
-        return vec
+            row = rows[piv]
+            g = gcd(row[0][1], c)
+            lead, c = row[0][1] // g, c // g
+            if lead != 1:
+                for k in vec:
+                    vec[k] *= lead
+            for k, y in row:
+                x = vec.get(k)
+                if x is None:
+                    vec[k] = -c * y
+                    if k in rows:
+                        heappush(todo, k)
+                else:
+                    x -= c * y
+                    if x:
+                        vec[k] = x
+                    else:
+                        del vec[k]
+            if lead != 1:
+                _content_free(vec)
+        if not vec:
+            return ()
+        _content_free(vec)
+        out = sorted(vec.items())
+        if out[0][1] < 0:
+            return tuple((k, -x) for k, x in out)
+        return tuple(out)
 
-    def add(self, vector: Sequence[int]) -> Optional[tuple[int, ...]]:
+    def add(self, vector: Union[SparseVector, Sequence[int]]) -> Optional[SparseVector]:
         """Insert a vector if it enlarges the span.
 
-        Returns the stored echelon row (an immutable tuple, shared with the
+        Returns the stored echelon row (a sparse tuple, shared with the
         span) when the rank grew, None when the vector was already in the
         span.
         """
-        vec = self.reduce(vector)
-        for piv, x in enumerate(vec):
-            if x:
-                break
-        else:
+        row = self.reduce(vector)
+        if not row:
             return None
-        row = tuple(_normalize(vec))
-        at = bisect_left(self._pivots, piv)
-        self._rows.insert(at, row)
-        insort(self._pivots, piv)
+        self._rows[row[0][0]] = row
         return row
 
-    def __contains__(self, vector: Sequence[int]) -> bool:
-        return not any(self.reduce(vector))
+    def __contains__(self, vector: Union[SparseVector, Sequence[int]]) -> bool:
+        return not self.reduce(vector)
 
-    def extend(self, vectors: Iterable[Sequence[int]]) -> int:
+    def extend(self, vectors: Iterable[Union[SparseVector, Sequence[int]]]) -> int:
         """Insert several vectors; return how much the rank grew."""
         before = self.rank
         for vec in vectors:
@@ -108,7 +163,7 @@ class IntSpan:
         return self.rank - before
 
 
-def span_rank(vectors: Iterable[Sequence[int]], width: int) -> int:
+def span_rank(vectors: Iterable[Union[SparseVector, Sequence[int]]], width: int) -> int:
     """Rank of the integer span of the given vectors."""
     span = IntSpan(width)
     span.extend(vectors)

@@ -7,6 +7,13 @@ fundamental weight.  Ambient basis vectors are tuples of k-element subsets of
 with a (with the sign of the resorting shuffle) and is summed over factors.
 All coordinates are integers and every rank is computed exactly.
 
+Vectors are sparse throughout (`fflv.linalg.SparseVector`): the generator,
+every closure row and every monomial image is a weight vector, whose support
+lies in one weight space (at rho(4), at most 110 of the 2,500 ambient
+coordinates), and applying an operator or eliminating against a span costs
+time in that support, not in the ambient dimension.  `fflv.linalg.densify`
+gives the dense tuple of a vector where one is wanted.
+
 Lowering and raising follow the convention that the lowering operator for the
 positive root built on rows i..j is E_{j+1,i} and the raising operator is
 E_{i,j+1}, so lowering moves weight down the dominance order.
@@ -20,12 +27,11 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .characters import to_partition, weyl_dimension
-from .linalg import IntSpan
+from .linalg import IntSpan, SparseVector
 from .polytope import LatticePoint, PointSet, enumerate_lattice_points
 from .roots import DominantWeight, Root, all_positive_roots
 from .weyl import Permutation, RootSubset, reduced_word
 
-Vector = tuple[int, ...]
 _SubsetKey = tuple[int, ...]
 _BasisKey = tuple[_SubsetKey, ...]
 _OpTable = tuple[tuple[tuple[int, int], ...], ...]
@@ -59,10 +65,13 @@ class TensorSpace:
     """Ambient tensor product of exterior powers for one dominant weight.
 
     Factors are listed smallest exterior power first; the basis is the
-    lexicographic product of the subset bases of the factors.
+    lexicographic product of the subset bases of the factors, so a basis
+    key's index is the mixed-radix number whose digits are the positions of
+    its subsets in their pools.  Vectors in this space are sparse (see
+    `fflv.linalg`).
     """
 
-    __slots__ = ("n", "factors", "basis", "index", "_tables")
+    __slots__ = ("n", "factors", "basis", "_pools", "_strides", "_tables")
 
     def __init__(self, n: int, factors: Sequence[int]) -> None:
         if n < 1:
@@ -72,9 +81,12 @@ class TensorSpace:
                 raise ValueError(f"exterior power degree {k} outside 1..{n}")
         self.n = n
         self.factors = tuple(factors)
-        pools = [tuple(combinations(range(1, n + 2), k)) for k in self.factors]
-        self.basis: tuple[_BasisKey, ...] = tuple(product(*pools))
-        self.index = {key: i for i, key in enumerate(self.basis)}
+        self._pools = [tuple(combinations(range(1, n + 2), k)) for k in self.factors]
+        self.basis: tuple[_BasisKey, ...] = tuple(product(*self._pools))
+        strides = [1] * len(self._pools)
+        for f in range(len(self._pools) - 2, -1, -1):
+            strides[f] = strides[f + 1] * len(self._pools[f + 1])
+        self._strides = strides
         self._tables: dict[tuple[int, int], _OpTable] = {}
 
     @classmethod
@@ -86,11 +98,10 @@ class TensorSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def highest_vector(self) -> Vector:
-        top = tuple(tuple(range(1, k + 1)) for k in self.factors)
-        vec = [0] * self.dimension
-        vec[self.index[top]] = 1
-        return tuple(vec)
+    def highest_vector(self) -> SparseVector:
+        """The basis vector whose every factor is {1, ..., k}: the first
+        subset of each pool, so index 0."""
+        return ((0, 1),)
 
     def weight_of(self, key: _BasisKey) -> tuple[int, ...]:
         """Content vector: how many tensor factors contain each of 1..n+1."""
@@ -101,20 +112,31 @@ class TensorSpace:
         return tuple(content)
 
     def table(self, a: int, b: int) -> _OpTable:
-        """Sparse action of E_ab summed over tensor factors, cached."""
+        """Sparse action of E_ab summed over tensor factors, cached.
+
+        On factor f, E_ab moves the subset at pool position p to position
+        p', which moves the basis index by (p' - p) times the stride of f;
+        row i lists its targets in factor order.
+        """
         cached = self._tables.get((a, b))
         if cached is not None:
             return cached
-        rows: list[tuple[tuple[int, int], ...]] = []
-        for key in self.basis:
-            entries: dict[int, int] = {}
-            for f, subset in enumerate(key):
+        acts = []
+        for pool, stride in zip(self._pools, self._strides):
+            position = {subset: p for p, subset in enumerate(pool)}
+            act: list[Optional[tuple[int, int]]] = []
+            for p, subset in enumerate(pool):
                 hit = _wedge_action(a, b, subset)
-                if hit is None:
-                    continue
-                image, sign = hit
-                target = self.index[key[:f] + (image,) + key[f + 1:]]
-                entries[target] = entries.get(target, 0) + sign
+                act.append(None if hit is None else ((position[hit[0]] - p) * stride, hit[1]))
+            acts.append(act)
+        rows: list[tuple[tuple[int, int], ...]] = []
+        for i, digits in enumerate(product(*(range(len(pool)) for pool in self._pools))):
+            entries: dict[int, int] = {}
+            for act, p in zip(acts, digits):
+                hit = act[p]
+                if hit is not None:
+                    target = i + hit[0]
+                    entries[target] = entries.get(target, 0) + hit[1]
             rows.append(tuple((t, c) for t, c in entries.items() if c))
         table = tuple(rows)
         self._tables[(a, b)] = table
@@ -126,13 +148,13 @@ class TensorSpace:
     def raising_table(self, root: Root) -> _OpTable:
         return self.table(root.i, root.j + 1)
 
-    def apply(self, table: _OpTable, vec: Sequence[int]) -> Vector:
-        out = [0] * self.dimension
-        for i, v in enumerate(vec):
-            if v:
-                for t, c in table[i]:
-                    out[t] += c * v
-        return tuple(out)
+    def apply(self, table: _OpTable, vec: SparseVector) -> SparseVector:
+        """Image of a sparse vector under an op table, as a sparse vector."""
+        out: dict[int, int] = {}
+        for i, v in vec:
+            for t, c in table[i]:
+                out[t] = out.get(t, 0) + c * v
+        return tuple(sorted((t, x) for t, x in out.items() if x))
 
 
 @dataclass(frozen=True)
@@ -140,18 +162,18 @@ class ExplicitModule:
     """A submodule of the ambient tensor space, given by an echelon basis.
 
     The generator is the cyclic vector the basis was grown from; the basis
-    rows are integer vectors in echelon form, so the dimension is their
-    count and membership tests need no further elimination.  Entry d of the
-    profile is the dimension of the span of all products of at most d of
-    the generating operators applied to the generator; the last entry is
-    the dimension.  Lowering closures of this module are kept per root
-    subset, so each one is computed once.
+    rows are sparse integer vectors in echelon form, ordered by pivot
+    column, so the dimension is their count and membership tests need no
+    further elimination.  Entry d of the profile is the dimension of the
+    span of all products of at most d of the generating operators applied
+    to the generator; the last entry is the dimension.  Lowering closures
+    of this module are kept per root subset, so each one is computed once.
     """
 
     space: TensorSpace
     weight: DominantWeight
-    generator: Vector
-    basis: tuple[Vector, ...]
+    generator: SparseVector
+    basis: tuple[SparseVector, ...]
     profile: tuple[int, ...]
     _subsets: dict[tuple[Root, ...], "ExplicitModule"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -166,17 +188,17 @@ class ExplicitModule:
             span.add(row)
         return span
 
-    def __contains__(self, vector: Sequence[int]) -> bool:
+    def __contains__(self, vector: SparseVector) -> bool:
         return tuple(vector) in self.span()
 
 
 def _closure(
     space: TensorSpace,
-    start: Vector,
+    start: SparseVector,
     tables: Sequence[_OpTable],
     cap: Optional[int] = None,
     what: str = "module",
-) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+) -> tuple[tuple[SparseVector, ...], tuple[int, ...]]:
     """Smallest span containing the start vector and closed under the ops.
 
     Grown breadth first, one degree at a time: the rows that entered at
@@ -190,7 +212,7 @@ def _closure(
     frontier = [row] if row is not None else []
     profile = [span.rank]
     while frontier:
-        fresh: list[Vector] = []
+        fresh: list[SparseVector] = []
         for vec in frontier:
             for table in tables:
                 row = span.add(space.apply(table, vec))
@@ -226,7 +248,7 @@ def build_highest_weight_module(lam: DominantWeight, cap: int = 400) -> Explicit
     return ExplicitModule(space, lam, top, basis, profile)
 
 
-def extremal_vector(module: ExplicitModule, w: Permutation) -> Vector:
+def extremal_vector(module: ExplicitModule, w: Permutation) -> SparseVector:
     """The weight vector of extremal weight w(lambda), up to a scalar.
 
     Built by lowering along a reduced word: reading the word right to left,
@@ -248,22 +270,22 @@ def extremal_vector(module: ExplicitModule, w: Permutation) -> Vector:
         for _ in range(amount):
             vec = space.apply(table, vec)
         content[i - 1], content[i] = content[i], content[i - 1]
-    if not any(vec):
+    if not vec:
         raise ArithmeticError(f"extremal vector for {w} vanished")
     expected = [0] * (space.n + 1)
     parts = to_partition(module.weight).parts
     for i in range(1, space.n + 2):
         expected[w(i) - 1] = parts[i - 1]
-    for idx, v in enumerate(vec):
-        if v and list(space.weight_of(space.basis[idx])) != expected:
+    for idx, _ in vec:
+        if list(space.weight_of(space.basis[idx])) != expected:
             raise ArithmeticError(f"extremal vector for {w} is not of weight {expected}")
     g = 0
-    for v in vec:
+    for _, v in vec:
         g = gcd(g, v)
         if g == 1:
             break
     if g > 1:
-        vec = tuple(v // g for v in vec)
+        vec = tuple((idx, v // g) for idx, v in vec)
     return vec
 
 
@@ -302,7 +324,7 @@ def subset_submodule(module: ExplicitModule, A: RootSubset) -> ExplicitModule:
 
 def _ordered_image(
     module: ExplicitModule, listing: Sequence[Root], exponents: Sequence[int]
-) -> Vector:
+) -> SparseVector:
     """Apply the ordered product of lowering powers to the highest vector.
 
     The listing gives the product left to right; the rightmost factor acts
@@ -319,7 +341,7 @@ def _ordered_image(
     return vec
 
 
-def monomial_vector(module: ExplicitModule, point: LatticePoint) -> Vector:
+def monomial_vector(module: ExplicitModule, point: LatticePoint) -> SparseVector:
     """Image of the highest vector under one ordered lowering monomial.
 
     Factors are ordered by (row, column) on the roots, fixed once for the
@@ -415,6 +437,12 @@ def essential_monomials(
     "lex" by lexicographic order.  Exponents are scanned in increasing
     order and kept exactly when their monomial vector enlarges the span, so
     the result does not depend on any basis choice.
+
+    When the monomials never span the lowering closure, ArithmeticError is
+    raised at the first degree whose ordered monomials all kill the highest
+    vector.  An ordered monomial of degree d + 1 is its leftmost factor
+    times an ordered monomial of degree d, so every later degree vanishes
+    too; lowering operators are nilpotent, so that degree always comes.
     """
     if order not in ("revlex", "lex"):
         raise ValueError(f"order must be 'revlex' or 'lex', got {order!r}")
@@ -425,18 +453,21 @@ def essential_monomials(
     found: list[dict[Root, int]] = []
     degree = 0
     while span.rank < target:
-        if degree > 4 * target + 4:
-            raise ArithmeticError("essential monomial scan did not stabilize")
         exps = list(_degree_compositions(degree, len(listing)))
         if order == "revlex":
             exps.sort(key=lambda s: tuple(-x for x in reversed(s)))
         else:
             exps.sort()
+        vanished = True
         for s in exps:
-            if span.add(_ordered_image(module, listing, s)) is not None:
+            image = _ordered_image(module, listing, s)
+            vanished = vanished and not image
+            if span.add(image) is not None:
                 found.append(dict(zip(listing, s)))
                 if span.rank == target:
                     break
+        if vanished:
+            raise ArithmeticError("essential monomial scan did not stabilize")
         degree += 1
     roots = A.sorted_roots()
     tuples = frozenset(tuple(f.get(r, 0) for r in roots) for f in found)

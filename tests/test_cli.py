@@ -285,6 +285,24 @@ def test_verify_reports_unstable_essential_scan_as_a_failed_check(capsys):
     assert "Traceback" not in err
 
 
+def test_essential_scan_gives_up_once_every_monomial_vanishes(capsys):
+    # The ordered monomials of this subset never span its lowering closure;
+    # every one of degree 9 kills the highest vector, so the scan stops there.
+    code, out, _ = run(capsys, "verify", "--A", "1.1,2.2,3.3,1.2,2.3", "--lambda", "1,1,1")
+    assert code == 1
+    rep = json.loads(out)["checks"]["rep"]
+    assert rep == {"status": "fail", "error": "essential monomial scan did not stabilize"}
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_verify_rejects_dimension_cap_below_one(capsys, cap):
+    code, out, err = run(capsys, "verify", "--w", "s1 s2", "--lambda", "1,1",
+                         "--max-dim", cap)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "dimension cap" in err
+
+
 def test_scan_output_is_thread_count_independent(capsys, monkeypatch):
     # The scan runs in one thread; a leftover FFLV_THREADS setting is ignored.
     monkeypatch.setenv("FFLV_THREADS", "1")

@@ -1,20 +1,22 @@
 """Fraction-free integer row spaces."""
 
+from bisect import bisect_left, insort
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fflv.linalg import IntSpan, span_rank
+from fflv.linalg import IntSpan, densify, span_rank
 
 
 def test_basic_rank_growth():
     span = IntSpan(3)
     assert span.rank == 0
-    assert span.add([2, 4, 6]) == (1, 2, 3)
+    assert densify(span.add([2, 4, 6]), 3) == (1, 2, 3)
     assert span.add([1, 2, 3]) is None
-    assert span.add([0, 0, 5]) == (0, 0, 1)
+    assert densify(span.add([0, 0, 5]), 3) == (0, 0, 1)
     assert span.rank == 2
     assert [1, 2, 99] in span
     assert [0, 1, 0] not in span
@@ -25,6 +27,7 @@ def test_rows_stay_in_echelon_form():
     span.extend([[0, 3, 1, 0], [2, 1, 0, 0], [2, 4, 1, 7]])
     pivots = []
     for row in span.rows:
+        row = densify(row, 4)
         lead = next(i for i, x in enumerate(row) if x)
         assert row[lead] > 0
         pivots.append(lead)
@@ -89,3 +92,84 @@ def _fraction_rank(vecs, width):
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def _dense_normalize(vec):
+    g = 0
+    for x in vec:
+        g = gcd(g, x)
+        if g == 1:
+            break
+    if g > 1:
+        vec = [x // g for x in vec]
+    for x in vec:
+        if x > 0:
+            return vec
+        if x < 0:
+            return [-y for y in vec]
+    return vec
+
+
+class _DenseSpan:
+    """Reference: column-by-column elimination over the whole width."""
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vector):
+        vec = list(vector)
+        for row, piv in zip(self.rows, self.pivots):
+            c = vec[piv]
+            if not c:
+                continue
+            lead = row[piv]
+            for k in range(piv):
+                vec[k] *= lead
+            for k in range(piv, self.width):
+                vec[k] = vec[k] * lead - c * row[k]
+            vec = _dense_normalize(vec)
+        return vec
+
+    def add(self, vector):
+        vec = self.reduce(vector)
+        for piv, x in enumerate(vec):
+            if x:
+                break
+        else:
+            return None
+        row = tuple(_dense_normalize(vec))
+        at = bisect_left(self.pivots, piv)
+        self.rows.insert(at, row)
+        insort(self.pivots, piv)
+        return row
+
+
+def _sparse(vec):
+    return tuple((i, x) for i, x in enumerate(vec) if x)
+
+
+# Mostly zero entries, so supports are partial and eliminations create
+# entries at columns the vector did not reach before.
+sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 6])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda w: st.lists(st.lists(sparse_entries, min_size=w, max_size=w), max_size=12)))
+def test_sparse_elimination_matches_dense_reference(vecs):
+    width = len(vecs[0]) if vecs else 3
+    ref, span = _DenseSpan(width), IntSpan(width)
+    for i, vec in enumerate(vecs):
+        reduced = span.reduce(vec)
+        assert densify(reduced, width) == tuple(_dense_normalize(ref.reduce(vec)))
+        assert not reduced or reduced[0][1] > 0
+        want = ref.add(vec)
+        got = span.add(vec if i % 2 else _sparse(vec))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert densify(got, width) == want
+        assert span.rank == len(ref.rows)
+        assert [densify(row, width) for row in span.rows] == ref.rows
+        assert [row[0][0] for row in span.rows] == ref.pivots

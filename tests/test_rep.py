@@ -7,6 +7,7 @@ import pytest
 import fflv.rep
 from fflv.characters import demazure_dimension_oracle, weyl_dimension
 from fflv.cli import main
+from fflv.linalg import densify
 from fflv.polytope import degree_histogram, enumerate_lattice_points
 from fflv.rep import (
     DimensionCapError,
@@ -34,7 +35,7 @@ from fflv.weyl import (
 def test_tensor_space_shape():
     space = TensorSpace.from_weight(DominantWeight((1, 1)))
     assert space.dimension == 9
-    top = space.highest_vector()
+    top = densify(space.highest_vector(), space.dimension)
     assert sum(map(abs, top)) == 1
     idx = top.index(1)
     assert space.weight_of(space.basis[idx]) == (2, 1, 0)
@@ -72,7 +73,7 @@ def test_extremal_vector_weights():
     assert extremal_vector(module, Permutation.identity(2)) == module.generator
     w0 = Permutation.longest(2)
     low = extremal_vector(module, w0)
-    support = [i for i, v in enumerate(low) if v]
+    support = [i for i, v in enumerate(densify(low, module.space.dimension)) if v]
     assert support
     for i in support:
         assert module.space.weight_of(module.space.basis[i]) == (0, 1, 3)
@@ -225,8 +226,9 @@ def test_concatenated_factors_give_the_diagonal_action(lam, mu):
     left, right = TensorSpace.from_weight(lam), TensorSpace.from_weight(mu)
     space = TensorSpace(lam.n, left.factors + right.factors)
     assert space.dimension == left.dimension * right.dimension
-    h1, h2 = left.highest_vector().index(1), right.highest_vector().index(1)
-    assert space.highest_vector().index(1) == h1 * right.dimension + h2
+    h1 = densify(left.highest_vector(), left.dimension).index(1)
+    h2 = densify(right.highest_vector(), right.dimension).index(1)
+    assert densify(space.highest_vector(), space.dimension).index(1) == h1 * right.dimension + h2
     for root in RootSubset.full(lam.n).sorted_roots():
         assert space.lowering_table(root) == _pair_table(left, right, root)
 
@@ -243,3 +245,17 @@ def test_rank3_verify_runs_three_closures(capsys, monkeypatch):
     assert main(["verify", "--w-oneline", "4 3 2 1", "--lambda", "1,1,1"]) == 0
     capsys.readouterr()
     assert whats == ["module", "lowering closure", "Borel closure"]
+
+
+def test_rank4_closures_match_weyl_and_demazure_dimensions():
+    lam = rho(4)
+    module = build_highest_weight_module(lam, cap=2000)
+    assert module.dimension == weyl_dimension(lam) == 1024
+    for w in all_permutations(4):
+        assert demazure_submodule(module, w).dimension == demazure_dimension_oracle(w, lam)
+    full = RootSubset.full(4)
+    histogram = degree_histogram(enumerate_lattice_points(full, lam))
+    profile = pbw_filtration_profile(module, full)
+    assert profile[-1] == 1024
+    increments = [profile[0]] + [b - a for a, b in zip(profile, profile[1:])]
+    assert increments == [histogram[d] for d in sorted(histogram)]
