@@ -29,10 +29,8 @@ from .marked_poset import (
     Marker,
     build_marked_poset,
     ehrhart_count,
-    ehrhart_table_csv,
     marked_chain_points,
     marked_order_points,
-    poset_to_json,
 )
 from .paths import (
     DyckPath,
@@ -58,7 +56,6 @@ from .polytope import (
     in_polytope,
     minkowski_sum,
     points_to_csv,
-    points_to_json,
     weight_and_degree,
 )
 from .rep import (
@@ -80,11 +77,9 @@ from .roots import (
     DominantWeight,
     Root,
     all_positive_roots,
-    dominance_covers,
     dominates,
     fundamental_weight,
     join_root,
-    leq_usual,
     make_root,
     meet_root,
     pairing,

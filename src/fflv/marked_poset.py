@@ -16,7 +16,6 @@ the same number of integer points at every dilation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -173,22 +172,3 @@ def ehrhart_count(A: RootSubset, lam: DominantWeight, t: int, which: str) -> int
     if which == "order":
         return len(marked_order_points(P))
     raise ValueError(f"unknown polytope kind {which!r}")
-
-
-def poset_to_json(P: MarkedPoset) -> str:
-    """Node/edge lists with markings, canonically ordered."""
-    nodes = [
-        {"marker": m.index, "marking": P.marking(m)} for m in P.markers
-    ] + [{"root": [r.i, r.j]} for r in P.A.sorted_roots()]
-    edges = [[a.label, b.label] for a, b in P.covers()]
-    return json.dumps({"nodes": nodes, "edges": edges}, separators=(",", ":"))
-
-
-def ehrhart_table_csv(A: RootSubset, lam: DominantWeight, ts) -> str:
-    """CSV rows (t, chain_count, order_count) for each dilation factor."""
-    lines = ["t,chain_count,order_count"]
-    for t in ts:
-        lines.append(
-            f"{t},{ehrhart_count(A, lam, t, 'chain')},{ehrhart_count(A, lam, t, 'order')}"
-        )
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -258,21 +257,6 @@ def degree_histogram(S: PointSet) -> dict[int, int]:
         d = sum(vals)
         hist[d] = hist.get(d, 0) + 1
     return dict(sorted(hist.items()))
-
-
-def points_to_json(S: PointSet, lam: DominantWeight) -> str:
-    """Canonical JSON: rank, support roots, weight, and per-point sparse
-    (i, j, value) triples in root order."""
-    data = {
-        "rank": S.n,
-        "A": [[r.i, r.j] for r in S.roots],
-        "lambda": list(lam.coeffs),
-        "points": [
-            [[r.i, r.j, v] for r, v in zip(S.roots, vals) if v]
-            for vals in S.sorted_tuples()
-        ],
-    }
-    return json.dumps(data, separators=(",", ":"), sort_keys=True)
 
 
 def points_to_csv(S: PointSet) -> str:

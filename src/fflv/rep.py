@@ -177,19 +177,23 @@ class ExplicitModule:
     profile: tuple[int, ...]
     _subsets: dict[tuple[Root, ...], "ExplicitModule"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _span: Optional[IntSpan] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
     def span(self) -> IntSpan:
+        """A new row space of the basis, which the caller may extend."""
         span = IntSpan(self.space.dimension)
         for row in self.basis:
             span.add(row)
         return span
 
     def __contains__(self, vector: SparseVector) -> bool:
-        return tuple(vector) in self.span()
+        if self._span is None:
+            object.__setattr__(self, "_span", self.span())
+        return tuple(vector) in self._span
 
 
 def _closure(

@@ -65,16 +65,6 @@ def dominates(a: Root, b: Root) -> bool:
     return a.i <= b.i and a.j <= b.j
 
 
-def leq_usual(a: Root, b: Root) -> bool:
-    """True iff b - a is a positive root or zero (the usual root order)."""
-    if not (b.i <= a.i and a.j <= b.j):
-        return False
-    if a == b:
-        return True
-    # difference is a root iff exactly one end of the interval sticks out
-    return a.i == b.i or a.j == b.j
-
-
 def join_root(a: Root, b: Root) -> Root:
     """Least root above both a and b in the usual order.
 
@@ -146,14 +136,3 @@ def pairing(lam: DominantWeight, root: Root) -> int:
     if root.j > lam.n:
         raise ValueError(f"root {root} out of range for rank {lam.n}")
     return sum(lam.coeffs[root.i - 1 : root.j])
-
-
-def dominance_covers(n: int) -> tuple[tuple[Root, Root], ...]:
-    """Cover pairs (upper, lower) of the triangle order on all roots."""
-    covers = []
-    for r in all_positive_roots(n):
-        if r.i + 1 <= r.j:
-            covers.append((r, Root(r.i + 1, r.j)))
-        if r.j + 1 <= n:
-            covers.append((r, Root(r.i, r.j + 1)))
-    return tuple(sorted(covers))

@@ -3,13 +3,33 @@
 Permutations are elements of S_{n+1} acting on {1, ..., n+1}.  Products of
 generator words are evaluated left to right as function composition:
 (s_a s_b)(k) = s_a(s_b(k)).
+
+One Lehmer code, c_i = #{k > i : w(k) < w(i)}, gives the length (its sum),
+the segment tops of the Kempf factorization (ell_i = i - 1 + c_i) and the
+Kempf test.  Triangular elements are the permutations that avoid the
+patterns 2413 and 4231.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .roots import Root, all_positive_roots
+
+
+def _lehmer_code(images: tuple[int, ...]) -> Iterator[int]:
+    """c_i = #{k > i : w(k) < w(i)} for each position i, in one pass.
+
+    Bit v of `seen` is set once the value v has appeared, so the values
+    below w(i) that stand to the left of i are the set bits of
+    seen & (2^{w(i)} - 2); the other w(i) - 1 - that many stand to the right.
+    """
+    seen = 0
+    for v in images:
+        bit = 1 << v
+        yield v - 1 - (seen & (bit - 2)).bit_count()
+        seen |= bit
 
 
 @dataclass(frozen=True)
@@ -42,9 +62,8 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def length(self) -> int:
-        """Coxeter length = number of one-line inversions."""
-        im = self.images
-        return sum(1 for a in range(len(im)) for b in range(a + 1, len(im)) if im[a] > im[b])
+        """Coxeter length = number of one-line inversions = sum of the Lehmer code."""
+        return sum(_lehmer_code(self.images))
 
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.images, start=1))
@@ -142,18 +161,44 @@ def inversion_roots(w: Permutation) -> RootSubset:
 
 def is_triangular_element(w: Permutation) -> bool:
     """Positions i < k <= j < l with w(i) > w(j) and w(k) > w(l) must also
-    satisfy w(i) > w(l) and w(k) >= w(j)."""
+    satisfy w(i) > w(l) and w(k) >= w(j).
+
+    Equivalently, w avoids the patterns 2413 and 4231.  When k = j the
+    condition cannot fail: w(k) >= w(j) trivially and w(i) > w(j) > w(l).
+    When k < j, a failure at positions i < k < j < l is exactly an
+    occurrence of one of the two patterns there, and every occurrence is a
+    failure: w(i) < w(l) forces w(j) < w(i) < w(l) < w(k) (pattern 2413),
+    and w(k) < w(j) forces w(l) < w(k) < w(j) < w(i) (pattern 4231).
+
+    The test runs over the middle pair k < j with bit masks of the values
+    left of k and right of j (bit v is set when the value v stands there).
+    A 2413 needs w(k) > w(j) and a value left of k and a larger one right
+    of j, both strictly between w(j) and w(k); it suffices to compare the
+    smallest such left value with the largest such right value.  A 4231
+    needs w(k) < w(j), a value left of k above w(j) and a value right of j
+    below w(k).  Fewer than four letters hold no pattern.
+    """
     im = w.images
     m = len(im)
-    for i in range(1, m + 1):
-        for k in range(i + 1, m + 1):
-            for j in range(k, m + 1):
-                if im[i - 1] <= im[j - 1]:
-                    continue
-                for l in range(j + 1, m + 1):
-                    if im[k - 1] > im[l - 1]:
-                        if im[i - 1] <= im[l - 1] or im[k - 1] < im[j - 1]:
-                            return False
+    if m < 4:
+        return True
+    full = (2 << m) - 2
+    left = 1 << im[0]
+    for k in range(1, m - 2):
+        wk = im[k]
+        below_wk = (1 << wk) - 1
+        seen = left | (1 << wk)
+        for wj in im[k + 1:m - 1]:
+            seen |= 1 << wj
+            right = full ^ seen
+            if wk > wj:
+                between = below_wk & ~((2 << wj) - 1)
+                lo = left & between
+                if lo and (right & between) >> (lo & -lo).bit_length():
+                    return False
+            elif left >> (wj + 1) and right & below_wk:
+                return False
+        left |= 1 << wk
     return True
 
 
@@ -191,34 +236,33 @@ def _segment(n: int, i: int, ell: int) -> Permutation:
 
 def kempf_factorization(w: Permutation) -> tuple[int, ...]:
     """Segment tops (ell_1, ..., ell_n) of the unique factorization
-    w = w_1 w_2 ... w_n with w_i = s_{ell_i} ... s_i (ell_i = i-1: empty)."""
-    n = w.n
-    ells = []
-    cur = list(w.images)
-    for i in range(1, n + 1):
-        # Peel off w_i: apply its inverse, which sends ell+1 to i and v to v+1
-        # for i <= v <= ell, to the one-line images of what is left.
-        top = cur[i - 1]
-        ells.append(top - 1)
-        for k, v in enumerate(cur):
-            if i <= v <= top:
-                cur[k] = i if v == top else v + 1
-    if cur != list(range(1, n + 2)):
-        raise AssertionError("segment factorization failed to terminate at identity")
-    return tuple(ells)
+    w = w_1 w_2 ... w_n with w_i = s_{ell_i} ... s_i (ell_i = i-1: empty).
+
+    ell_i = i - 1 + c_i with c the Lehmer code.  Peeling off w_i means
+    applying its inverse to the values, which sends ell_i + 1 to i, raises
+    i..ell_i by one and fixes the rest, so it keeps the relative order of
+    all other values.  Once w_1 ... w_{i-1} are peeled off, positions
+    1..i-1 hold 1..i-1 and positions i..n+1 hold i..n+1 in the relative
+    order of w(i), ..., w(n+1).  So position i holds i + c_i = ell_i + 1.
+    """
+    return tuple(i + c for i, c in zip(range(w.n), _lehmer_code(w.images)))
 
 
 def is_kempf(w: Permutation) -> bool:
     """Segment lengths may grow by at most one at each step, except below a
-    full segment: len(w_i) <= len(w_{i+1}) + 1 whenever ell_{i+1} < n."""
-    n = w.n
-    ells = kempf_factorization(w)
-    for i in range(1, n):
-        if ells[i] < n:
-            len_i = ells[i - 1] - i + 1
-            len_i1 = ells[i] - (i + 1) + 1
-            if len_i > len_i1 + 1:
-                return False
+    full segment: len(w_i) <= len(w_{i+1}) + 1 whenever ell_{i+1} < n.
+
+    The segment w_i has length ell_i - i + 1 = c_i (Lehmer code), so the
+    test is c_i <= c_{i+1} + 1, that is ell_i <= ell_{i+1}.  The exception
+    adds nothing: c_i <= n + 1 - i always, and ell_{i+1} = n means
+    c_{i+1} = n - i.  The last pair (c_n <= 1, c_{n+1} = 0) always passes,
+    so the test runs over the whole code.
+    """
+    prev = 0
+    for c in _lehmer_code(w.images):
+        if prev > c + 1:
+            return False
+        prev = c
     return True
 
 

@@ -1,6 +1,5 @@
 """Marked posets and their chain and order point counts."""
 
-import json
 from itertools import combinations
 
 import pytest
@@ -9,10 +8,8 @@ from fflv.marked_poset import (
     Marker,
     build_marked_poset,
     ehrhart_count,
-    ehrhart_table_csv,
     marked_chain_points,
     marked_order_points,
-    poset_to_json,
 )
 from fflv.polytope import UnboundedFaceError, enumerate_lattice_points
 from fflv.roots import DominantWeight, Root, all_positive_roots, rho
@@ -110,23 +107,3 @@ def test_ehrhart_validation():
         ehrhart_count(RootSubset.full(2), DominantWeight((1, 1)), 0, "chain")
     with pytest.raises(ValueError):
         ehrhart_count(RootSubset.full(2), DominantWeight((1, 1)), 1, "volume")
-
-
-def test_poset_json_shape():
-    P = build_marked_poset(RootSubset.full(2), DominantWeight((1, 1)))
-    data = json.loads(poset_to_json(P))
-    markers = [node for node in data["nodes"] if "marker" in node]
-    roots = [node for node in data["nodes"] if "root" in node]
-    assert [(m["marker"], m["marking"]) for m in markers] == [(1, 2), (2, 1), (3, 0)]
-    assert sorted(tuple(r["root"]) for r in roots) == [(1, 1), (1, 2), (2, 2)]
-    assert all(len(edge) == 2 for edge in data["edges"])
-    labels = {f"m{m['marker']}" for m in markers} | {f"a{i}.{j}" for i, j in (r["root"] for r in roots)}
-    for a, b in data["edges"]:
-        assert a in labels and b in labels
-
-
-def test_ehrhart_table_csv():
-    table = ehrhart_table_csv(RootSubset.full(2), DominantWeight((1, 1)), (1, 2))
-    lines = table.splitlines()
-    assert lines[0] == "t,chain_count,order_count"
-    assert lines[1].startswith("1,8,")

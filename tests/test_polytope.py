@@ -1,7 +1,5 @@
 """Face polytopes: inequalities, lattice points, sums, exports."""
 
-import json
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,7 +16,6 @@ from fflv.polytope import (
     in_polytope,
     minkowski_sum,
     points_to_csv,
-    points_to_json,
     weight_and_degree,
 )
 from fflv.roots import DominantWeight, Root, all_positive_roots, fundamental_weight, rho
@@ -129,15 +126,6 @@ def test_degree_histogram_adjoint():
     S = enumerate_lattice_points(full(2), DominantWeight((1, 1)))
     assert degree_histogram(S) == {0: 1, 1: 3, 2: 4}
     assert sum(degree_histogram(S).values()) == len(S) == 8
-
-
-def test_json_export_shape():
-    lam = fundamental_weight(1, 2)
-    S = enumerate_lattice_points(full(2), lam)
-    data = json.loads(points_to_json(S, lam))
-    assert data["rank"] == 2
-    assert data["lambda"] == [1, 0]
-    assert len(data["points"]) == 3
 
 
 def test_csv_export_header():

@@ -11,6 +11,7 @@ from fflv.linalg import densify
 from fflv.polytope import degree_histogram, enumerate_lattice_points
 from fflv.rep import (
     DimensionCapError,
+    ExplicitModule,
     TensorSpace,
     build_highest_weight_module,
     cartan_component_dimension,
@@ -159,6 +160,21 @@ def test_non_triangular_example_still_has_a_monomial_basis():
     assert any(row not in sub_span for row in borel.basis)
 
 
+def test_membership_builds_the_span_once(monkeypatch):
+    """`v in module` answers as the module's span does, and only the first
+    test builds that span."""
+    module = build_highest_weight_module(rho(3))
+    sub = subset_submodule(module, inversion_roots(Permutation.from_word((1, 3, 2), 3)))
+    reference = sub.span()
+    built = []
+    span = ExplicitModule.span
+    monkeypatch.setattr(ExplicitModule, "span", lambda self: built.append(self) or span(self))
+    answers = [v in sub for v in module.basis + sub.basis]
+    assert answers == [v in reference for v in module.basis + sub.basis]
+    assert True in answers and False in answers
+    assert built == [sub]
+
+
 def test_pbw_profile_matches_degree_histogram():
     lam = DominantWeight((1, 1))
     module = build_highest_weight_module(lam)
@@ -200,6 +216,19 @@ def test_cartan_component_dimensions():
         cartan_component_dimension(lam, DominantWeight((1,)), A)
     with pytest.raises(DimensionCapError):
         cartan_component_dimension(lam, lam, A, cap=3)
+
+
+def test_rank3_tensor_components_match_doubled_faces():
+    """For every triangular element at rank 3, the diagonal closure in
+    V(rho) x V(rho) has |S(2 rho)| elements; V(2 rho) has dimension 729,
+    above the default cap."""
+    lam = rho(3)
+    triangular = [w for w in all_permutations(3) if is_triangular_element(w)]
+    assert len(triangular) == 22
+    for w in triangular:
+        A = inversion_roots(w)
+        doubled = len(enumerate_lattice_points(A, lam.scale(2)))
+        assert cartan_component_dimension(lam, lam, A, cap=1000) == doubled, w
 
 
 def _pair_table(left, right, root):

@@ -7,11 +7,9 @@ from fflv.roots import (
     DominantWeight,
     Root,
     all_positive_roots,
-    dominance_covers,
     dominates,
     fundamental_weight,
     join_root,
-    leq_usual,
     make_root,
     meet_root,
     pairing,
@@ -52,13 +50,9 @@ def test_staircase_order_extremes():
 def test_staircase_vs_usual_order():
     # both orders: alpha_{2,3} below alpha_{1,3}
     assert dominates(Root(1, 3), Root(2, 3))
-    assert leq_usual(Root(2, 3), Root(1, 3))
-    # the orders point opposite ways on alpha_2 vs alpha_{2,3}
-    assert leq_usual(Root(2, 2), Root(2, 3))
+    # the usual order puts alpha_2 below alpha_{2,3}; the staircase order above
     assert dominates(Root(2, 2), Root(2, 3))
-    assert not leq_usual(Root(2, 3), Root(2, 2))
-    # alpha_2 vs alpha_{1,3}: usual-incomparable (difference is not a root)
-    assert not leq_usual(Root(2, 2), Root(1, 3))
+    # alpha_2 vs alpha_{1,3}: incomparable in both orders
     assert not dominates(Root(2, 2), Root(1, 3))
     assert not dominates(Root(1, 3), Root(2, 2))
 
@@ -70,13 +64,6 @@ def test_join_meet():
     assert meet_root(Root(1, 1), Root(3, 3)) is None
     with pytest.raises(ValueError):
         join_root(Root(1, 1), Root(3, 3))
-
-
-def test_dominance_covers_n2():
-    assert set(dominance_covers(2)) == {
-        (Root(1, 1), Root(1, 2)),
-        (Root(1, 2), Root(2, 2)),
-    }
 
 
 def test_pairing_values():

@@ -1,0 +1,23 @@
+"""The library imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import fflv
+
+
+def absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_every_absolute_import_is_stdlib():
+    sources = sorted(Path(fflv.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    outside = [(path.name, name) for path in sources for name in absolute_imports(path)
+               if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

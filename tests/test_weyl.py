@@ -1,5 +1,7 @@
 """Permutations, inversion sets, triangular and Kempf elements."""
 
+import itertools
+
 import pytest
 
 from fflv.roots import Root, all_positive_roots
@@ -171,3 +173,90 @@ def test_reduced_word_properties():
 def test_reduced_word_is_lex_smallest():
     assert reduced_word(Permutation.from_oneline((2, 4, 1, 3))) == (1, 3, 2)
     assert reduced_word(Permutation.longest(2)) == (1, 2, 1)
+
+
+# Reference implementations: the direct definitions that the Lehmer-code and
+# pattern-avoidance kernels in fflv.weyl replaced.
+
+
+def reference_length(w):
+    im = w.images
+    return sum(1 for a in range(len(im)) for b in range(a + 1, len(im)) if im[a] > im[b])
+
+
+def reference_kempf_factorization(w):
+    n = w.n
+    ells = []
+    cur = list(w.images)
+    for i in range(1, n + 1):
+        top = cur[i - 1]
+        ells.append(top - 1)
+        for k, v in enumerate(cur):
+            if i <= v <= top:
+                cur[k] = i if v == top else v + 1
+    if cur != list(range(1, n + 2)):
+        raise AssertionError("segment factorization failed to terminate at identity")
+    return tuple(ells)
+
+
+def reference_is_kempf(w):
+    n = w.n
+    ells = reference_kempf_factorization(w)
+    for i in range(1, n):
+        if ells[i] < n:
+            len_i = ells[i - 1] - i + 1
+            len_i1 = ells[i] - (i + 1) + 1
+            if len_i > len_i1 + 1:
+                return False
+    return True
+
+
+def reference_is_triangular_element(w):
+    im = w.images
+    m = len(im)
+    for i in range(1, m + 1):
+        for k in range(i + 1, m + 1):
+            for j in range(k, m + 1):
+                if im[i - 1] <= im[j - 1]:
+                    continue
+                for l in range(j + 1, m + 1):
+                    if im[k - 1] > im[l - 1]:
+                        if im[i - 1] <= im[l - 1] or im[k - 1] < im[j - 1]:
+                            return False
+    return True
+
+
+def test_lehmer_kernel_matches_the_definitions_on_s2_to_s8():
+    for n in range(1, 8):
+        for w in all_permutations(n):
+            assert w.length() == reference_length(w), w
+            assert kempf_factorization(w) == reference_kempf_factorization(w), w
+            assert is_kempf(w) == reference_is_kempf(w), w
+            assert is_triangular_element(w) == reference_is_triangular_element(w), w
+
+
+def contains_pattern(images, pattern):
+    k = len(pattern)
+    for positions in itertools.combinations(range(len(images)), k):
+        values = [images[p] for p in positions]
+        if all((values[a] < values[b]) == (pattern[a] < pattern[b])
+               for a in range(k) for b in range(a + 1, k)):
+            return True
+    return False
+
+
+def test_triangular_iff_avoids_2413_and_4231():
+    for n in (4, 5):
+        for w in all_permutations(n):
+            avoids = not (contains_pattern(w.images, (2, 4, 1, 3))
+                          or contains_pattern(w.images, (4, 2, 3, 1)))
+            assert is_triangular_element(w) == avoids, w
+
+
+def test_kempf_and_triangular_counts_s6_to_s8():
+    """Kempf counts are the Catalan numbers; the triangular counts are
+    those of the direct definition."""
+    for n, kempf, triangular in ((5, 132, 366), (6, 429, 1552), (7, 1430, 6652)):
+        perms = all_permutations(n)
+        assert sum(map(is_kempf, perms)) == kempf
+        assert sum(map(is_triangular_element, perms)) == triangular
