@@ -57,6 +57,7 @@ from .polytope import (
     minkowski_sum,
     points_to_csv,
     weight_and_degree,
+    weight_columns,
 )
 from .rep import (
     DimensionCapError,

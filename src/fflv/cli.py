@@ -29,7 +29,7 @@ from .polytope import (
     enumerate_lattice_points,
     minkowski_sum,
     points_to_csv,
-    weight_and_degree,
+    weight_columns,
 )
 from .rep import (
     DimensionCapError,
@@ -118,9 +118,9 @@ def _resolve_element(job: JobSpec, args: argparse.Namespace) -> None:
         job.A = _parse_subset(args.A, job.n)
 
 
-def _emit(lines: Sequence[str]) -> None:
-    for line in lines:
-        print(line)
+def _compact(value) -> str:
+    """JSON with sorted keys and no whitespace, the form of every document."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def cmd_weyl_scan(job: JobSpec) -> int:
@@ -130,43 +130,47 @@ def cmd_weyl_scan(job: JobSpec) -> int:
         print(f"rank {n} exceeds the cap {job.max_rank}", file=sys.stderr)
         return 2
 
-    def describe(w: Permutation) -> dict:
-        return {
-            "w": " ".join(str(v) for v in w.images),
-            "length": w.length(),
-            "is_kempf": is_kempf(w),
-            "is_triangular": is_triangular_element(w),
-        }
-
-    rows = [describe(w) for w in all_permutations(n)]
-
-    bad = [r["w"] for r in rows if r["is_kempf"] and not r["is_triangular"]]
+    # One (w, length, is_kempf, is_triangular) tuple per element.
+    rows = [(str(w), w.length(), is_kempf(w), is_triangular_element(w))
+            for w in all_permutations(n)]
+    bad = [w for w, _, kempf, tri in rows if kempf and not tri]
     counts = {
         "total": len(rows),
-        "kempf": sum(1 for r in rows if r["is_kempf"]),
-        "triangular": sum(1 for r in rows if r["is_triangular"]),
+        "kempf": sum(1 for r in rows if r[2]),
+        "triangular": sum(1 for r in rows if r[3]),
         "kempf_non_triangular": len(bad),
     }
+    out = sys.stdout
     if job.fmt == "json":
-        print(json.dumps({"rank": n, "elements": rows, "counts": counts},
-                         sort_keys=True, separators=(",", ":")))
+        # Keys in `json.dumps(sort_keys=True)` order: counts, elements, rank;
+        # is_kempf, is_triangular, length, w inside an element.
+        literal = ("false", "true")
+        row = '{"is_kempf":%s,"is_triangular":%s,"length":%d,"w":"%s"}'
+        elements = ",".join([row % (literal[kempf], literal[tri], length, w)
+                             for w, length, kempf, tri in rows])
+        out.write('{"counts":%s,"elements":[%s],"rank":%d}\n' % (
+            _compact(counts), elements, n))
     elif job.fmt == "csv":
-        out = ["w,length,is_kempf,is_triangular"]
-        out += [f"{r['w'].replace(' ', '')},{r['length']},{r['is_kempf']},{r['is_triangular']}"
-                for r in rows]
-        _emit(out)
+        out.write("w,length,is_kempf,is_triangular\n")
+        out.writelines([f"{w.replace(' ', '')},{length},{kempf},{tri}\n"
+                        for w, length, kempf, tri in rows])
     else:
-        for r in rows:
-            flags = ("K" if r["is_kempf"] else "-") + ("T" if r["is_triangular"] else "-")
-            print(f"[{r['w']}]  length={r['length']}  {flags}")
-        print(f"total={counts['total']} kempf={counts['kempf']} "
-              f"triangular={counts['triangular']} "
-              f"kempf_non_triangular={counts['kempf_non_triangular']}")
+        out.writelines([f"[{w}]  length={length}  "
+                        f"{'K' if kempf else '-'}{'T' if tri else '-'}\n"
+                        for w, length, kempf, tri in rows])
+        out.write(f"total={counts['total']} kempf={counts['kempf']} "
+                  f"triangular={counts['triangular']} "
+                  f"kempf_non_triangular={counts['kempf_non_triangular']}\n")
     return 1 if bad else 0
 
 
 def cmd_points(job: JobSpec) -> int:
-    """Export the lattice points of one face polytope."""
+    """Export the lattice points of one face polytope.
+
+    Rows are written in lexicographic order straight from the sorted tuples,
+    each through one `%d` template per format; weights and degrees are
+    column sums over `weight_columns`, taken for all points at once.
+    """
     A = job.subset()
     lam = job.lam
     assert lam is not None
@@ -177,26 +181,36 @@ def cmd_points(job: JobSpec) -> int:
         return 2
     if job.dilation > 1:
         S = dilate(S, job.dilation)
+    out = sys.stdout
+    if job.fmt == "csv":
+        out.write(points_to_csv(S))
+        return 0
+    points = S.sorted_tuples()
+    count = len(points)
+    cols = list(zip(*points))
+    weights = [list(map(sum, zip(*[cols[c] for c in group]))) if group else [0] * count
+               for group in weight_columns(S.n, S.roots)]
+    degrees = list(map(sum, points))
+    weight = ",".join(["%d"] * S.n)
     if job.fmt == "json":
-        enriched = []
-        for pt in S:
-            wt, deg = weight_and_degree(pt)
-            enriched.append({
-                "values": [[r.i, r.j, v] for r, v in zip(pt.roots, pt.values) if v],
-                "weight": list(wt.coeffs),
-                "degree": deg,
-            })
-        data = {"rank": S.n, "A": [[r.i, r.j] for r in S.roots],
-                "lambda": list(lam.coeffs), "count": len(S), "points": enriched}
-        print(json.dumps(data, sort_keys=True, separators=(",", ":")))
-    elif job.fmt == "csv":
-        print(points_to_csv(S), end="")
+        # The keys in `json.dumps(sort_keys=True)` order, without building
+        # the document: A, count, lambda, points, rank; degree, values,
+        # weight inside a point.  `values` lists the nonzero coordinates as
+        # [i, j, v]: per column, entry v is ",[i,j,v]" and entry 0 is empty,
+        # so a point's entries joined, less the leading comma, are its list.
+        out.write('{"A":%s,"count":%d,"lambda":%s,"points":[' % (
+            _compact([[r.i, r.j] for r in S.roots]), count, _compact(list(lam.coeffs))))
+        entries = [[""] + [f",[{r.i},{r.j},{v}]" for v in range(1, max(col) + 1)]
+                   for r, col in zip(S.roots, cols)]
+        values = (map("".join, zip(*[map(e.__getitem__, col) for e, col in zip(entries, cols)]))
+                  if cols else [""] * count)
+        row = '{"degree":%d,"values":[%s],"weight":[' + weight + "]}"
+        out.write(",".join([row % (d, v[1:], *w) for d, v, *w in zip(degrees, values, *weights)]))
+        out.write('],"rank":%d}\n' % S.n)
     else:
-        print(f"count {len(S)}")
-        for pt in S:
-            wt, deg = weight_and_degree(pt)
-            body = " ".join(f"{r.label}={v}" for r, v in zip(pt.roots, pt.values))
-            print(f"{body}  weight={','.join(str(c) for c in wt.coeffs)} degree={deg}")
+        out.write(f"count {count}\n")
+        row = " ".join(f"{r.label}=%d" for r in S.roots) + f"  weight={weight} degree=%d\n"
+        out.writelines(map(row.__mod__, zip(*cols, *weights, degrees)))
     return 0
 
 
@@ -212,10 +226,10 @@ def cmd_char_compare(job: JobSpec) -> int:
         S = enumerate_lattice_points(A, lam)
     except UnboundedFaceError as exc:
         if job.fmt == "json":
-            print(json.dumps({
+            print(_compact({
                 "case": job.case_label(), "triangular": triangular,
                 "unbounded": str(exc), "oracle_mass": oracle.mass,
-            }, sort_keys=True, separators=(",", ":")))
+            }))
         else:
             print(f"oracle mass: {oracle.mass}")
             print(f"unbounded: {exc}")
@@ -232,7 +246,7 @@ def cmd_char_compare(job: JobSpec) -> int:
         "termwise_equal": equal,
     }
     if job.fmt == "json":
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        print(_compact(report))
     else:
         for key, value in report.items():
             print(f"{key}: {value}")
@@ -360,7 +374,7 @@ def cmd_verify(job: JobSpec) -> int:
             print(f"{c['status'].upper():7s} {name}: {detail}")
         print(f"overall: {'ok' if ok else 'FAIL'}")
     else:
-        print(json.dumps(bundle, sort_keys=True, separators=(",", ":")))
+        print(_compact(bundle))
     return 0 if ok else 1
 
 
@@ -441,6 +455,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_verify(job)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
 
 

@@ -13,10 +13,8 @@ dilations.  Everything is integer arithmetic.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Optional
 
 from .paths import enumerate_dyck_paths_for
 from .roots import DominantWeight, Root, all_positive_roots, pairing
@@ -89,11 +87,17 @@ class LatticePoint:
 
 @dataclass(frozen=True)
 class PointSet:
-    """A set of lattice points sharing rank and coordinate order."""
+    """A set of lattice points sharing rank and coordinate order.
+
+    `ordered`, when given, holds the same tuples in lexicographic order (the
+    order the enumerator emits them in); it spares `sorted_tuples` a sort and
+    takes no part in comparisons.
+    """
 
     n: int
     roots: tuple[Root, ...]
     tuples: frozenset[tuple[int, ...]]
+    ordered: Optional[list[tuple[int, ...]]] = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.tuples)
@@ -110,7 +114,7 @@ class PointSet:
         return tuple(item) in self.tuples
 
     def sorted_tuples(self) -> list[tuple[int, ...]]:
-        return sorted(self.tuples)
+        return sorted(self.tuples) if self.ordered is None else list(self.ordered)
 
 
 def build_inequalities(A: RootSubset, lam: DominantWeight) -> list[Inequality]:
@@ -127,7 +131,26 @@ def enumerate_integer_points(
     Depth-first assignment in the given coordinate order, keeping the
     remaining slack of every inequality; a coordinate's range at each step is
     capped by the least slack among the inequalities containing it.  Raises
-    UnboundedFaceError if some coordinate occurs in no inequality.
+    UnboundedFaceError for the first coordinate that occurs in no inequality.
+
+    Emission order: a node of depth c holds a fixed prefix of c values and
+    visits the values of coordinate c in increasing order, so every point
+    below value v precedes every point below v + 1.  By induction on the
+    depth, the points come out in lexicographic order of their tuples,
+    whatever the coordinate order; the result keeps that list as
+    `ordered`.  The last coordinate's values form one range and are emitted
+    in one batch.
+
+    Slack bookkeeping: while coordinate c holds value v, the slack of each
+    inequality containing c must be its entry value minus v.  Every child
+    returns with all slacks as it found them (induction on the depth; a
+    leaf changes none), so subtracting 1 after each value gives the slack
+    for the next value, and adding back the number of values, cap + 1, once
+    after the loop restores the entry state exactly.  An inequality whose
+    last coordinate is c is read by no node below c, so its slack is not
+    updated at all.  A negative bound admits no nonnegative point, so the
+    result is then empty; with every bound nonnegative, v <= cap <= slack
+    keeps every slack, and so every cap, nonnegative.
     """
     touching: list[list[int]] = [[] for _ in roots]
     index = {r: c for c, r in enumerate(roots)}
@@ -137,27 +160,33 @@ def enumerate_integer_points(
     for c, r in enumerate(roots):
         if not touching[c]:
             raise UnboundedFaceError(n, r)
+    if any(q.bound < 0 for q in ineqs):
+        return PointSet(n, roots, frozenset(), [])
+    if not roots:
+        return PointSet(n, roots, frozenset({()}), [()])
 
-    remaining = [q.bound for q in ineqs]
-    point = [0] * len(roots)
+    last_reader = {t: c for c, ts in enumerate(touching) for t in ts}
+    read_later = [tuple(t for t in ts if last_reader[t] > c) for c, ts in enumerate(touching)]
+    slack = [q.bound for q in ineqs]
+    slack_of = slack.__getitem__
+    leaf = len(roots) - 1
     found: list[tuple[int, ...]] = []
 
-    def assign(c: int) -> None:
-        if c == len(roots):
-            found.append(tuple(point))
+    def assign(c: int, prefix: tuple[int, ...]) -> None:
+        cap = min(map(slack_of, touching[c]))
+        if c == leaf:
+            found.extend([prefix + (v,) for v in range(cap + 1)])
             return
-        cap = min(remaining[t] for t in touching[c])
+        updated = read_later[c]
         for v in range(cap + 1):
-            point[c] = v
-            for t in touching[c]:
-                remaining[t] -= v
-            assign(c + 1)
-            for t in touching[c]:
-                remaining[t] += v
-        point[c] = 0
+            assign(c + 1, prefix + (v,))
+            for t in updated:
+                slack[t] -= 1
+        for t in updated:
+            slack[t] += cap + 1
 
-    assign(0)
-    return PointSet(n, roots, frozenset(found))
+    assign(0, ())
+    return PointSet(n, roots, frozenset(found), found)
 
 
 def enumerate_lattice_points(A: RootSubset, lam: DominantWeight) -> PointSet:
@@ -240,14 +269,21 @@ def dilate(S: PointSet, k: int) -> PointSet:
     return out
 
 
+def weight_columns(n: int, roots: tuple[Root, ...]) -> tuple[tuple[int, ...], ...]:
+    """For each simple root k = 1..n, the coordinates whose root a{i}.{j}
+    spans it (i <= k <= j).  Coefficient k of a point's weight is the sum of
+    its values at these coordinates."""
+    return tuple(tuple(c for c, r in enumerate(roots) if r.i <= k <= r.j)
+                 for k in range(1, n + 1))
+
+
 def weight_and_degree(point: LatticePoint) -> tuple[WeightInRootLattice, int]:
     """Simple-root coefficients of the coordinate-weighted root sum, and the
     total coordinate sum."""
-    coeffs = [0] * point.n
-    for r, v in zip(point.roots, point.values):
-        for k in range(r.i, r.j + 1):
-            coeffs[k - 1] += v
-    return WeightInRootLattice(tuple(coeffs)), sum(point.values)
+    values = point.values
+    coeffs = tuple(sum(values[c] for c in cols)
+                   for cols in weight_columns(point.n, point.roots))
+    return WeightInRootLattice(coeffs), sum(values)
 
 
 def degree_histogram(S: PointSet) -> dict[int, int]:
@@ -260,10 +296,10 @@ def degree_histogram(S: PointSet) -> dict[int, int]:
 
 
 def points_to_csv(S: PointSet) -> str:
-    """CSV with one column per root in canonical order, one row per point."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([r.label for r in S.roots])
-    for vals in S.sorted_tuples():
-        writer.writerow(vals)
-    return buf.getvalue()
+    """CSV with one column per root in canonical order, one row per point.
+
+    Labels and integers never need quoting, so each row is one `%d`
+    template filled from a sorted tuple."""
+    row = ",".join(["%d"] * len(S.roots)) + "\n"
+    header = ",".join(r.label for r in S.roots) + "\n"
+    return header + "".join(map(row.__mod__, S.sorted_tuples()))

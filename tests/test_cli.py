@@ -1,5 +1,7 @@
 """Command line interface, exercised in process through main()."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -8,9 +10,16 @@ import pytest
 
 import fflv.cli
 from fflv.cli import main
-from fflv.polytope import enumerate_lattice_points
-from fflv.roots import DominantWeight
-from fflv.weyl import Permutation, inversion_roots
+from fflv.polytope import dilate, enumerate_lattice_points
+from fflv.roots import DominantWeight, parse_root
+from fflv.weyl import (
+    Permutation,
+    RootSubset,
+    all_permutations,
+    inversion_roots,
+    is_kempf,
+    is_triangular_element,
+)
 
 
 def run(capsys, *argv):
@@ -62,6 +71,54 @@ def test_weyl_scan_rank_cap(capsys):
     code, out, err = run(capsys, "weyl-scan", "--n", "7")
     assert code == 2
     assert "exceeds" in err
+
+
+def assert_same_output(got, want):
+    """Equality with a short report; pytest's own diff of two long one-line
+    JSON documents takes minutes."""
+    if got != want:
+        at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        lo = max(at - 40, 0)
+        pytest.fail(f"outputs differ at offset {at} (lengths {len(got)}, {len(want)}): "
+                    f"{got[lo:at + 40]!r} != {want[lo:at + 40]!r}")
+
+
+def reference_scan_output(n, fmt):
+    """The scan rendering as it was before rows were streamed: one dict per
+    element and a whole-document `json.dumps`."""
+    rows = [{"w": " ".join(str(v) for v in w.images), "length": w.length(),
+             "is_kempf": is_kempf(w), "is_triangular": is_triangular_element(w)}
+            for w in all_permutations(n)]
+    bad = [r["w"] for r in rows if r["is_kempf"] and not r["is_triangular"]]
+    counts = {"total": len(rows), "kempf": sum(1 for r in rows if r["is_kempf"]),
+              "triangular": sum(1 for r in rows if r["is_triangular"]),
+              "kempf_non_triangular": len(bad)}
+    if fmt == "json":
+        out = json.dumps({"rank": n, "elements": rows, "counts": counts},
+                         sort_keys=True, separators=(",", ":")) + "\n"
+    elif fmt == "csv":
+        out = "w,length,is_kempf,is_triangular\n" + "".join(
+            f"{r['w'].replace(' ', '')},{r['length']},{r['is_kempf']},{r['is_triangular']}\n"
+            for r in rows)
+    else:
+        out = "".join(
+            f"[{r['w']}]  length={r['length']}  "
+            f"{'K' if r['is_kempf'] else '-'}{'T' if r['is_triangular'] else '-'}\n"
+            for r in rows)
+        out += (f"total={counts['total']} kempf={counts['kempf']} "
+                f"triangular={counts['triangular']} "
+                f"kempf_non_triangular={counts['kempf_non_triangular']}\n")
+    return (1 if bad else 0), out
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_scan_output_matches_reference_rendering(capsys, fmt):
+    for n in (1, 2, 3, 4):
+        code, out, err = run(capsys, "weyl-scan", "--n", str(n), "--format", fmt)
+        want_code, want = reference_scan_output(n, fmt)
+        assert (code, err) == (want_code, "")
+        assert_same_output(out, want)
 
 
 def test_points_text(capsys):
@@ -123,6 +180,70 @@ def test_bad_weight_is_reported(capsys):
     code, _, err = run(capsys, "points", "--A", "1.1", "--lambda", "one")
     assert code == 2
     assert "cannot parse weight" in err
+
+
+def reference_points_output(S, lam, fmt):
+    """The `points` rendering as it was before rows were streamed: a
+    LatticePoint per row, the weight summed root by root, a dict per point
+    and a whole-document `json.dumps`; CSV through the csv writer."""
+    rows = []
+    for pt in S:
+        coeffs = [0] * pt.n
+        for r, v in zip(pt.roots, pt.values):
+            for k in range(r.i, r.j + 1):
+                coeffs[k - 1] += v
+        rows.append((pt, coeffs, sum(pt.values)))
+    if fmt == "json":
+        points = [{"values": [[r.i, r.j, v] for r, v in zip(pt.roots, pt.values) if v],
+                   "weight": coeffs, "degree": deg} for pt, coeffs, deg in rows]
+        data = {"rank": S.n, "A": [[r.i, r.j] for r in S.roots],
+                "lambda": list(lam.coeffs), "count": len(S), "points": points}
+        return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([r.label for r in S.roots])
+        for pt, _, _ in rows:
+            writer.writerow(pt.values)
+        return buf.getvalue()
+    lines = [f"count {len(S)}"]
+    for pt, coeffs, deg in rows:
+        body = " ".join(f"{r.label}={v}" for r, v in zip(pt.roots, pt.values))
+        lines.append(f"{body}  weight={','.join(str(c) for c in coeffs)} degree={deg}")
+    return "\n".join(lines) + "\n"
+
+
+NON_TRIANGULAR_4 = "1.1,1.3,2.2,2.3,2.4,3.3,4.4"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("subset, lam, k", [
+    ("1.1,1.2,1.3,2.2,2.3,3.3", "1,1,1", 1),       # the full triangle at rho(3)
+    (NON_TRIANGULAR_4, "1,1,1,1", 1),
+    (NON_TRIANGULAR_4, "1,1,1,1", 2),
+    ("1.2,2.3", "2,1,1", 1),                       # a1.1 etc. absent, zeros common
+    ("", "1,1", 1),                                # only the origin, no columns
+])
+def test_points_output_matches_reference_rendering(capsys, fmt, subset, lam, k):
+    weight = DominantWeight(tuple(int(t) for t in lam.split(",")))
+    A = RootSubset.of(weight.n, [parse_root(t) for t in subset.split(",") if t])
+    S = dilate(enumerate_lattice_points(A, weight), k)
+    assert not S.roots or any(0 in vals for vals in S.tuples)  # `values` skips zeros
+    code, out, err = run(capsys, "points", "--A", subset, "--lambda", lam,
+                         "--dilate", str(k), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert_same_output(out, reference_points_output(S, weight, fmt))
+
+
+def test_points_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(A, lam):
+        raise MemoryError
+
+    monkeypatch.setattr(fflv.cli, "enumerate_lattice_points", exhausted)
+    code, out, err = run(capsys, "points", "--A", "1.1", "--lambda", "1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_char_compare_triangular_equal(capsys):

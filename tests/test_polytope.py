@@ -1,10 +1,15 @@
 """Face polytopes: inequalities, lattice points, sums, exports."""
 
+import csv
+import io
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fflv.characters import weyl_dimension
 from fflv.polytope import (
+    Inequality,
     LatticePoint,
     PointSet,
     UnboundedFaceError,
@@ -12,11 +17,13 @@ from fflv.polytope import (
     degree_histogram,
     dilate,
     embed_face,
+    enumerate_integer_points,
     enumerate_lattice_points,
     in_polytope,
     minkowski_sum,
     points_to_csv,
     weight_and_degree,
+    weight_columns,
 )
 from fflv.roots import DominantWeight, Root, all_positive_roots, fundamental_weight, rho
 from fflv.weyl import Permutation, RootSubset, inversion_roots
@@ -122,6 +129,27 @@ def test_weight_and_degree():
     assert deg == 2
 
 
+def test_weight_columns_group_the_roots_spanning_each_simple_root():
+    roots = (Root(1, 1), Root(1, 3), Root(2, 2), Root(3, 3))
+    assert weight_columns(3, roots) == ((0, 1), (1, 2), (1, 3))
+    assert weight_columns(3, (Root(1, 1),)) == ((0,), (), ())
+    assert weight_columns(2, ()) == ((), ())
+
+
+def test_weight_and_degree_matches_the_root_sum():
+    """Every point of a rank-3 face: the weight is the coordinate-weighted
+    sum of the roots, each root a{i}.{j} adding 1 at simple roots i..j."""
+    for A in (full(3), RootSubset.of(3, [Root(1, 2), Root(2, 3), Root(3, 3)])):
+        for pt in enumerate_lattice_points(A, DominantWeight((2, 1, 1))):
+            expected = [0, 0, 0]
+            for r, v in zip(pt.roots, pt.values):
+                for k in range(r.i, r.j + 1):
+                    expected[k - 1] += v
+            wt, deg = weight_and_degree(pt)
+            assert wt.coeffs == tuple(expected)
+            assert deg == sum(pt.values)
+
+
 def test_degree_histogram_adjoint():
     S = enumerate_lattice_points(full(2), DominantWeight((1, 1)))
     assert degree_histogram(S) == {0: 1, 1: 3, 2: 4}
@@ -133,6 +161,34 @@ def test_csv_export_header():
     lines = points_to_csv(S).splitlines()
     assert lines[0] == "a1.1,a1.2,a2.2"
     assert len(lines) == 4
+
+
+def csv_writer_export(S):
+    """Reference CSV: the standard csv writer over the sorted tuples."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([r.label for r in S.roots])
+    for vals in sorted(S.tuples):
+        writer.writerow(vals)
+    return buf.getvalue()
+
+
+def test_csv_export_matches_the_csv_writer():
+    lam = DominantWeight((2, 1, 1))
+    faces = [full(3), RootSubset.of(3, [Root(1, 2), Root(2, 3)]), RootSubset.of(3, [])]
+    sets = [enumerate_lattice_points(A, lam) for A in faces]
+    sets.append(dilate(sets[1], 2))                  # unordered: built by minkowski_sum
+    for S in sets:
+        assert points_to_csv(S) == csv_writer_export(S)
+
+
+def test_enumerated_order_is_kept_and_ignored_by_equality():
+    S = enumerate_lattice_points(full(3), rho(3))
+    assert S.ordered == sorted(S.tuples)
+    assert S.sorted_tuples() == S.ordered and S.sorted_tuples() is not S.ordered
+    bare = PointSet(S.n, S.roots, S.tuples)
+    assert bare.ordered is None and bare == S and hash(bare) == hash(S)
+    assert bare.sorted_tuples() == S.ordered
 
 
 @settings(max_examples=25, deadline=None)
@@ -189,3 +245,71 @@ def test_minkowski_sum_edge_sets():
     assert minkowski_sum(S, empty).tuples == frozenset()
     with pytest.raises(ValueError):
         minkowski_sum(S, point_set((-1, 0)))
+
+
+def brute_force_points(n, roots, ineqs):
+    """Reference enumerator: every vector over 0..max bound, kept when it
+    satisfies every inequality, in `itertools.product` (lexicographic)
+    order.  Raises UnboundedFaceError for the first coordinate that no
+    inequality contains."""
+    covered = {r for q in ineqs for r in q.support}
+    for r in roots:
+        if r not in covered:
+            raise UnboundedFaceError(n, r)
+    index = {r: c for c, r in enumerate(roots)}
+    rows = [(tuple(index[r] for r in q.support), q.bound) for q in ineqs]
+    top = max([q.bound for q in ineqs] + [0])
+    return [p for p in itertools.product(range(top + 1), repeat=len(roots))
+            if all(sum(p[c] for c in cols) <= bound for cols, bound in rows)]
+
+
+def assert_matches_brute_force(n, roots, ineqs):
+    try:
+        expected = brute_force_points(n, roots, ineqs)
+    except UnboundedFaceError as exc:
+        with pytest.raises(UnboundedFaceError) as err:
+            enumerate_integer_points(n, roots, ineqs)
+        assert err.value.root == exc.root
+        return
+    S = enumerate_integer_points(n, roots, ineqs)
+    assert (S.n, S.roots) == (n, roots)
+    assert S.tuples == frozenset(expected)
+    assert S.ordered == expected                     # lexicographic emission order
+
+
+@st.composite
+def inequality_systems(draw):
+    """A few coordinates out of the rank-4 roots, in any order, and a few
+    inequalities over random supports (empty ones included) with small
+    bounds, now and then negative ones."""
+    roots = tuple(draw(st.permutations(all_positive_roots(4)))[:draw(st.integers(0, 5))])
+    support = st.lists(st.sampled_from(roots), unique=True) if roots else st.just([])
+    bound = st.one_of(st.integers(0, 3), st.integers(-2, -1))
+    ineqs = draw(st.lists(st.builds(lambda s, b: Inequality(tuple(s), b), support, bound),
+                          max_size=6))
+    return roots, ineqs
+
+
+@settings(max_examples=300, deadline=None)
+@given(inequality_systems())
+@example(((), []))
+@example(((Root(1, 1),), []))
+@example(((Root(1, 1), Root(2, 2)), [Inequality((Root(2, 2),), 2)]))
+@example(((Root(1, 1), Root(2, 2)), [Inequality((Root(1, 1), Root(2, 2)), -1),
+                                     Inequality((Root(1, 1),), 1)]))
+def test_enumerator_matches_brute_force(system):
+    roots, ineqs = system
+    assert_matches_brute_force(4, roots, ineqs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_small_face_matches_brute_force(n):
+    """All 2**(n(n+1)/2) faces of rank n at a few small weights, bounded or
+    not, against the brute-force reference."""
+    positive = all_positive_roots(n)
+    weights = [rho(n), fundamental_weight(1, n), DominantWeight((2,) + (0,) * (n - 1))]
+    for size in range(len(positive) + 1):
+        for members in itertools.combinations(positive, size):
+            A = RootSubset.of(n, members)
+            for lam in weights:
+                assert_matches_brute_force(n, A.sorted_roots(), build_inequalities(A, lam))
