@@ -87,6 +87,8 @@ class JobSpec:
 
 
 def _parse_weight(text: str) -> DominantWeight:
+    if "," in text and not all(field.strip() for field in text.split(",")):
+        raise ValueError(f"empty coefficient in weight {text!r}")
     try:
         coeffs = tuple(int(t) for t in text.replace(",", " ").split())
     except ValueError as exc:

@@ -5,6 +5,10 @@ product of m_k copies of the k-th exterior power of C^(n+1), one block per
 fundamental weight.  Ambient basis vectors are tuples of k-element subsets of
 {1, ..., n+1}; the matrix unit E_ab acts on each tensor factor by replacing b
 with a (with the sign of the resorting shuffle) and is summed over factors.
+Ops act on index digits: a basis index is the mixed-radix number of the
+subsets' pool positions, and E_ab on factor f moves its digit from p to p',
+so the index by (p' - p) times the stride of f (see `TensorSpace`).  No
+ambient basis is built.
 All coordinates are integers and every rank is computed exactly.
 
 Vectors are sparse throughout (`fflv.linalg.SparseVector`): the generator,
@@ -22,8 +26,8 @@ E_{i,j+1}, so lowering moves weight down the dominance order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
 from .characters import to_partition, weyl_dimension
@@ -33,8 +37,7 @@ from .roots import DominantWeight, Root, all_positive_roots
 from .weyl import Permutation, RootSubset, reduced_word
 
 _SubsetKey = tuple[int, ...]
-_BasisKey = tuple[_SubsetKey, ...]
-_OpTable = tuple[tuple[tuple[int, int], ...], ...]
+_Op = tuple[tuple[int, int, tuple[Optional[tuple[int, int]], ...]], ...]
 
 
 class DimensionCapError(RuntimeError):
@@ -66,12 +69,15 @@ class TensorSpace:
 
     Factors are listed smallest exterior power first; the basis is the
     lexicographic product of the subset bases of the factors, so a basis
-    key's index is the mixed-radix number whose digits are the positions of
-    its subsets in their pools.  Vectors in this space are sparse (see
-    `fflv.linalg`).
+    index is the mixed-radix number whose digit for factor f is the
+    position of its subset in that factor's pool, ``index // stride % size``.
+    E_ab on factor f moves digit p to p' and leaves the other digits alone,
+    so it moves the index by (p' - p) times the stride of f; summing over
+    the factors gives the op.  No basis and no row per basis vector is
+    stored.  Vectors in this space are sparse (see `fflv.linalg`).
     """
 
-    __slots__ = ("n", "factors", "basis", "_pools", "_strides", "_tables")
+    __slots__ = ("n", "factors", "dimension", "_pools", "_strides", "_tables")
 
     def __init__(self, n: int, factors: Sequence[int]) -> None:
         if n < 1:
@@ -82,78 +88,61 @@ class TensorSpace:
         self.n = n
         self.factors = tuple(factors)
         self._pools = [tuple(combinations(range(1, n + 2), k)) for k in self.factors]
-        self.basis: tuple[_BasisKey, ...] = tuple(product(*self._pools))
-        strides = [1] * len(self._pools)
-        for f in range(len(self._pools) - 2, -1, -1):
-            strides[f] = strides[f + 1] * len(self._pools[f + 1])
-        self._strides = strides
-        self._tables: dict[tuple[int, int], _OpTable] = {}
+        self._strides = [prod(map(len, self._pools[f + 1:])) for f in range(len(self._pools))]
+        self.dimension = prod(map(len, self._pools))
+        self._tables: dict[tuple[int, int], _Op] = {}
 
     @classmethod
     def from_weight(cls, lam: DominantWeight) -> "TensorSpace":
         factors = [k for k, m in enumerate(lam.coeffs, start=1) for _ in range(m)]
         return cls(len(lam.coeffs), factors)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
     def highest_vector(self) -> SparseVector:
         """The basis vector whose every factor is {1, ..., k}: the first
         subset of each pool, so index 0."""
         return ((0, 1),)
 
-    def weight_of(self, key: _BasisKey) -> tuple[int, ...]:
-        """Content vector: how many tensor factors contain each of 1..n+1."""
+    def weight_of(self, index: int) -> tuple[int, ...]:
+        """Content vector of a basis index: how many tensor factors contain
+        each of 1..n+1."""
         content = [0] * (self.n + 1)
-        for subset in key:
-            for s in subset:
+        for pool, stride in zip(self._pools, self._strides):
+            for s in pool[index // stride % len(pool)]:
                 content[s - 1] += 1
         return tuple(content)
 
-    def table(self, a: int, b: int) -> _OpTable:
-        """Sparse action of E_ab summed over tensor factors, cached.
-
-        On factor f, E_ab moves the subset at pool position p to position
-        p', which moves the basis index by (p' - p) times the stride of f;
-        row i lists its targets in factor order.
-        """
+    def table(self, a: int, b: int) -> _Op:
+        """E_ab per tensor factor, cached: the stride, the pool size and, at
+        each pool position, the (index shift, sign) of its image, or None
+        where E_ab kills the subset."""
         cached = self._tables.get((a, b))
         if cached is not None:
             return cached
         acts = []
         for pool, stride in zip(self._pools, self._strides):
             position = {subset: p for p, subset in enumerate(pool)}
-            act: list[Optional[tuple[int, int]]] = []
-            for p, subset in enumerate(pool):
-                hit = _wedge_action(a, b, subset)
-                act.append(None if hit is None else ((position[hit[0]] - p) * stride, hit[1]))
-            acts.append(act)
-        rows: list[tuple[tuple[int, int], ...]] = []
-        for i, digits in enumerate(product(*(range(len(pool)) for pool in self._pools))):
-            entries: dict[int, int] = {}
-            for act, p in zip(acts, digits):
-                hit = act[p]
-                if hit is not None:
-                    target = i + hit[0]
-                    entries[target] = entries.get(target, 0) + hit[1]
-            rows.append(tuple((t, c) for t, c in entries.items() if c))
-        table = tuple(rows)
-        self._tables[(a, b)] = table
+            hits = [_wedge_action(a, b, subset) for subset in pool]
+            acts.append((stride, len(pool), tuple(
+                None if hit is None else ((position[hit[0]] - p) * stride, hit[1])
+                for p, hit in enumerate(hits))))
+        table = self._tables[(a, b)] = tuple(acts)
         return table
 
-    def lowering_table(self, root: Root) -> _OpTable:
+    def lowering_table(self, root: Root) -> _Op:
         return self.table(root.j + 1, root.i)
 
-    def raising_table(self, root: Root) -> _OpTable:
+    def raising_table(self, root: Root) -> _Op:
         return self.table(root.i, root.j + 1)
 
-    def apply(self, table: _OpTable, vec: SparseVector) -> SparseVector:
-        """Image of a sparse vector under an op table, as a sparse vector."""
+    def apply(self, table: _Op, vec: SparseVector) -> SparseVector:
+        """Image of a sparse vector under an op, as a sparse vector."""
         out: dict[int, int] = {}
         for i, v in vec:
-            for t, c in table[i]:
-                out[t] = out.get(t, 0) + c * v
+            for stride, size, act in table:
+                hit = act[i // stride % size]
+                if hit is not None:
+                    t = i + hit[0]
+                    out[t] = out.get(t, 0) + hit[1] * v
         return tuple(sorted((t, x) for t, x in out.items() if x))
 
 
@@ -199,7 +188,7 @@ class ExplicitModule:
 def _closure(
     space: TensorSpace,
     start: SparseVector,
-    tables: Sequence[_OpTable],
+    tables: Sequence[_Op],
     cap: Optional[int] = None,
     what: str = "module",
 ) -> tuple[tuple[SparseVector, ...], tuple[int, ...]]:
@@ -281,7 +270,7 @@ def extremal_vector(module: ExplicitModule, w: Permutation) -> SparseVector:
     for i in range(1, space.n + 2):
         expected[w(i) - 1] = parts[i - 1]
     for idx, _ in vec:
-        if list(space.weight_of(space.basis[idx])) != expected:
+        if list(space.weight_of(idx)) != expected:
             raise ArithmeticError(f"extremal vector for {w} is not of weight {expected}")
     g = 0
     for _, v in vec:
@@ -492,9 +481,6 @@ def cartan_component_dimension(
         raise ValueError("weights and subset must share one rank")
     left = TensorSpace.from_weight(lam)
     right = TensorSpace.from_weight(mu)
-    width = left.dimension * right.dimension
-    if width > 40000:
-        raise DimensionCapError(width, 40000, "tensor ambient")
     # Over the concatenated factors the lexicographic basis index of a pair
     # is i1 * d2 + i2, and E_ab summed over all factors is the diagonal action.
     space = TensorSpace(n, left.factors + right.factors)

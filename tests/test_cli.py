@@ -182,6 +182,29 @@ def test_bad_weight_is_reported(capsys):
     assert "cannot parse weight" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("points", "--lambda", "1,,1"),
+    ("points", "--lambda", "1,"),
+    ("points", "--lambda", ",1,1"),
+    ("points", "--lambda", ","),
+    ("verify", "--lambda", "1,1", "--mu", "1,,1"),
+    ("verify", "--lambda", "1,1", "--mu", "1, ,1"),
+])
+def test_weight_with_an_empty_field_is_rejected(capsys, flags):
+    code, out, err = run(capsys, flags[0], "--A", "1.1", *flags[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: empty coefficient in weight")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["1,1,1", "1 1 1", "1, 1, 1"])
+def test_weight_separators_are_accepted(capsys, text):
+    code, out, _ = run(capsys, "points", "--A", "1.1", "--lambda", text)
+    assert code == 0
+    assert out.splitlines()[0] == "count 2"
+
+
 def reference_points_output(S, lam, fmt):
     """The `points` rendering as it was before rows were streamed: a
     LatticePoint per row, the weight summed root by root, a dict per point

@@ -1,8 +1,12 @@
 """Explicit modules, extremal vectors, monomial bases, and graded profiles."""
 
 import warnings
+from itertools import combinations, product
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fflv.rep
 from fflv.characters import demazure_dimension_oracle, weyl_dimension
@@ -39,7 +43,7 @@ def test_tensor_space_shape():
     top = densify(space.highest_vector(), space.dimension)
     assert sum(map(abs, top)) == 1
     idx = top.index(1)
-    assert space.weight_of(space.basis[idx]) == (2, 1, 0)
+    assert space.weight_of(idx) == (2, 1, 0)
 
 
 def test_sl2_lowering_string():
@@ -77,7 +81,7 @@ def test_extremal_vector_weights():
     support = [i for i, v in enumerate(densify(low, module.space.dimension)) if v]
     assert support
     for i in support:
-        assert module.space.weight_of(module.space.basis[i]) == (0, 1, 3)
+        assert module.space.weight_of(i) == (0, 1, 3)
     with pytest.raises(ValueError):
         extremal_vector(module, Permutation.identity(3))
 
@@ -231,18 +235,51 @@ def test_rank3_tensor_components_match_doubled_faces():
         assert cartan_component_dimension(lam, lam, A, cap=1000) == doubled, w
 
 
-def _pair_table(left, right, root):
-    """Reference diagonal action on the tensor product of two spaces: the
-    entries for (i1, i2) at index i1 * d2 + i2, left factor first."""
-    t1, t2 = left.lowering_table(root), right.lowering_table(root)
+def test_rank4_tensor_components_match_doubled_faces():
+    """For every triangular element of S_5 whose doubled face has at most
+    600 points, the diagonal closure in V(rho) x V(rho) has |S(2 rho)|
+    elements.  The ambient space has 2,500^2 = 6,250,000 dimensions; only
+    the closure's support is ever touched."""
+    lam = rho(4)
+    checked = 0
+    for w in all_permutations(4):
+        if not is_triangular_element(w):
+            continue
+        A = inversion_roots(w)
+        doubled = len(enumerate_lattice_points(A, lam.scale(2)))
+        if doubled <= 600:
+            assert cartan_component_dimension(lam, lam, A, cap=600) == doubled, w
+            checked += 1
+    assert checked == 50
+
+
+def test_rank4_fundamental_pairs_match_summed_faces():
+    """For every pair of fundamental weights at rank 4 and every triangular
+    element, the diagonal closure in V(omega_i) x V(omega_j) has
+    |S(omega_i + omega_j)| elements."""
+    omegas = [DominantWeight(tuple(int(k == i) for k in range(4))) for i in range(4)]
+    faces = [inversion_roots(w) for w in all_permutations(4) if is_triangular_element(w)]
+    assert len(faces) == 88
+    for i, lam in enumerate(omegas):
+        for mu in omegas[i:]:
+            total = DominantWeight(tuple(a + b for a, b in zip(lam.coeffs, mu.coeffs)))
+            for A in faces:
+                assert cartan_component_dimension(lam, mu, A) == len(
+                    enumerate_lattice_points(A, total)), (lam, mu, A)
+
+
+def _diagonal_image(left, right, root, i):
+    """Reference diagonal action of a lowering on the unit vector at index i
+    of the tensor product of two spaces, whose pair (i1, i2) sits at
+    i1 * d2 + i2, left factor first."""
     d2 = right.dimension
-    rows = []
-    for i1 in range(left.dimension):
-        for i2 in range(d2):
-            entries = [(j1 * d2 + i2, c) for j1, c in t1[i1]]
-            entries += [(i1 * d2 + j2, c) for j2, c in t2[i2]]
-            rows.append(tuple(entries))
-    return tuple(rows)
+    i1, i2 = divmod(i, d2)
+    out = {}
+    for j1, c in left.apply(left.lowering_table(root), ((i1, 1),)):
+        out[j1 * d2 + i2] = out.get(j1 * d2 + i2, 0) + c
+    for j2, c in right.apply(right.lowering_table(root), ((i2, 1),)):
+        out[i1 * d2 + j2] = out.get(i1 * d2 + j2, 0) + c
+    return tuple(sorted((t, c) for t, c in out.items() if c))
 
 
 @pytest.mark.parametrize("lam,mu", [
@@ -259,7 +296,86 @@ def test_concatenated_factors_give_the_diagonal_action(lam, mu):
     h2 = densify(right.highest_vector(), right.dimension).index(1)
     assert densify(space.highest_vector(), space.dimension).index(1) == h1 * right.dimension + h2
     for root in RootSubset.full(lam.n).sorted_roots():
-        assert space.lowering_table(root) == _pair_table(left, right, root)
+        op = space.lowering_table(root)
+        for i in range(space.dimension):
+            assert space.apply(op, ((i, 1),)) == _diagonal_image(left, right, root, i)
+
+
+def _row_table(space, a, b):
+    """E_ab as a full table with one row of (target, coeff) entries per
+    ambient basis vector, built the way op tables were built before ops
+    acted on index digits."""
+    pools = [tuple(combinations(range(1, space.n + 2), k)) for k in space.factors]
+    strides = [1] * len(pools)
+    for f in range(len(pools) - 2, -1, -1):
+        strides[f] = strides[f + 1] * len(pools[f + 1])
+    acts = []
+    for pool, stride in zip(pools, strides):
+        position = {subset: p for p, subset in enumerate(pool)}
+        act = []
+        for p, subset in enumerate(pool):
+            hit = fflv.rep._wedge_action(a, b, subset)
+            act.append(None if hit is None else ((position[hit[0]] - p) * stride, hit[1]))
+        acts.append(act)
+    rows = []
+    for i, digits in enumerate(product(*(range(len(pool)) for pool in pools))):
+        entries = {}
+        for act, p in zip(acts, digits):
+            hit = act[p]
+            if hit is not None:
+                target = i + hit[0]
+                entries[target] = entries.get(target, 0) + hit[1]
+        rows.append(tuple((t, c) for t, c in entries.items() if c))
+    return tuple(rows)
+
+
+def _row_apply(rows, vec):
+    out = {}
+    for i, v in vec:
+        for t, c in rows[i]:
+            out[t] = out.get(t, 0) + c * v
+    return tuple(sorted((t, x) for t, x in out.items() if x))
+
+
+@st.composite
+def _spaces_and_vectors(draw):
+    """A tensor space for one weight or for a concatenated pair of weights,
+    at ranks 1-4 with at most 2,500 ambient dimensions, and a few random
+    sparse vectors in it."""
+    n = draw(st.integers(1, 4))
+    factors, dimension = [], 1
+    for _ in range(draw(st.integers(1, 2))):
+        for k in range(1, n + 1):
+            for _ in range(draw(st.integers(0, 2))):
+                if dimension * comb(n + 1, k) <= 2500:
+                    factors.append(k)
+                    dimension *= comb(n + 1, k)
+    coords = st.dictionaries(st.integers(0, dimension - 1),
+                             st.integers(-3, 3).filter(bool), max_size=6)
+    vectors = draw(st.lists(coords, min_size=1, max_size=4))
+    return TensorSpace(n, factors), [tuple(sorted(v.items())) for v in vectors]
+
+
+def _every_unit_vector(n, factors):
+    space = TensorSpace(n, factors)
+    return space, [((i, 1),) for i in range(space.dimension)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spaces_and_vectors())
+@example(_every_unit_vector(2, (2, 2)))
+@example(_every_unit_vector(3, (1, 2, 2, 3)))
+@example(_every_unit_vector(2, (1, 2, 1)))
+def test_digit_ops_match_full_row_tables(space_and_vectors):
+    """Every E_ab acting on index digits gives what the full row table
+    gives: on random sparse vectors, and on every unit vector for the
+    weights (0, 2) and (1, 2, 1) and the pair (1, 1) x (1, 0)."""
+    space, vectors = space_and_vectors
+    for a in range(1, space.n + 2):
+        for b in range(1, space.n + 2):
+            rows, op = _row_table(space, a, b), space.table(a, b)
+            for vec in vectors:
+                assert space.apply(op, vec) == _row_apply(rows, vec), (a, b, vec)
 
 
 def test_rank3_verify_runs_three_closures(capsys, monkeypatch):
