@@ -69,7 +69,6 @@ from .rep import (
     demazure_submodule,
     essential_monomials,
     extremal_vector,
-    monomial_vector,
     pbw_filtration_profile,
     subset_submodule,
     verify_monomial_basis,

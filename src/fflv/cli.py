@@ -129,8 +129,7 @@ def cmd_weyl_scan(job: JobSpec) -> int:
     """Classify every element of the symmetric group on n+1 letters."""
     n = job.n
     if n > job.max_rank:
-        print(f"rank {n} exceeds the cap {job.max_rank}", file=sys.stderr)
-        return 2
+        raise ValueError(f"rank {n} exceeds the cap {job.max_rank}")
 
     # One (w, length, is_kempf, is_triangular) tuple per element.
     rows = [(str(w), w.length(), is_kempf(w), is_triangular_element(w))

@@ -16,7 +16,8 @@ every closure row and every monomial image is a weight vector, whose support
 lies in one weight space (at rho(4), at most 110 of the 2,500 ambient
 coordinates), and applying an operator or eliminating against a span costs
 time in that support, not in the ambient dimension.  `fflv.linalg.densify`
-gives the dense tuple of a vector where one is wanted.
+gives the dense tuple of a vector where one is wanted.  Ordered lowering
+monomials share a stack of suffix images; bases walk colex, one apply a point.
 
 Lowering and raising follow the convention that the lowering operator for the
 positive root built on rows i..j is E_{j+1,i} and the raising operator is
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd, prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .characters import to_partition, weyl_dimension
 from .linalg import IntSpan, SparseVector
@@ -315,41 +316,41 @@ def subset_submodule(module: ExplicitModule, A: RootSubset) -> ExplicitModule:
     return sub
 
 
-def _ordered_image(
-    module: ExplicitModule, listing: Sequence[Root], exponents: Sequence[int]
-) -> SparseVector:
-    """Apply the ordered product of lowering powers to the highest vector.
-
-    The listing gives the product left to right; the rightmost factor acts
-    first, so the loop walks the listing in reverse.
-    """
+def _ordered_images(
+    module: ExplicitModule, listing: Sequence[Root], scan: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], SparseVector]]:
+    """Yield (s, image of the highest vector under the ordered monomial s)
+    for each exponent tuple s of the scan, in any order.  The rightmost
+    factor acts first; for the last tuple, level k of a stack holds
+    L_k^{s_k} ... L_m^{s_m} v.  The next tuple keeps the levels above the
+    highest position p where it differs; level p goes on from its image if
+    s_p grew, and every other level from p down is rebuilt from the one
+    above.  A zero level is not applied to."""
     space = module.space
-    vec = module.generator
-    for root, e in zip(reversed(listing), reversed(list(exponents))):
-        if not e:
-            continue
-        table = space.lowering_table(root)
-        for _ in range(e):
-            vec = space.apply(table, vec)
-    return vec
-
-
-def monomial_vector(module: ExplicitModule, point: LatticePoint) -> SparseVector:
-    """Image of the highest vector under one ordered lowering monomial.
-
-    Factors are ordered by (row, column) on the roots, fixed once for the
-    whole package; the rightmost factor acts first.
-    """
-    if point.n != module.space.n:
-        raise ValueError(f"point rank {point.n} does not match module rank {module.space.n}")
-    listing = sorted(point.roots)
-    exps = [point.value(r) for r in listing]
-    return _ordered_image(module, listing, exps)
+    tables = [space.lowering_table(r) for r in listing]
+    last = (0,) * len(listing)
+    levels = [module.generator] * (len(listing) + 1)
+    for s in scan:
+        p = len(s) - 1
+        while p >= 0 and s[p] == last[p]:
+            p -= 1
+        for k in range(p, -1, -1):
+            grew = k == p and s[k] > last[k]
+            vec = levels[k] if grew else levels[k + 1]
+            todo = s[k] - last[k] if grew else s[k]
+            while todo and vec:
+                vec = space.apply(tables[k], vec)
+                todo -= 1
+            levels[k] = vec
+        last = s
+        yield s, levels[0]
 
 
 @dataclass(frozen=True)
 class MonomialBasisReport:
-    """Outcome of checking the ordered monomials against the lattice points."""
+    """Outcome of checking the ordered monomials against the lattice points.
+    The witness is the first point, in colex order, whose monomial vector
+    lies in the span of the earlier ones."""
 
     lattice_points: int
     rank: int
@@ -371,9 +372,10 @@ def verify_monomial_basis(
     For each lattice point of the face polytope, the ordered lowering
     monomial is applied to the highest vector; the report records whether
     those vectors are linearly independent and whether they span the
-    submodule generated by the lowerings in A.  The witness is the first
-    point (in sorted order) whose vector fell inside the span of its
-    predecessors, if any.
+    submodule generated by the lowerings in A.  Points are walked in colex
+    order (lex on the reversed tuple).  The face is downward closed, so a
+    point's predecessor is the point less one at its first nonzero exponent,
+    and each image costs one apply.
     """
     if lam != module.weight:
         raise ValueError(f"module was built for {module.weight}, not {lam}")
@@ -381,9 +383,10 @@ def verify_monomial_basis(
     sub = subset_submodule(module, A)
     span = IntSpan(module.space.dimension)
     witness: Optional[LatticePoint] = None
-    for point in points:
-        if span.add(monomial_vector(module, point)) is None and witness is None:
-            witness = point
+    colex = sorted(points.tuples, key=lambda s: s[::-1])
+    for s, image in _ordered_images(module, points.roots, colex):
+        if span.add(image) is None and witness is None:
+            witness = LatticePoint(points.n, points.roots, s)
     return MonomialBasisReport(
         lattice_points=len(points),
         rank=span.rank,
@@ -410,14 +413,16 @@ def _tall_first(roots: Iterable[Root]) -> list[Root]:
     return sorted(roots, key=lambda r: (-(r.j - r.i), r.i))
 
 
-def _degree_compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
+def _degree_compositions(total: int, parts: int, lex: bool) -> Iterator[tuple[int, ...]]:
+    """Exponent tuples of one degree, increasing in lex order or else in
+    revlex order (lex on the reversed tuples, descending)."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for head in range(total + 1):
-        for tail in _degree_compositions(total - head, parts - 1):
-            yield (head,) + tail
+    for x in range(total + 1) if lex else range(total, -1, -1):
+        for rest in _degree_compositions(total - x, parts - 1, lex):
+            yield (x,) + rest if lex else rest + (x,)
 
 
 def essential_monomials(
@@ -429,7 +434,8 @@ def essential_monomials(
     exponent tuples (taller roots first) by reverse lexicographic order and
     "lex" by lexicographic order.  Exponents are scanned in increasing
     order and kept exactly when their monomial vector enlarges the span, so
-    the result does not depend on any basis choice.
+    the result does not depend on any basis choice.  Each degree is
+    generated in scan order, not sorted, and walked by `_ordered_images`.
 
     When the monomials never span the lowering closure, ArithmeticError is
     raised at the first degree whose ordered monomials all kill the highest
@@ -446,14 +452,9 @@ def essential_monomials(
     found: list[dict[Root, int]] = []
     degree = 0
     while span.rank < target:
-        exps = list(_degree_compositions(degree, len(listing)))
-        if order == "revlex":
-            exps.sort(key=lambda s: tuple(-x for x in reversed(s)))
-        else:
-            exps.sort()
         vanished = True
-        for s in exps:
-            image = _ordered_image(module, listing, s)
+        scan = _degree_compositions(degree, len(listing), order == "lex")
+        for s, image in _ordered_images(module, listing, scan):
             vanished = vanished and not image
             if span.add(image) is not None:
                 found.append(dict(zip(listing, s)))

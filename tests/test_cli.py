@@ -68,9 +68,12 @@ def test_weyl_scan_rejects_rank_below_one(capsys, n):
 
 
 def test_weyl_scan_rank_cap(capsys):
-    code, out, err = run(capsys, "weyl-scan", "--n", "7")
-    assert code == 2
-    assert "exceeds" in err
+    """A rank over --max-rank is a usage error: one error line, exit 2."""
+    for argv, message in [(("--n", "7"), "rank 7 exceeds the cap 6"),
+                          (("--n", "9"), "rank 9 exceeds the cap 6"),
+                          (("--n", "3", "--max-rank", "0"), "rank 3 exceeds the cap 0")]:
+        code, out, err = run(capsys, "weyl-scan", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def assert_same_output(got, want):

@@ -1,6 +1,7 @@
 """Explicit modules, extremal vectors, monomial bases, and graded profiles."""
 
 import warnings
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -12,7 +13,7 @@ import fflv.rep
 from fflv.characters import demazure_dimension_oracle, weyl_dimension
 from fflv.cli import main
 from fflv.linalg import densify
-from fflv.polytope import degree_histogram, enumerate_lattice_points
+from fflv.polytope import PointSet, degree_histogram, enumerate_lattice_points
 from fflv.rep import (
     DimensionCapError,
     ExplicitModule,
@@ -22,12 +23,11 @@ from fflv.rep import (
     demazure_submodule,
     essential_monomials,
     extremal_vector,
-    monomial_vector,
     pbw_filtration_profile,
     subset_submodule,
     verify_monomial_basis,
 )
-from fflv.roots import DominantWeight, Root, rho
+from fflv.roots import DominantWeight, Root, all_positive_roots, rho
 from fflv.weyl import (
     Permutation,
     RootSubset,
@@ -122,14 +122,6 @@ def test_subset_submodule_is_computed_once_per_subset():
     assert subset_submodule(module, inversion_roots(Permutation.from_word((1,), 2))) is not sub
 
 
-def test_monomial_vector_validation():
-    lam = DominantWeight((1, 1))
-    module = build_highest_weight_module(lam)
-    pts = enumerate_lattice_points(RootSubset.full(3), rho(3))
-    with pytest.raises(ValueError):
-        monomial_vector(module, next(iter(pts)))
-
-
 def test_monomial_basis_for_triangular_rank2():
     lam = DominantWeight((2, 1))
     module = build_highest_weight_module(lam)
@@ -141,6 +133,26 @@ def test_monomial_basis_for_triangular_rank2():
         assert report.lattice_points == report.rank == report.submodule_dimension
     with pytest.raises(ValueError):
         verify_monomial_basis(module, RootSubset.full(2), DominantWeight((1, 1)))
+
+
+def test_dependent_monomials_name_a_witness(monkeypatch):
+    """A point whose monomial kills the highest vector makes the monomials
+    dependent: f_1^2 vanishes on V(1, 1), so the padded face {0, 1, 2} of
+    A = {a1.1} has rank 2 and (2,) as its witness."""
+    module = build_highest_weight_module(DominantWeight((1, 1)))
+    A = RootSubset.of(2, {Root(1, 1)})
+    real = fflv.rep.enumerate_lattice_points
+
+    def padded(A, lam):
+        points = real(A, lam)
+        return PointSet(points.n, points.roots, points.tuples | {(2,)})
+
+    monkeypatch.setattr(fflv.rep, "enumerate_lattice_points", padded)
+    report = verify_monomial_basis(module, A, module.weight)
+    assert report.independent is False
+    assert report.spanning is True
+    assert report.witness.values == (2,)
+    assert (report.lattice_points, report.rank, report.submodule_dimension) == (3, 2, 2)
 
 
 def test_non_triangular_example_still_has_a_monomial_basis():
@@ -404,3 +416,76 @@ def test_rank4_closures_match_weyl_and_demazure_dimensions():
     assert profile[-1] == 1024
     increments = [profile[0]] + [b - a for a, b in zip(profile, profile[1:])]
     assert increments == [histogram[d] for d in sorted(histogram)]
+
+
+def _reference_ordered_image(module, listing, exponents):
+    """The ordered monomial image rebuilt from the highest vector, one apply
+    per unit of exponent, rightmost factor first."""
+    space = module.space
+    vec = module.generator
+    for root, e in zip(reversed(listing), reversed(list(exponents))):
+        for _ in range(e):
+            vec = space.apply(space.lowering_table(root), vec)
+    return vec
+
+
+@lru_cache(maxsize=None)
+def _walk_module(lam):
+    return build_highest_weight_module(lam)
+
+
+@st.composite
+def _walks(draw):
+    """A module at rank 1-3, a listing of some of its roots in (row, column)
+    or tall-first order, and a scan of exponent tuples in no order."""
+    lam = draw(st.sampled_from([DominantWeight((3,)), DominantWeight((1, 2)),
+                                DominantWeight((2, 1)), rho(3), DominantWeight((0, 2, 1))]))
+    roots = draw(st.lists(st.sampled_from(all_positive_roots(lam.n)), min_size=1, unique=True))
+    listing = sorted(roots) if draw(st.booleans()) else fflv.rep._tall_first(roots)
+    exponents = st.tuples(*[st.integers(0, 4)] * len(listing))
+    return lam, tuple(listing), draw(st.lists(exponents, max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_walks())
+@example((rho(3), (Root(1, 1), Root(1, 2), Root(2, 3)),
+          [(0, 0, 0), (1, 2, 1), (1, 2, 1), (0, 0, 0), (2, 0, 1), (3, 2, 0), (1, 2, 1)]))
+@example((DominantWeight((1, 2)), (Root(1, 2), Root(1, 1), Root(2, 2)),
+          [(0, 2, 0), (0, 1, 2), (1, 1, 2), (1, 4, 2), (0, 0, 1), (0, 0, 0)]))
+def test_ordered_images_match_rebuilt_images(walk):
+    """The suffix-sharing walk yields every tuple of the scan, in the scan's
+    order, with the image rebuilt from the highest vector: with repeats,
+    zero tuples, vanishing images and unsorted scans."""
+    lam, listing, scan = walk
+    module = _walk_module(lam)
+    walked = list(fflv.rep._ordered_images(module, listing, scan))
+    assert walked == [(s, _reference_ordered_image(module, listing, s)) for s in scan]
+
+
+def test_monomial_basis_costs_one_apply_per_point(monkeypatch):
+    """At rho(4), longest element, the colex walk makes |S| - 1 = 1,023
+    applies for the 1,024 points; the lowering closure is formed first, so
+    only the walk is counted."""
+    module = build_highest_weight_module(rho(4), cap=2000)
+    A = inversion_roots(Permutation.longest(4))
+    subset_submodule(module, A)
+    calls = []
+    apply = TensorSpace.apply
+    monkeypatch.setattr(TensorSpace, "apply",
+                        lambda self, table, vec: calls.append(1) or apply(self, table, vec))
+    report = verify_monomial_basis(module, A, rho(4))
+    assert report.ok and report.lattice_points == 1024
+    assert len(calls) == 1023
+
+
+@pytest.mark.parametrize("lex,key", [
+    (True, None),
+    (False, lambda s: tuple(-x for x in reversed(s))),
+])
+def test_degree_compositions_come_in_scan_order(lex, key):
+    """Each degree is generated in the order a sort by the scan key gives."""
+    for parts in range(5):
+        for total in range(6):
+            want = sorted((s for s in product(range(total + 1), repeat=parts)
+                           if sum(s) == total), key=key)
+            assert list(fflv.rep._degree_compositions(total, parts, lex)) == want, (total, parts)
