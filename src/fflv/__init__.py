@@ -46,7 +46,6 @@ from .polytope import (
     LatticePoint,
     PointSet,
     UnboundedFaceError,
-    WeightInRootLattice,
     build_inequalities,
     degree_histogram,
     dilate,
@@ -56,7 +55,6 @@ from .polytope import (
     in_polytope,
     minkowski_sum,
     points_to_csv,
-    weight_and_degree,
     weight_columns,
 )
 from .rep import (

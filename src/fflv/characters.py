@@ -219,9 +219,9 @@ def character_from_lattice_points(
         raise ValueError("point set does not match the subset")
     base = to_partition(lam).parts
     out: dict[tuple[int, ...], int] = {}
-    for pt in points:
+    for values in points.tuples:
         vec = list(base)
-        for r, v in zip(pt.roots, pt.values):
+        for r, v in zip(points.roots, values):
             vec[r.i - 1] -= v
             vec[r.j] += v
         img = [0] * (lam.n + 1)

@@ -168,7 +168,7 @@ def cmd_weyl_scan(job: JobSpec) -> int:
 def cmd_points(job: JobSpec) -> int:
     """Export the lattice points of one face polytope.
 
-    Rows are written in lexicographic order straight from the sorted tuples,
+    Rows are written in lexicographic order straight from the point tuples,
     each through one `%d` template per format; weights and degrees are
     column sums over `weight_columns`, taken for all points at once.
     """
@@ -186,7 +186,7 @@ def cmd_points(job: JobSpec) -> int:
     if job.fmt == "csv":
         out.write(points_to_csv(S))
         return 0
-    points = S.sorted_tuples()
+    points = S.tuples
     count = len(points)
     cols = list(zip(*points))
     weights = [list(map(sum, zip(*[cols[c] for c in group]))) if group else [0] * count

@@ -132,6 +132,11 @@ def marked_order_points(P: MarkedPoset) -> PointSet:
     (above) and its row-plus-one marker (below), and respects x_lower <=
     x_upper along root-to-root covers.  Roots are assigned in canonical
     order, which lists every upper staircase neighbour first.
+
+    The depth-first search fixes the roots in that order and tries each
+    one's values in increasing order, so every point below a prefix ending
+    in v precedes every point below the same prefix ending in v + 1: the
+    points come out in lexicographic order, the order `PointSet` keeps.
     """
     roots = P.A.sorted_roots()
     upper_bound = [P.marking(Marker(r.i)) for r in roots]
@@ -159,7 +164,7 @@ def marked_order_points(P: MarkedPoset) -> PointSet:
             assign(c + 1)
 
     assign(0)
-    return PointSet(P.n, roots, frozenset(found))
+    return PointSet(P.n, roots, tuple(found))
 
 
 def ehrhart_count(A: RootSubset, lam: DominantWeight, t: int, which: str) -> int:

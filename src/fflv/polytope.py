@@ -9,12 +9,16 @@ and the polytope is the set of nonnegative real coordinate vectors indexed by
 A satisfying all of them.  This module enumerates the integer points exactly,
 embeds them into the full-triangle polytope, and forms Minkowski sums and
 dilations.  Everything is integer arithmetic.
+
+A point set is one tuple of value tuples in strictly increasing
+lexicographic order.  Each producer emits that order directly, so equal sets
+have equal tuples and compare and hash as plain dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Iterator
 
 from .paths import enumerate_dyck_paths_for
 from .roots import DominantWeight, Root, all_positive_roots, pairing
@@ -45,15 +49,6 @@ class Inequality:
         return f"{lhs} <= {self.bound}"
 
 
-class WeightInRootLattice(NamedTuple):
-    """Coefficients c_1..c_n of a weight written in the simple-root basis."""
-
-    coeffs: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
-
-
 @dataclass(frozen=True)
 class LatticePoint:
     """One integer point: values aligned with a fixed sorted root tuple."""
@@ -77,44 +72,27 @@ class LatticePoint:
     def as_dict(self) -> dict[Root, int]:
         return {r: v for r, v in zip(self.roots, self.values) if v}
 
-    def __add__(self, other: "LatticePoint") -> "LatticePoint":
-        if self.n != other.n or self.roots != other.roots:
-            raise ValueError("can only add points over the same root set")
-        return LatticePoint(
-            self.n, self.roots, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
 
 @dataclass(frozen=True)
 class PointSet:
     """A set of lattice points sharing rank and coordinate order.
 
-    `ordered`, when given, holds the same tuples in lexicographic order (the
-    order the enumerator emits them in); it spares `sorted_tuples` a sort and
-    takes no part in comparisons.
+    `tuples` holds the value tuples in strictly increasing lexicographic
+    order, which every producer emits.  A set then has exactly one
+    `tuples`, so the dataclass `==` and hash, which compare the fields, are
+    set equality and a set hash.
     """
 
     n: int
     roots: tuple[Root, ...]
-    tuples: frozenset[tuple[int, ...]]
-    ordered: Optional[list[tuple[int, ...]]] = field(default=None, compare=False, repr=False)
+    tuples: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.tuples)
 
     def __iter__(self) -> Iterator[LatticePoint]:
-        for vals in self.sorted_tuples():
+        for vals in self.tuples:
             yield LatticePoint(self.n, self.roots, vals)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, LatticePoint):
-            if item.roots != self.roots:
-                return False
-            return item.values in self.tuples
-        return tuple(item) in self.tuples
-
-    def sorted_tuples(self) -> list[tuple[int, ...]]:
-        return sorted(self.tuples) if self.ordered is None else list(self.ordered)
 
 
 def build_inequalities(A: RootSubset, lam: DominantWeight) -> list[Inequality]:
@@ -137,9 +115,9 @@ def enumerate_integer_points(
     visits the values of coordinate c in increasing order, so every point
     below value v precedes every point below v + 1.  By induction on the
     depth, the points come out in lexicographic order of their tuples,
-    whatever the coordinate order; the result keeps that list as
-    `ordered`.  The last coordinate's values form one range and are emitted
-    in one batch.
+    whatever the coordinate order, which is the order `PointSet` keeps.
+    The last coordinate's values form one range and are emitted in one
+    batch.
 
     Slack bookkeeping: while coordinate c holds value v, the slack of each
     inequality containing c must be its entry value minus v.  Every child
@@ -161,9 +139,9 @@ def enumerate_integer_points(
         if not touching[c]:
             raise UnboundedFaceError(n, r)
     if any(q.bound < 0 for q in ineqs):
-        return PointSet(n, roots, frozenset(), [])
+        return PointSet(n, roots, ())
     if not roots:
-        return PointSet(n, roots, frozenset({()}), [()])
+        return PointSet(n, roots, ((),))
 
     last_reader = {t: c for c, ts in enumerate(touching) for t in ts}
     read_later = [tuple(t for t in ts if last_reader[t] > c) for c, ts in enumerate(touching)]
@@ -186,7 +164,7 @@ def enumerate_integer_points(
             slack[t] += cap + 1
 
     assign(0, ())
-    return PointSet(n, roots, frozenset(found), found)
+    return PointSet(n, roots, tuple(found))
 
 
 def enumerate_lattice_points(A: RootSubset, lam: DominantWeight) -> PointSet:
@@ -223,40 +201,45 @@ def in_polytope(point: LatticePoint, lam: DominantWeight) -> bool:
 
 
 def minkowski_sum(S1: PointSet, S2: PointSet) -> PointSet:
-    """Pairwise sums {s + t}, deduplicated.
+    """Pairwise sums {s + t}, deduplicated, in lexicographic order.
 
     Each point is packed into one int in mixed radix: coordinate c occupies
     a field of w_c = (max_c S1 + max_c S2).bit_length() bits, the fields laid
-    out one after another.  Coordinates must be nonnegative (ValueError
-    otherwise), so every coordinate of s + t lies in 0 .. max_c S1 + max_c S2
-    < 2**w_c and fits its field.  No field sum carries into the next, hence
-    pack(s) + pack(t) = pack(s + t) and distinct sums have distinct packed
-    values: deduplicating the packed ints and unpacking the survivors gives
-    exactly the set of tuple sums.
+    out from the last coordinate (lowest bits) to the first (highest bits).
+    Coordinates must be nonnegative (ValueError otherwise), so every
+    coordinate of s + t lies in 0 .. max_c S1 + max_c S2 < 2**w_c and fits
+    its field.  No field sum carries into the next, hence pack(s) + pack(t)
+    = pack(s + t) and distinct sums have distinct packed values:
+    deduplicating the packed ints and unpacking the survivors gives exactly
+    the set of tuple sums.  Every field holds its coordinate whole, so the
+    first field where two packed sums differ, the highest, is their first
+    differing coordinate, and the packed ints sort in lexicographic order
+    of the tuples.
     """
     if S1.n != S2.n or S1.roots != S2.roots:
         raise ValueError("Minkowski sum needs matching rank and root order")
     if not S1.tuples or not S2.tuples:
-        return PointSet(S1.n, S1.roots, frozenset())
+        return PointSet(S1.n, S1.roots, ())
     cols1, cols2 = list(zip(*S1.tuples)), list(zip(*S2.tuples))
     if any(min(col) < 0 for col in cols1 + cols2):
         raise ValueError("lattice points have nonnegative coordinates")
     fields = []
     shift = 0
-    for c1, c2 in zip(cols1, cols2):
+    for c1, c2 in zip(reversed(cols1), reversed(cols2)):
         width = (max(c1) + max(c2)).bit_length()
         fields.append((shift, (1 << width) - 1))
         shift += width
+    fields.reverse()
 
-    def pack(points: frozenset[tuple[int, ...]]) -> list[int]:
+    def pack(points: tuple[tuple[int, ...], ...]) -> list[int]:
         return [sum(v << s for v, (s, _) in zip(p, fields)) for p in points]
 
     outer, inner = sorted((pack(S1.tuples), pack(S2.tuples)), key=len)
     sums: set[int] = set()
     for a in outer:
         sums.update(map(a.__add__, inner))
-    return PointSet(S1.n, S1.roots, frozenset(
-        tuple([x >> s & mask for s, mask in fields]) for x in sums))
+    return PointSet(S1.n, S1.roots, tuple(
+        [tuple([x >> s & mask for s, mask in fields]) for x in sorted(sums)]))
 
 
 def dilate(S: PointSet, k: int) -> PointSet:
@@ -277,15 +260,6 @@ def weight_columns(n: int, roots: tuple[Root, ...]) -> tuple[tuple[int, ...], ..
                  for k in range(1, n + 1))
 
 
-def weight_and_degree(point: LatticePoint) -> tuple[WeightInRootLattice, int]:
-    """Simple-root coefficients of the coordinate-weighted root sum, and the
-    total coordinate sum."""
-    values = point.values
-    coeffs = tuple(sum(values[c] for c in cols)
-                   for cols in weight_columns(point.n, point.roots))
-    return WeightInRootLattice(coeffs), sum(values)
-
-
 def degree_histogram(S: PointSet) -> dict[int, int]:
     """Counts of points by total coordinate sum."""
     hist: dict[int, int] = {}
@@ -299,7 +273,7 @@ def points_to_csv(S: PointSet) -> str:
     """CSV with one column per root in canonical order, one row per point.
 
     Labels and integers never need quoting, so each row is one `%d`
-    template filled from a sorted tuple."""
+    template filled from a point's tuple, in the set's lexicographic order."""
     row = ",".join(["%d"] * len(S.roots)) + "\n"
     header = ",".join(r.label for r in S.roots) + "\n"
-    return header + "".join(map(row.__mod__, S.sorted_tuples()))
+    return header + "".join(map(row.__mod__, S.tuples))

@@ -464,8 +464,9 @@ def essential_monomials(
             raise ArithmeticError("essential monomial scan did not stabilize")
         degree += 1
     roots = A.sorted_roots()
-    tuples = frozenset(tuple(f.get(r, 0) for r in roots) for f in found)
-    return PointSet(space.n, roots, tuples)
+    # Each exponent tuple is scanned once, so the sorted tuples are distinct.
+    return PointSet(space.n, roots, tuple(sorted(tuple(f.get(r, 0) for r in roots)
+                                                 for f in found)))
 
 
 def cartan_component_dimension(

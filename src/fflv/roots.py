@@ -102,10 +102,6 @@ class DominantWeight:
     def n(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def is_regular(self) -> bool:
-        return all(c > 0 for c in self.coeffs)
-
     def __add__(self, other: "DominantWeight") -> "DominantWeight":
         if self.n != other.n:
             raise ValueError("rank mismatch")

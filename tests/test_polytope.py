@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fflv.characters import weyl_dimension
+from fflv.marked_poset import build_marked_poset, marked_chain_points, marked_order_points
 from fflv.polytope import (
     Inequality,
     LatticePoint,
@@ -22,9 +23,9 @@ from fflv.polytope import (
     in_polytope,
     minkowski_sum,
     points_to_csv,
-    weight_and_degree,
     weight_columns,
 )
+from fflv.rep import build_highest_weight_module, essential_monomials
 from fflv.roots import DominantWeight, Root, all_positive_roots, fundamental_weight, rho
 from fflv.weyl import Permutation, RootSubset, inversion_roots
 
@@ -53,7 +54,7 @@ def test_count_equals_weyl_dimension_small():
 def test_single_root_face():
     lam = DominantWeight((3, 0))
     S = enumerate_lattice_points(RootSubset.of(2, [Root(1, 1)]), lam)
-    assert sorted(t[0] for t in S.sorted_tuples()) == [0, 1, 2, 3]
+    assert [t[0] for t in S.tuples] == [0, 1, 2, 3]
 
 
 def test_empty_subset_gives_origin():
@@ -122,10 +123,14 @@ def test_dilate_is_k_fold_sum():
         dilate(S, 0)
 
 
+def weight_and_degree(values, n, roots):
+    """The point's weight as the `weight_columns` column sums, and its degree."""
+    return tuple(sum(values[c] for c in cols) for cols in weight_columns(n, roots)), sum(values)
+
+
 def test_weight_and_degree():
-    pt = LatticePoint(2, (Root(1, 1), Root(1, 2), Root(2, 2)), (1, 1, 0))
-    wt, deg = weight_and_degree(pt)
-    assert wt.coeffs == (2, 1)
+    wt, deg = weight_and_degree((1, 1, 0), 2, (Root(1, 1), Root(1, 2), Root(2, 2)))
+    assert wt == (2, 1)
     assert deg == 2
 
 
@@ -145,8 +150,8 @@ def test_weight_and_degree_matches_the_root_sum():
             for r, v in zip(pt.roots, pt.values):
                 for k in range(r.i, r.j + 1):
                     expected[k - 1] += v
-            wt, deg = weight_and_degree(pt)
-            assert wt.coeffs == tuple(expected)
+            wt, deg = weight_and_degree(pt.values, pt.n, pt.roots)
+            assert wt == tuple(expected)
             assert deg == sum(pt.values)
 
 
@@ -177,18 +182,43 @@ def test_csv_export_matches_the_csv_writer():
     lam = DominantWeight((2, 1, 1))
     faces = [full(3), RootSubset.of(3, [Root(1, 2), Root(2, 3)]), RootSubset.of(3, [])]
     sets = [enumerate_lattice_points(A, lam) for A in faces]
-    sets.append(dilate(sets[1], 2))                  # unordered: built by minkowski_sum
+    sets.append(dilate(sets[1], 2))                  # built by minkowski_sum
     for S in sets:
         assert points_to_csv(S) == csv_writer_export(S)
 
 
-def test_enumerated_order_is_kept_and_ignored_by_equality():
-    S = enumerate_lattice_points(full(3), rho(3))
-    assert S.ordered == sorted(S.tuples)
-    assert S.sorted_tuples() == S.ordered and S.sorted_tuples() is not S.ordered
-    bare = PointSet(S.n, S.roots, S.tuples)
-    assert bare.ordered is None and bare == S and hash(bare) == hash(S)
-    assert bare.sorted_tuples() == S.ordered
+def test_sum_and_dilated_face_are_equal_and_hash_equal():
+    """S + S comes from packed sums, S(2 lambda) from the enumerator; both
+    keep lexicographic order, so the sets compare and hash as equal."""
+    for A in (full(3), RootSubset.of(3, [Root(1, 2), Root(2, 3), Root(3, 3)])):
+        S = enumerate_lattice_points(A, rho(3))
+        doubled = minkowski_sum(S, S)
+        target = enumerate_lattice_points(A, rho(3).scale(2))
+        assert doubled == target and hash(doubled) == hash(target)
+
+
+def assert_strictly_increasing(S):
+    assert all(a < b for a, b in zip(S.tuples, S.tuples[1:])), S.tuples
+
+
+def test_every_producer_emits_strictly_increasing_tuples():
+    """The enumerator, packed sums and dilations, both marked-poset
+    polytopes and the essential monomials all emit lexicographic order."""
+    lam = DominantWeight((2, 1, 1))
+    faces = [full(3), RootSubset.of(3, [Root(1, 2), Root(2, 3)]),
+             inversion_roots(Permutation.from_oneline((3, 4, 2, 1))), RootSubset.of(3, [])]
+    for A in faces:
+        S = enumerate_lattice_points(A, lam)
+        T = enumerate_lattice_points(A, DominantWeight((0, 1, 2)))
+        poset = build_marked_poset(A, lam)
+        produced = [S, minkowski_sum(S, T), minkowski_sum(T, S), dilate(S, 3),
+                    marked_chain_points(poset), marked_order_points(poset)]
+        for P in produced:
+            assert_strictly_increasing(P)
+    module = build_highest_weight_module(rho(3))
+    for A in faces[:3]:
+        for order in ("revlex", "lex"):
+            assert_strictly_increasing(essential_monomials(module, A, order))
 
 
 @settings(max_examples=25, deadline=None)
@@ -205,12 +235,12 @@ def test_k_fold_sums_exhaust_dilated_weight(m1, m2, k):
 
 def tuple_minkowski(S1, S2):
     """Reference Minkowski sum: every pair added coordinate by coordinate."""
-    return frozenset(tuple(a + b for a, b in zip(s, t)) for s in S1.tuples for t in S2.tuples)
+    return {tuple(a + b for a, b in zip(s, t)) for s in S1.tuples for t in S2.tuples}
 
 
 def point_set(*points):
     dim = len(points[0])
-    return PointSet(3, all_positive_roots(3)[:dim], frozenset(points))
+    return PointSet(3, all_positive_roots(3)[:dim], tuple(sorted(set(points))))
 
 
 @st.composite
@@ -235,14 +265,14 @@ def test_packed_minkowski_matches_tuple_sums(pair):
     for left, right in ((S1, S2), (S2, S1)):
         out = minkowski_sum(left, right)
         assert (out.n, out.roots) == (S1.n, S1.roots)
-        assert out.tuples == tuple_minkowski(S1, S2)
+        assert out.tuples == tuple(sorted(tuple_minkowski(S1, S2)))
 
 
 def test_minkowski_sum_edge_sets():
     S = point_set((1, 2), (0, 0))
     assert minkowski_sum(S, point_set((0, 0))) == S
-    empty = PointSet(3, S.roots, frozenset())
-    assert minkowski_sum(S, empty).tuples == frozenset()
+    empty = PointSet(3, S.roots, ())
+    assert minkowski_sum(S, empty).tuples == ()
     with pytest.raises(ValueError):
         minkowski_sum(S, point_set((-1, 0)))
 
@@ -273,8 +303,7 @@ def assert_matches_brute_force(n, roots, ineqs):
         return
     S = enumerate_integer_points(n, roots, ineqs)
     assert (S.n, S.roots) == (n, roots)
-    assert S.tuples == frozenset(expected)
-    assert S.ordered == expected                     # lexicographic emission order
+    assert S.tuples == tuple(expected)               # lexicographic emission order
 
 
 @st.composite
