@@ -28,7 +28,6 @@ from .marked_poset import (
     MarkedPoset,
     Marker,
     build_marked_poset,
-    ehrhart_count,
     marked_chain_points,
     marked_order_points,
 )
@@ -55,6 +54,7 @@ from .polytope import (
     in_polytope,
     minkowski_sum,
     points_to_csv,
+    support_inequalities,
     weight_columns,
 )
 from .rep import (

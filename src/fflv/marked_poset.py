@@ -9,7 +9,8 @@ and a_{n+1} the unique minimum.  Markers carry the tail sums of the weight:
 a_m is marked with m_m + ... + m_n and a_{n+1} with 0.
 
 The chain polytope bounds coordinate sums along saturated marker-to-marker
-chains by marking differences; the order polytope squeezes each coordinate
+chains by marking differences, which are the path bounds of `polytope` read
+off each chain's support; the order polytope squeezes each coordinate
 between its neighbouring markings and its staircase neighbours.  Both have
 the same number of integer points at every dilation.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .polytope import Inequality, PointSet, enumerate_integer_points
+from .polytope import PointSet, enumerate_integer_points, support_inequalities
 from .roots import DominantWeight, Root, dominates
 from .weyl import RootSubset
 
@@ -96,33 +97,41 @@ def build_marked_poset(A: RootSubset, lam: DominantWeight) -> MarkedPoset:
     return MarkedPoset(A.n, A, lam)
 
 
-def _chain_inequalities(P: MarkedPoset) -> list[Inequality]:
-    """One inequality per saturated chain running from a marker down through
-    unmarked roots to the next marker it meets."""
+def _chain_supports(P: MarkedPoset) -> list[tuple[Root, ...]]:
+    """The root sequences of the saturated chains running from a marker down
+    through unmarked roots to the next marker they meet, sorted.
+
+    No marking is read: only a_i covers a root that starts at row i, and a
+    root that ends at row j covers only a_{j+1}.  So a chain from a_i through
+    r_1 > ... > r_k to a_{j+1} has marking difference m_i + ... + m_j, the
+    weight on the coroot of its base root alpha_{i,j}, which is the bound
+    `support_inequalities` gives it.
+    """
     below: dict[Element, list[Element]] = {}
     for upper, lower in P.covers():
         below.setdefault(upper, []).append(lower)
 
-    found: dict[tuple[Root, ...], int] = {}
+    found: set[tuple[Root, ...]] = set()
 
-    def descend(top: Marker, trail: list[Root], cur: Element) -> None:
+    def descend(trail: list[Root], cur: Element) -> None:
         for nxt in below.get(cur, ()):
             if isinstance(nxt, Marker):
                 if trail:
-                    found[tuple(trail)] = P.marking(top) - P.marking(nxt)
+                    found.add(tuple(trail))
             else:
                 trail.append(nxt)
-                descend(top, trail, nxt)
+                descend(trail, nxt)
                 trail.pop()
 
     for m in P.markers:
-        descend(m, [], m)
-    return [Inequality(support, bound) for support, bound in sorted(found.items())]
+        descend([], m)
+    return sorted(found)
 
 
 def marked_chain_points(P: MarkedPoset) -> PointSet:
     """Integer points of the marked chain polytope."""
-    return enumerate_integer_points(P.n, P.A.sorted_roots(), _chain_inequalities(P))
+    return enumerate_integer_points(
+        P.n, P.A.sorted_roots(), support_inequalities(_chain_supports(P), P.lam))
 
 
 def marked_order_points(P: MarkedPoset) -> PointSet:
@@ -165,15 +174,3 @@ def marked_order_points(P: MarkedPoset) -> PointSet:
 
     assign(0)
     return PointSet(P.n, roots, tuple(found))
-
-
-def ehrhart_count(A: RootSubset, lam: DominantWeight, t: int, which: str) -> int:
-    """Lattice-point count of the chosen polytope for the dilated weight."""
-    if t < 1:
-        raise ValueError("dilation factor must be >= 1")
-    P = build_marked_poset(A, lam.scale(t))
-    if which == "chain":
-        return len(marked_chain_points(P))
-    if which == "order":
-        return len(marked_order_points(P))
-    raise ValueError(f"unknown polytope kind {which!r}")

@@ -4,6 +4,8 @@ A full path starts and ends at a simple root and moves one step at a time,
 raising either the start index or the end index.  Restricting a full path to
 a subset of roots, splitting at support gaps, and checking a grid-closure
 condition yields the paths that cut out the face polytope of the subset.
+A path is kept as its support alone: its base root, and with it the bound
+of its inequality, is a function of the support.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class DyckPath:
 
 def base_root(p) -> Root:
     """First start index paired with last end index: alpha_{i_1, j_s}."""
-    rs = p.roots if isinstance(p, DyckPath) else tuple(p)
+    rs = tuple(p)
     if not rs:
         raise ValueError("empty path has no base root")
     return Root(rs[0].i, rs[-1].j)
@@ -116,19 +118,19 @@ def is_dyck_path_for(p: Sequence[Root], A: RootSubset) -> bool:
     return True
 
 
-def enumerate_dyck_paths_for(A: RootSubset) -> list[tuple[tuple[Root, ...], Root]]:
-    """All grid-closed restricted paths for A, deduplicated, with base roots.
+def enumerate_dyck_paths_for(A: RootSubset) -> list[tuple[Root, ...]]:
+    """The supports of all grid-closed restricted paths for A, deduplicated.
 
     Restrictions of full paths are split into connected blocks, then
     filtered by the grid condition.  Two full paths restricting to the same
     root sequence yield one entry.  Sorted by root sequence.
     """
-    found: dict[tuple[Root, ...], Root] = {}
+    found: set[tuple[Root, ...]] = set()
     for q in enumerate_dyck_paths(A.n):
         p = restrict_path(q, A)
         if not p:
             continue
         for piece in connected_blocks(p):
             if piece not in found and is_dyck_path_for(piece, A):
-                found[piece] = base_root(piece)
-    return sorted(found.items())
+                found.add(piece)
+    return sorted(found)

@@ -6,7 +6,10 @@ restricted path contributes the inequality
     sum of the coordinates along the path <= pairing(weight, base root),
 
 and the polytope is the set of nonnegative real coordinate vectors indexed by
-A satisfying all of them.  This module enumerates the integer points exactly,
+A satisfying all of them.  A system is a sorted tuple of supports, free of
+the weight; `support_inequalities` reads each bound off its support's base
+root, for the path supports here and for the marked chain supports of
+`marked_poset` alike.  This module enumerates the integer points exactly,
 embeds them into the full-triangle polytope, and forms Minkowski sums and
 dilations.  Everything is integer arithmetic.
 
@@ -18,9 +21,9 @@ have equal tuples and compare and hash as plain dataclasses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .paths import enumerate_dyck_paths_for
+from .paths import base_root, enumerate_dyck_paths_for
 from .roots import DominantWeight, Root, all_positive_roots, pairing
 from .weyl import RootSubset
 
@@ -95,9 +98,17 @@ class PointSet:
             yield LatticePoint(self.n, self.roots, vals)
 
 
+def support_inequalities(
+    supports: Sequence[tuple[Root, ...]], lam: DominantWeight
+) -> list[Inequality]:
+    """One inequality per support, in the given order, bounded by the weight
+    on the coroot of the support's base root."""
+    return [Inequality(s, pairing(lam, base_root(s))) for s in supports]
+
+
 def build_inequalities(A: RootSubset, lam: DominantWeight) -> list[Inequality]:
     """One inequality per grid-closed restricted path of A, in path order."""
-    return [Inequality(roots, pairing(lam, base)) for roots, base in enumerate_dyck_paths_for(A)]
+    return support_inequalities(enumerate_dyck_paths_for(A), lam)
 
 
 def enumerate_integer_points(

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .characters import to_partition, weyl_dimension
 from .linalg import IntSpan, SparseVector
-from .polytope import LatticePoint, PointSet, enumerate_lattice_points
+from .polytope import LatticePoint, PointSet
 from .roots import DominantWeight, Root, all_positive_roots
 from .weyl import Permutation, RootSubset, reduced_word
 
@@ -364,12 +364,11 @@ class MonomialBasisReport:
         return self.independent and self.spanning
 
 
-def verify_monomial_basis(
-    module: ExplicitModule, A: RootSubset, lam: DominantWeight
-) -> MonomialBasisReport:
+def verify_monomial_basis(module: ExplicitModule, points: PointSet) -> MonomialBasisReport:
     """Check that the ordered monomials over the lattice points form a basis.
 
-    For each lattice point of the face polytope, the ordered lowering
+    `points` is the face polytope of A, the subset of its coordinates, at
+    the module's weight.  For each lattice point, the ordered lowering
     monomial is applied to the highest vector; the report records whether
     those vectors are linearly independent and whether they span the
     submodule generated by the lowerings in A.  Points are walked in colex
@@ -377,10 +376,7 @@ def verify_monomial_basis(
     point's predecessor is the point less one at its first nonzero exponent,
     and each image costs one apply.
     """
-    if lam != module.weight:
-        raise ValueError(f"module was built for {module.weight}, not {lam}")
-    points = enumerate_lattice_points(A, lam)
-    sub = subset_submodule(module, A)
+    sub = subset_submodule(module, RootSubset.of(points.n, points.roots))
     span = IntSpan(module.space.dimension)
     witness: Optional[LatticePoint] = None
     colex = sorted(points.tuples, key=lambda s: s[::-1])

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import fflv.cli
+import fflv.polytope
 from fflv.cli import main
 from fflv.polytope import dilate, enumerate_lattice_points
 from fflv.roots import DominantWeight, parse_root
@@ -412,6 +413,22 @@ def test_verify_mu_equal_lambda_forms_each_polytope_once(capsys, monkeypatch):
         '"oracle":76,"subset":76},"essential_ok":true,"graded_ok":true,"status":"pass"}},'
         '"ok":true}\n'
     )
+
+
+def test_verify_builds_each_face_system_once(capsys, monkeypatch):
+    """The module checks take the face `verify` already holds: the path
+    system is built once for each of lambda, 2 lambda and 3 lambda."""
+    weights = []
+    build = fflv.polytope.build_inequalities
+
+    def build_recorded(A, lam):
+        weights.append(lam.coeffs)
+        return build(A, lam)
+
+    monkeypatch.setattr(fflv.polytope, "build_inequalities", build_recorded)
+    code, _, _ = run(capsys, "verify", "--w-oneline", "4 3 2 1", "--lambda", "1,1,1")
+    assert code == 0
+    assert weights == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
 
 
 def test_verify_mu_rank_mismatch(capsys):

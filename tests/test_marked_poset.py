@@ -1,17 +1,16 @@
 """Marked posets and their chain and order point counts."""
 
-from itertools import combinations
-
-import pytest
+from itertools import combinations, product
 
 from fflv.marked_poset import (
     Marker,
+    _chain_supports,
     build_marked_poset,
-    ehrhart_count,
     marked_chain_points,
     marked_order_points,
 )
-from fflv.polytope import UnboundedFaceError, enumerate_lattice_points
+from fflv.paths import enumerate_dyck_paths_for
+from fflv.polytope import Inequality, enumerate_lattice_points, support_inequalities
 from fflv.roots import DominantWeight, Root, all_positive_roots, rho
 from fflv.weyl import RootSubset, all_permutations, inversion_roots, is_triangular_element, is_triangular_subset
 
@@ -82,7 +81,8 @@ def test_chain_equals_order_counts_all_subsets_rank2():
     lam = DominantWeight((2, 1))
     for A in all_subsets(2):
         for t in (1, 2, 3):
-            assert ehrhart_count(A, lam, t, "chain") == ehrhart_count(A, lam, t, "order")
+            P = build_marked_poset(A, lam.scale(t))
+            assert len(marked_chain_points(P)) == len(marked_order_points(P))
 
 
 def test_order_points_respect_interval_bounds():
@@ -102,8 +102,60 @@ def test_order_points_respect_interval_bounds():
     assert len(pts) == len(marked_chain_points(P))
 
 
-def test_ehrhart_validation():
-    with pytest.raises(ValueError):
-        ehrhart_count(RootSubset.full(2), DominantWeight((1, 1)), 0, "chain")
-    with pytest.raises(ValueError):
-        ehrhart_count(RootSubset.full(2), DominantWeight((1, 1)), 1, "volume")
+
+def _reference_marker_chains(P):
+    """The saturated chains running from a marker down through unmarked
+    roots to the next marker they meet, as {roots: (top, bottom marker)}."""
+    below = {}
+    for upper, lower in P.covers():
+        below.setdefault(upper, []).append(lower)
+    found = {}
+
+    def descend(top, trail, cur):
+        for nxt in below.get(cur, ()):
+            if isinstance(nxt, Marker):
+                if trail:
+                    found[tuple(trail)] = (top, nxt)
+            else:
+                trail.append(nxt)
+                descend(top, trail, nxt)
+                trail.pop()
+
+    for m in P.markers:
+        descend(m, [], m)
+    return found
+
+
+def _reference_chain_inequalities(P, chains):
+    """The chain system bounded by marking differences: each chain's top
+    marking less its bottom marking, at the weight of P."""
+    return [Inequality(support, P.marking(top) - P.marking(bottom))
+            for support, (top, bottom) in sorted(chains.items())]
+
+
+def test_chain_bounds_are_path_bounds_of_their_supports():
+    """Each marking difference is the weight on the coroot of the chain's
+    base root: every subset at ranks 1-3 for every weight in {0,1,2}^n, and
+    every subset at rank 4 at rho.  The chains do not depend on the weight,
+    so each subset's are walked once."""
+    sweeps = [(A, [DominantWeight(c) for c in product(range(3), repeat=n)])
+              for n in (1, 2, 3) for A in all_subsets(n)]
+    sweeps += [(A, [rho(4)]) for A in all_subsets(4)]
+    assert sum(len(weights) for _, weights in sweeps) == 2 * 3 + 8 * 9 + 64 * 27 + 1024
+    for A, weights in sweeps:
+        P = build_marked_poset(A, weights[0])
+        supports, chains = _chain_supports(P), _reference_marker_chains(P)
+        for lam in weights:
+            assert (support_inequalities(supports, lam)
+                    == _reference_chain_inequalities(build_marked_poset(A, lam), chains))
+
+
+def test_chain_supports_are_path_supports_for_triangular_subsets():
+    """For a triangular subset every saturated marker-to-marker chain is a
+    grid-closed restricted path, so the chain system is part of the path
+    system; this is one half of the face being the marked chain polytope."""
+    triangular = [A for n in (1, 2, 3, 4) for A in all_subsets(n) if is_triangular_subset(A)]
+    assert len(triangular) == 242
+    for A in triangular:
+        chains = _chain_supports(build_marked_poset(A, rho(A.n)))
+        assert set(chains) <= set(enumerate_dyck_paths_for(A))

@@ -77,7 +77,7 @@ def test_grid_closure_condition():
 def test_enumerate_for_full_set_matches_plain_enumeration():
     for n in (1, 2, 3):
         full = {tuple(p) for p in enumerate_dyck_paths(n)}
-        for_A = {roots for roots, _base in enumerate_dyck_paths_for(RootSubset.full(n))}
+        for_A = set(enumerate_dyck_paths_for(RootSubset.full(n)))
         assert for_A == full
 
 
@@ -85,9 +85,9 @@ def test_enumerate_for_inversion_set():
     """The non-triangular inversion set at rank 3 keeps only short pieces."""
     A = inversion_roots(Permutation.from_oneline((2, 4, 1, 3)))
     got = enumerate_dyck_paths_for(A)
-    supports = sorted(tuple(r.label for r in roots) for roots, _ in got)
+    supports = sorted(tuple(r.label for r in roots) for roots in got)
     assert supports == [("a1.2", "a2.2"), ("a2.2",), ("a2.2", "a2.3")]
-    bases = {roots: base for roots, base in got}
+    bases = {roots: base_root(roots) for roots in got}
     assert bases[(Root(1, 2), Root(2, 2))] == Root(1, 2)
     assert bases[(Root(2, 2), Root(2, 3))] == Root(2, 3)
 
