@@ -23,7 +23,7 @@ from .characters import (
     to_partition,
     weyl_dimension,
 )
-from .linalg import IntSpan, densify, span_rank
+from .linalg import IntSpan, span_rank
 from .marked_poset import (
     MarkedPoset,
     Marker,
@@ -42,7 +42,6 @@ from .paths import (
 )
 from .polytope import (
     Inequality,
-    LatticePoint,
     PointSet,
     UnboundedFaceError,
     build_inequalities,

@@ -14,9 +14,9 @@ import json
 from math import prod
 from typing import Iterable, Mapping, NamedTuple
 
-from .polytope import PointSet, enumerate_lattice_points
+from .polytope import PointSet
 from .roots import DominantWeight, all_positive_roots, pairing
-from .weyl import Permutation, RootSubset, inversion_roots, is_triangular_element, reduced_word
+from .weyl import Permutation, inversion_roots, reduced_word
 
 
 class PartitionWeight(NamedTuple):
@@ -191,32 +191,21 @@ def demazure_character_oracle(w: Permutation, lam: DominantWeight) -> Character:
 
 
 def character_from_lattice_points(
-    A: RootSubset,
-    lam: DominantWeight,
-    w: Permutation,
-    points: PointSet | None = None,
-    require_triangular: bool = True,
+    points: PointSet, lam: DominantWeight, w: Permutation
 ) -> Character:
     """Character read off from the face lattice points of the inversion set:
     the w-permuted exponentials of (partition weight minus the point's root
     sum), one per point.
 
-    Demands that A equals inversion_roots(w) and, by default, that w is
-    triangular: the formula is only a theorem in that case.  Passing
-    require_triangular=False computes the same sum for any w so callers can
-    measure how far it drifts from the true character.  A precomputed point
-    set for (A, lam) may be passed to skip re-enumeration.
+    `points` is the face of inversion_roots(w) at lam; its root set must be
+    that inversion set.  The sum is the Demazure character when w is
+    triangular, and for any other w it measures how far the face drifts
+    from the true character.
     """
-    if w.n != lam.n or A.n != lam.n:
+    if w.n != lam.n or points.n != lam.n:
         raise ValueError("rank mismatch")
-    if A.members != inversion_roots(w).members:
-        raise ValueError("subset must be the inversion set of w")
-    if require_triangular and not is_triangular_element(w):
-        raise ValueError(f"{w} is not triangular; refusing to build the character")
-    if points is None:
-        points = enumerate_lattice_points(A, lam)
-    elif points.n != lam.n or set(points.roots) != set(A.members):
-        raise ValueError("point set does not match the subset")
+    if set(points.roots) != inversion_roots(w).members:
+        raise ValueError("point set must be a face of the inversion set of w")
     base = to_partition(lam).parts
     out: dict[tuple[int, ...], int] = {}
     for values in points.tuples:

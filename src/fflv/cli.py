@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .characters import character_from_lattice_points, demazure_character_oracle
@@ -41,7 +40,6 @@ from .rep import (
 )
 from .roots import DominantWeight, parse_root
 from .weyl import (
-    Permutation,
     RootSubset,
     all_permutations,
     inversion_roots,
@@ -52,37 +50,15 @@ from .weyl import (
 )
 
 
-@dataclass
-class JobSpec:
-    """One parsed command invocation."""
-
-    command: str
-    n: int
-    fmt: str = "text"
-    lam: Optional[DominantWeight] = None
-    mu: Optional[DominantWeight] = None
-    w: Optional[Permutation] = None
-    A: Optional[RootSubset] = None
-    dilation: int = 1
-    max_dim: int = 400
-    max_rank: int = 6
-    with_rep: bool = True
-
-    def subset(self) -> RootSubset:
-        if self.A is not None:
-            return self.A
-        assert self.w is not None
-        return inversion_roots(self.w)
-
-    def case_label(self) -> str:
-        parts = [f"n={self.n}"]
-        if self.lam is not None:
-            parts.append("lambda=" + ",".join(str(c) for c in self.lam.coeffs))
-        if self.w is not None:
-            parts.append("w=" + " ".join(str(v) for v in self.w.images))
-        elif self.A is not None:
-            parts.append("A=" + ",".join(r.label for r in self.A.sorted_roots()))
-        return " ".join(parts)
+def _case_label(args: argparse.Namespace) -> str:
+    """The rank, the weight, and the element or else the subset."""
+    lam = args.lam
+    parts = [f"n={lam.n}", "lambda=" + ",".join(str(c) for c in lam.coeffs)]
+    if args.w is not None:
+        parts.append("w=" + " ".join(str(v) for v in args.w.images))
+    else:
+        parts.append("A=" + ",".join(r.label for r in args.A.sorted_roots()))
+    return " ".join(parts)
 
 
 def _parse_weight(text: str) -> DominantWeight:
@@ -109,26 +85,14 @@ def _parse_subset(text: str, n: int) -> RootSubset:
     return RootSubset.of(n, roots)
 
 
-def _resolve_element(job: JobSpec, args: argparse.Namespace) -> None:
-    """Fill job.w / job.A from the mutually exclusive element flags."""
-    if getattr(args, "w", None) is not None:
-        job.w = parse_permutation(args.w, job.n)
-    elif getattr(args, "w_oneline", None) is not None:
-        job.w = parse_permutation(args.w_oneline, job.n)
-    elif getattr(args, "A", None) is not None:
-        job.A = _parse_subset(args.A, job.n)
-
-
 def _compact(value) -> str:
     """JSON with sorted keys and no whitespace, the form of every document."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def cmd_weyl_scan(job: JobSpec) -> int:
+def cmd_weyl_scan(args: argparse.Namespace) -> int:
     """Classify every element of the symmetric group on n+1 letters."""
-    n = job.n
-    if n > job.max_rank:
-        raise ValueError(f"rank {n} exceeds the cap {job.max_rank}")
+    n = args.n
 
     # One (w, length, is_kempf, is_triangular) tuple per element.
     rows = [(str(w), w.length(), is_kempf(w), is_triangular_element(w))
@@ -141,7 +105,7 @@ def cmd_weyl_scan(job: JobSpec) -> int:
         "kempf_non_triangular": len(bad),
     }
     out = sys.stdout
-    if job.fmt == "json":
+    if args.format == "json":
         # Keys in `json.dumps(sort_keys=True)` order: counts, elements, rank;
         # is_kempf, is_triangular, length, w inside an element.
         literal = ("false", "true")
@@ -150,7 +114,7 @@ def cmd_weyl_scan(job: JobSpec) -> int:
                              for w, length, kempf, tri in rows])
         out.write('{"counts":%s,"elements":[%s],"rank":%d}\n' % (
             _compact(counts), elements, n))
-    elif job.fmt == "csv":
+    elif args.format == "csv":
         out.write("w,length,is_kempf,is_triangular\n")
         out.writelines([f"{w.replace(' ', '')},{length},{kempf},{tri}\n"
                         for w, length, kempf, tri in rows])
@@ -164,25 +128,23 @@ def cmd_weyl_scan(job: JobSpec) -> int:
     return 1 if bad else 0
 
 
-def cmd_points(job: JobSpec) -> int:
+def cmd_points(args: argparse.Namespace) -> int:
     """Export the lattice points of one face polytope.
 
     Rows are written in lexicographic order straight from the point tuples,
     each through one `%d` template per format; weights and degrees are
     column sums over `weight_columns`, taken for all points at once.
     """
-    A = job.subset()
-    lam = job.lam
-    assert lam is not None
+    lam = args.lam
     try:
-        S = enumerate_lattice_points(A, lam)
+        S = enumerate_lattice_points(args.A, lam)
     except UnboundedFaceError as exc:
         print(f"unbounded: {exc}", file=sys.stderr)
         return 2
-    if job.dilation > 1:
-        S = dilate(S, job.dilation)
+    if args.dilate > 1:
+        S = dilate(S, args.dilate)
     out = sys.stdout
-    if job.fmt == "csv":
+    if args.format == "csv":
         out.write(points_to_csv(S))
         return 0
     points = S.tuples
@@ -192,7 +154,7 @@ def cmd_points(job: JobSpec) -> int:
                for group in weight_columns(S.n, S.roots)]
     degrees = list(map(sum, points))
     weight = ",".join(["%d"] * S.n)
-    if job.fmt == "json":
+    if args.format == "json":
         # The keys in `json.dumps(sort_keys=True)` order, without building
         # the document: A, count, lambda, points, rank; degree, values,
         # weight inside a point.  `values` lists the nonzero coordinates as
@@ -214,30 +176,27 @@ def cmd_points(job: JobSpec) -> int:
     return 0
 
 
-def cmd_char_compare(job: JobSpec) -> int:
+def cmd_char_compare(args: argparse.Namespace) -> int:
     """Compare the lattice-point character with the operator recursion."""
-    w = job.w
-    lam = job.lam
-    assert w is not None and lam is not None
-    A = inversion_roots(w)
+    w, lam = args.w, args.lam
     triangular = is_triangular_element(w)
     oracle = demazure_character_oracle(w, lam)
     try:
-        S = enumerate_lattice_points(A, lam)
+        S = enumerate_lattice_points(args.A, lam)
     except UnboundedFaceError as exc:
-        if job.fmt == "json":
+        if args.format == "json":
             print(_compact({
-                "case": job.case_label(), "triangular": triangular,
+                "case": _case_label(args), "triangular": triangular,
                 "unbounded": str(exc), "oracle_mass": oracle.mass,
             }))
         else:
             print(f"oracle mass: {oracle.mass}")
             print(f"unbounded: {exc}")
         return 2
-    lattice = character_from_lattice_points(A, lam, w, points=S, require_triangular=False)
+    lattice = character_from_lattice_points(S, lam, w)
     equal = lattice == oracle
     report = {
-        "case": job.case_label(),
+        "case": _case_label(args),
         "triangular": triangular,
         "lattice_points": len(S),
         "lattice_mass": lattice.mass,
@@ -245,7 +204,7 @@ def cmd_char_compare(job: JobSpec) -> int:
         "mass_deficit": oracle.mass - lattice.mass,
         "termwise_equal": equal,
     }
-    if job.fmt == "json":
+    if args.format == "json":
         print(_compact(report))
     else:
         for key, value in report.items():
@@ -253,12 +212,9 @@ def cmd_char_compare(job: JobSpec) -> int:
     return 0 if equal else 1
 
 
-def _verify_checks(job: JobSpec) -> dict:
+def _verify_checks(args: argparse.Namespace) -> dict:
     """Run the check battery for one case; every check reports independently."""
-    A = job.subset()
-    lam = job.lam
-    assert lam is not None
-    mu = job.mu if job.mu is not None else lam
+    A, w, lam, mu = args.A, args.w, args.lam, args.mu
     checks: dict[str, dict] = {}
     triangular = is_triangular_subset(A)
 
@@ -288,13 +244,12 @@ def _verify_checks(job: JobSpec) -> dict:
     except UnboundedFaceError as exc:
         record("points", "fail", error=str(exc))
 
-    if job.w is not None:
-        oracle = demazure_character_oracle(job.w, lam)
+    if w is not None:
+        oracle = demazure_character_oracle(w, lam)
         if S is None:
             record("character", "fail", oracle_mass=oracle.mass, error="unbounded face")
         else:
-            lattice = character_from_lattice_points(
-                A, lam, job.w, points=S, require_triangular=False)
+            lattice = character_from_lattice_points(S, lam, w)
             status = "pass" if lattice == oracle else "fail"
             record("character", status, lattice_mass=lattice.mass,
                    oracle_mass=oracle.mass, deficit=oracle.mass - lattice.mass)
@@ -325,17 +280,17 @@ def _verify_checks(job: JobSpec) -> dict:
     except (ValueError, ArithmeticError) as exc:
         record("marked_poset", "fail", error=str(exc))
 
-    if not job.with_rep:
+    if args.no_rep:
         record("rep", "skipped", reason="disabled")
     elif S is None:
         record("rep", "skipped", reason="unbounded face")
     else:
         try:
-            module = build_highest_weight_module(lam, cap=job.max_dim)
+            module = build_highest_weight_module(lam, cap=args.max_dim)
             report = verify_monomial_basis(module, S)
             dims = {"subset": report.submodule_dimension, "lattice": len(S)}
-            if job.w is not None:
-                dims["demazure"] = demazure_submodule(module, job.w).dimension
+            if w is not None:
+                dims["demazure"] = demazure_submodule(module, w).dimension
                 dims["oracle"] = oracle.mass
             profile = pbw_filtration_profile(module, A)
             hist = degree_histogram(S)
@@ -355,12 +310,12 @@ def _verify_checks(job: JobSpec) -> dict:
     return checks
 
 
-def cmd_verify(job: JobSpec) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Aggregate verification bundle; exit 0 iff every executed check passed."""
-    checks = _verify_checks(job)
+    checks = _verify_checks(args)
     ok = all(c["status"] != "fail" for c in checks.values())
-    bundle = {"case": job.case_label(), "checks": checks, "ok": ok}
-    if job.fmt == "text":
+    bundle = {"case": _case_label(args), "checks": checks, "ok": ok}
+    if args.format == "text":
         print(f"case: {bundle['case']}")
         for name, c in checks.items():
             detail = {k: v for k, v in c.items() if k != "status"}
@@ -418,34 +373,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Parse, validate every input here, then run the command.
+
+    The namespace is the command: the weight, element and subset flags are
+    replaced by their parsed values, and `A` holds the subset in every
+    command that takes a weight.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "weyl-scan":
             if args.n < 1:
                 raise ValueError(f"rank must be >= 1, got {args.n}")
-            job = JobSpec(command=args.command, n=args.n, fmt=args.format,
-                           max_rank=args.max_rank)
-            return cmd_weyl_scan(job)
-        lam = _parse_weight(args.lam)
-        job = JobSpec(command=args.command, n=lam.n, fmt=args.format, lam=lam)
-        _resolve_element(job, args)
+            if args.n > args.max_rank:
+                raise ValueError(f"rank {args.n} exceeds the cap {args.max_rank}")
+            return cmd_weyl_scan(args)
+        args.lam = lam = _parse_weight(args.lam)
+        element = args.w if args.w is not None else args.w_oneline
+        if element is not None:
+            args.w = parse_permutation(element, lam.n)
+            args.A = inversion_roots(args.w)
+        else:
+            args.A = _parse_subset(args.A, lam.n)
         if args.command == "points":
             if args.dilate < 1:
                 raise ValueError(f"dilation factor must be >= 1, got {args.dilate}")
-            job.dilation = args.dilate
-            return cmd_points(job)
+            return cmd_points(args)
         if args.command == "char-compare":
-            return cmd_char_compare(job)
+            return cmd_char_compare(args)
         if args.max_dim < 1:
             raise ValueError(f"dimension cap must be >= 1, got {args.max_dim}")
-        job.max_dim = args.max_dim
-        job.with_rep = not args.no_rep
-        if args.mu is not None:
-            job.mu = _parse_weight(args.mu)
-            if job.mu.n != lam.n:
-                raise ValueError("mu and lambda must have the same rank")
-        return cmd_verify(job)
+        args.mu = lam if args.mu is None else _parse_weight(args.mu)
+        if args.mu.n != lam.n:
+            raise ValueError("mu and lambda must have the same rank")
+        return cmd_verify(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,30 +2,22 @@
 
 Every rank and membership computation in this package runs over the
 integers.  Vectors are sparse: a sorted tuple of ``(index, coeff)`` pairs
-with nonzero coefficients.  That form is hashable and reads as zero or
-nonzero under ``any()``, like a dense vector; ``densify`` turns it into a
-dense tuple where one is needed.  A growing row space keeps its rows in
-echelon form (one pivot column per row, gcd-reduced, positive leading
-entry), so inserting a vector answers "did the rank grow" without ever
-leaving exact arithmetic, and in time proportional to the support of the
-vector rather than to the ambient width.
+with nonzero coefficients; the empty tuple is zero.  That form is hashable
+and reads as zero or nonzero under ``any()``, and it is the only vector form
+taken or returned.  A growing row space keeps its rows in echelon form (one
+pivot column per row, gcd-reduced, positive leading entry), so inserting a
+vector answers "did the rank grow" without ever leaving exact arithmetic,
+and in time proportional to the support of the vector rather than to the
+ambient width.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 SparseVector = tuple[tuple[int, int], ...]
-
-
-def densify(vector: SparseVector, width: int) -> tuple[int, ...]:
-    """The dense tuple of a sparse vector in an ambient space of this width."""
-    dense = [0] * width
-    for i, x in vector:
-        dense[i] = x
-    return tuple(dense)
 
 
 def _content_free(vec: dict[int, int]) -> None:
@@ -82,21 +74,13 @@ class IntSpan:
         """The echelon rows in increasing order of pivot column."""
         return tuple(self._rows[p] for p in sorted(self._rows))
 
-    def _entries(self, vector: Union[SparseVector, Sequence[int]]) -> dict[int, int]:
-        """A mutable copy of the vector; a dense one is converted here, once.
-
-        A sequence whose first entry is an int is dense and must have
-        ``width`` entries; otherwise it is sparse, and empty means zero.
-        """
-        if vector and isinstance(vector[0], int):
-            if len(vector) != self.width:
-                raise ValueError(f"vector has length {len(vector)}, expected {self.width}")
-            return {i: x for i, x in enumerate(vector) if x}
+    def _entries(self, vector: SparseVector) -> dict[int, int]:
+        """A mutable copy of the vector, whose indices must lie in the width."""
         if vector and not 0 <= vector[0][0] <= vector[-1][0] < self.width:
             raise ValueError(f"vector has an index outside 0..{self.width - 1}")
         return dict(vector)
 
-    def reduce(self, vector: Union[SparseVector, Sequence[int]]) -> SparseVector:
+    def reduce(self, vector: SparseVector) -> SparseVector:
         """Eliminate all pivot columns from a copy of the vector.
 
         The result is gcd-normalized with a positive leading entry, and it
@@ -139,7 +123,7 @@ class IntSpan:
             return tuple((k, -x) for k, x in out)
         return tuple(out)
 
-    def add(self, vector: Union[SparseVector, Sequence[int]]) -> Optional[SparseVector]:
+    def add(self, vector: SparseVector) -> Optional[SparseVector]:
         """Insert a vector if it enlarges the span.
 
         Returns the stored echelon row (a sparse tuple, shared with the
@@ -152,10 +136,10 @@ class IntSpan:
         self._rows[row[0][0]] = row
         return row
 
-    def __contains__(self, vector: Union[SparseVector, Sequence[int]]) -> bool:
+    def __contains__(self, vector: SparseVector) -> bool:
         return not self.reduce(vector)
 
-    def extend(self, vectors: Iterable[Union[SparseVector, Sequence[int]]]) -> int:
+    def extend(self, vectors: Iterable[SparseVector]) -> int:
         """Insert several vectors; return how much the rank grew."""
         before = self.rank
         for vec in vectors:
@@ -163,7 +147,7 @@ class IntSpan:
         return self.rank - before
 
 
-def span_rank(vectors: Iterable[Union[SparseVector, Sequence[int]]], width: int) -> int:
+def span_rank(vectors: Iterable[SparseVector], width: int) -> int:
     """Rank of the integer span of the given vectors."""
     span = IntSpan(width)
     span.extend(vectors)

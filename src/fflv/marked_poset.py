@@ -125,6 +125,7 @@ def _chain_supports(P: MarkedPoset) -> list[tuple[Root, ...]]:
 
     for m in P.markers:
         descend([], m)
+    del descend  # break the closure's self-reference, a cycle only gc would free
     return sorted(found)
 
 
@@ -156,7 +157,7 @@ def marked_order_points(P: MarkedPoset) -> PointSet:
         for q in roots:
             if q == r or not dominates(q, r):
                 continue
-            if any(z != q and z != r and dominates(q, z) and dominates(z, r) and z in index for z in roots):
+            if any(z != q and z != r and dominates(q, z) and dominates(z, r) for z in roots):
                 continue
             above[c].append(index[q])
 
@@ -173,4 +174,5 @@ def marked_order_points(P: MarkedPoset) -> PointSet:
             assign(c + 1)
 
     assign(0)
+    del assign  # break the closure's self-reference, a cycle only gc would free
     return PointSet(P.n, roots, tuple(found))

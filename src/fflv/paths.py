@@ -77,6 +77,7 @@ def enumerate_dyck_paths(n: int) -> list[DyckPath]:
 
     for i in range(1, n + 1):
         walk([Root(i, i)])
+    del walk  # break the closure's self-reference, a cycle only gc would free
     return [DyckPath(n, rs) for rs in sorted(out)]
 
 

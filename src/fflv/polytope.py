@@ -13,15 +13,17 @@ root, for the path supports here and for the marked chain supports of
 embeds them into the full-triangle polytope, and forms Minkowski sums and
 dilations.  Everything is integer arithmetic.
 
-A point set is one tuple of value tuples in strictly increasing
-lexicographic order.  Each producer emits that order directly, so equal sets
-have equal tuples and compare and hash as plain dataclasses.
+A point is a tuple of values aligned with its set's root tuple, and a point
+set is one tuple of such tuples in strictly increasing lexicographic order.
+Each producer emits that order directly, so equal sets have equal tuples and
+compare and hash as plain dataclasses.  There is no per-point object:
+callers read `PointSet.tuples`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Optional, Sequence
 
 from .paths import base_root, enumerate_dyck_paths_for
 from .roots import DominantWeight, Root, all_positive_roots, pairing
@@ -53,30 +55,6 @@ class Inequality:
 
 
 @dataclass(frozen=True)
-class LatticePoint:
-    """One integer point: values aligned with a fixed sorted root tuple."""
-
-    n: int
-    roots: tuple[Root, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.roots) != len(self.values):
-            raise ValueError("values must align with roots")
-        if any(v < 0 for v in self.values):
-            raise ValueError("lattice points have nonnegative coordinates")
-
-    def value(self, r: Root) -> int:
-        try:
-            return self.values[self.roots.index(r)]
-        except ValueError:
-            return 0
-
-    def as_dict(self) -> dict[Root, int]:
-        return {r: v for r, v in zip(self.roots, self.values) if v}
-
-
-@dataclass(frozen=True)
 class PointSet:
     """A set of lattice points sharing rank and coordinate order.
 
@@ -92,10 +70,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return len(self.tuples)
-
-    def __iter__(self) -> Iterator[LatticePoint]:
-        for vals in self.tuples:
-            yield LatticePoint(self.n, self.roots, vals)
 
 
 def support_inequalities(
@@ -175,6 +149,7 @@ def enumerate_integer_points(
             slack[t] += cap + 1
 
     assign(0, ())
+    del assign  # break the closure's self-reference, a cycle only gc would free
     return PointSet(n, roots, tuple(found))
 
 
@@ -186,29 +161,42 @@ def enumerate_lattice_points(A: RootSubset, lam: DominantWeight) -> PointSet:
     return enumerate_integer_points(A.n, A.sorted_roots(), ineqs)
 
 
-def embed_face(point: LatticePoint, lam: DominantWeight) -> LatticePoint:
-    """Zero-pad a face point to a point indexed by all positive roots.
+def _outside(S: PointSet, ineqs: list[Inequality]) -> Optional[str]:
+    """Why some point of S lies outside the nonnegative solutions of the
+    inequalities, or None.  A root that S has no coordinate for counts as
+    zero."""
+    if any(v < 0 for p in S.tuples for v in p):
+        return "a point has a negative coordinate"
+    index = {r: c for c, r in enumerate(S.roots)}
+    for q in ineqs:
+        cols = [index[r] for r in q.support if r in index]
+        if any(sum([p[c] for c in cols]) > q.bound for p in S.tuples):
+            return f"a point violates {q}"
+    return None
 
-    Validates the input against the face inequalities of its own support set
-    first; membership of the image in the full polytope is a theorem for
-    triangular A and is what the tests check.
+
+def embed_face(S: PointSet, lam: DominantWeight) -> PointSet:
+    """Zero-pad every point of a face to a point indexed by all positive roots.
+
+    Validates the points against the face inequalities of their own root set
+    first, building that system once; membership of the image in the full
+    polytope is a theorem for triangular A and is what the tests check.
     """
-    A = RootSubset.of(point.n, set(point.roots))
-    for q in build_inequalities(A, lam):
-        if sum(point.value(r) for r in q.support) > q.bound:
-            raise ValueError(f"point violates {q}; not a face lattice point")
-    full = all_positive_roots(point.n)
-    vals = tuple(point.value(r) for r in full)
-    return LatticePoint(point.n, tuple(full), vals)
+    why = _outside(S, build_inequalities(RootSubset.of(S.n, S.roots), lam))
+    if why is not None:
+        raise ValueError(f"{why}; not a face point set")
+    full = all_positive_roots(S.n)
+    index = {r: c for c, r in enumerate(S.roots)}
+    cols = [index.get(r) for r in full]
+    return PointSet(S.n, full, tuple(sorted(
+        [tuple([0 if c is None else p[c] for c in cols]) for p in S.tuples])))
 
 
-def in_polytope(point: LatticePoint, lam: DominantWeight) -> bool:
-    """Whether a full-support point satisfies every full-triangle inequality."""
-    A = RootSubset.full(point.n)
-    return all(
-        sum(point.value(r) for r in q.support) <= q.bound
-        for q in build_inequalities(A, lam)
-    )
+def in_polytope(S: PointSet, lam: DominantWeight) -> bool:
+    """Whether every point of S lies in the full-triangle polytope, a root
+    that S has no coordinate for counting as zero.  The system is built
+    once."""
+    return _outside(S, build_inequalities(RootSubset.full(S.n), lam)) is None
 
 
 def minkowski_sum(S1: PointSet, S2: PointSet) -> PointSet:

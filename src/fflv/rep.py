@@ -15,9 +15,10 @@ Vectors are sparse throughout (`fflv.linalg.SparseVector`): the generator,
 every closure row and every monomial image is a weight vector, whose support
 lies in one weight space (at rho(4), at most 110 of the 2,500 ambient
 coordinates), and applying an operator or eliminating against a span costs
-time in that support, not in the ambient dimension.  `fflv.linalg.densify`
-gives the dense tuple of a vector where one is wanted.  Ordered lowering
-monomials share a stack of suffix images; bases walk colex, one apply a point.
+time in that support, not in the ambient dimension.  Lattice points arrive
+as the value tuples of a `PointSet` and are reported as such.  Ordered
+lowering monomials share a stack of suffix images; bases walk colex, one
+apply a point.
 
 Lowering and raising follow the convention that the lowering operator for the
 positive root built on rows i..j is E_{j+1,i} and the raising operator is
@@ -33,7 +34,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .characters import to_partition, weyl_dimension
 from .linalg import IntSpan, SparseVector
-from .polytope import LatticePoint, PointSet
+from .polytope import PointSet
 from .roots import DominantWeight, Root, all_positive_roots
 from .weyl import Permutation, RootSubset, reduced_word
 
@@ -350,14 +351,15 @@ def _ordered_images(
 class MonomialBasisReport:
     """Outcome of checking the ordered monomials against the lattice points.
     The witness is the first point, in colex order, whose monomial vector
-    lies in the span of the earlier ones."""
+    lies in the span of the earlier ones: a value tuple aligned with the
+    point set's roots."""
 
     lattice_points: int
     rank: int
     submodule_dimension: int
     independent: bool
     spanning: bool
-    witness: Optional[LatticePoint]
+    witness: Optional[tuple[int, ...]]
 
     @property
     def ok(self) -> bool:
@@ -378,11 +380,11 @@ def verify_monomial_basis(module: ExplicitModule, points: PointSet) -> MonomialB
     """
     sub = subset_submodule(module, RootSubset.of(points.n, points.roots))
     span = IntSpan(module.space.dimension)
-    witness: Optional[LatticePoint] = None
+    witness: Optional[tuple[int, ...]] = None
     colex = sorted(points.tuples, key=lambda s: s[::-1])
     for s, image in _ordered_images(module, points.roots, colex):
         if span.add(image) is None and witness is None:
-            witness = LatticePoint(points.n, points.roots, s)
+            witness = s
     return MonomialBasisReport(
         lattice_points=len(points),
         rank=span.rank,

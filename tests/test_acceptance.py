@@ -185,14 +185,14 @@ def test_criterion_6_character_comparison(capsys):
     problems = []
     lam4 = rho(3)
     for w in triangular_elements(3):
-        A = inversion_roots(w)
-        if character_from_lattice_points(A, lam4, w) != demazure_character_oracle(w, lam4):
+        S = enumerate_lattice_points(inversion_roots(w), lam4)
+        if character_from_lattice_points(S, lam4, w) != demazure_character_oracle(w, lam4):
             problems.append(f"characters differ at {w}")
     for w in all_permutations(2):
         for coeffs in ((1, 1), (2, 1), (2, 2)):
             lam = DominantWeight(coeffs)
-            A = inversion_roots(w)
-            if character_from_lattice_points(A, lam, w) != demazure_character_oracle(w, lam):
+            S = enumerate_lattice_points(inversion_roots(w), lam)
+            if character_from_lattice_points(S, lam, w) != demazure_character_oracle(w, lam):
                 problems.append(f"characters differ at {w}, {coeffs}")
 
     # The smallest non-triangular element is supposed to witness a strict

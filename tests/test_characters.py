@@ -130,41 +130,32 @@ def test_lattice_character_matches_oracle_for_triangular():
     for lam in (DominantWeight((1, 1)), DominantWeight((2, 1))):
         for w in all_permutations(2):
             assert is_triangular_element(w)
-            A = inversion_roots(w)
-            got = character_from_lattice_points(A, lam, w)
+            points = enumerate_lattice_points(inversion_roots(w), lam)
+            got = character_from_lattice_points(points, lam, w)
             assert got == demazure_character_oracle(w, lam)
 
 
-def test_lattice_character_accepts_precomputed_points():
-    lam = DominantWeight((2, 1))
-    w = Permutation.longest(2)
-    A = inversion_roots(w)
-    pts = enumerate_lattice_points(A, lam)
-    assert character_from_lattice_points(A, lam, w, points=pts) == demazure_character_oracle(w, lam)
-    other = inversion_roots(Permutation.simple(1, 2))
-    with pytest.raises(ValueError):
-        character_from_lattice_points(A, lam, w, points=enumerate_lattice_points(other, lam))
-
-
-def test_lattice_character_refuses_non_triangular_by_default():
+def test_lattice_character_of_non_triangular_element():
+    """The sum is formed for any w; for this non-triangular element at this
+    weight it happens to coincide with the operator character anyway."""
     w = Permutation.from_word((1, 3, 2), 3)
-    A = inversion_roots(w)
     lam = rho(3)
-    with pytest.raises(ValueError):
-        character_from_lattice_points(A, lam, w)
-    # The opt-out computes the same sum; for this element at this weight the
-    # result happens to coincide with the operator character anyway.
-    forced = character_from_lattice_points(A, lam, w, require_triangular=False)
-    assert forced.mass == len(enumerate_lattice_points(A, lam)) == 13
+    points = enumerate_lattice_points(inversion_roots(w), lam)
+    forced = character_from_lattice_points(points, lam, w)
+    assert forced.mass == len(points) == 13
     assert forced == demazure_character_oracle(w, lam)
 
 
 def test_lattice_character_validates_subset():
+    """The point set must be a face of the inversion set of w, at the rank
+    of the weight."""
     w = Permutation.longest(2)
     lam = DominantWeight((1, 1))
-    wrong = inversion_roots(Permutation.simple(1, 2))
+    wrong = enumerate_lattice_points(inversion_roots(Permutation.simple(1, 2)), lam)
     with pytest.raises(ValueError):
         character_from_lattice_points(wrong, lam, w)
+    with pytest.raises(ValueError):
+        character_from_lattice_points(enumerate_lattice_points(inversion_roots(w), lam), rho(3), w)
 
 
 def test_weyl_dimension_values():

@@ -210,19 +210,19 @@ def test_weight_separators_are_accepted(capsys, text):
 
 
 def reference_points_output(S, lam, fmt):
-    """The `points` rendering as it was before rows were streamed: a
-    LatticePoint per row, the weight summed root by root, a dict per point
-    and a whole-document `json.dumps`; CSV through the csv writer."""
+    """The `points` rendering as it was before rows were streamed: the
+    weight summed root by root, a dict per point and a whole-document
+    `json.dumps`; CSV through the csv writer."""
     rows = []
-    for pt in S:
-        coeffs = [0] * pt.n
-        for r, v in zip(pt.roots, pt.values):
+    for values in S.tuples:
+        coeffs = [0] * S.n
+        for r, v in zip(S.roots, values):
             for k in range(r.i, r.j + 1):
                 coeffs[k - 1] += v
-        rows.append((pt, coeffs, sum(pt.values)))
+        rows.append((values, coeffs, sum(values)))
     if fmt == "json":
-        points = [{"values": [[r.i, r.j, v] for r, v in zip(pt.roots, pt.values) if v],
-                   "weight": coeffs, "degree": deg} for pt, coeffs, deg in rows]
+        points = [{"values": [[r.i, r.j, v] for r, v in zip(S.roots, values) if v],
+                   "weight": coeffs, "degree": deg} for values, coeffs, deg in rows]
         data = {"rank": S.n, "A": [[r.i, r.j] for r in S.roots],
                 "lambda": list(lam.coeffs), "count": len(S), "points": points}
         return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
@@ -230,12 +230,12 @@ def reference_points_output(S, lam, fmt):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([r.label for r in S.roots])
-        for pt, _, _ in rows:
-            writer.writerow(pt.values)
+        for values, _, _ in rows:
+            writer.writerow(values)
         return buf.getvalue()
     lines = [f"count {len(S)}"]
-    for pt, coeffs, deg in rows:
-        body = " ".join(f"{r.label}={v}" for r, v in zip(pt.roots, pt.values))
+    for values, coeffs, deg in rows:
+        body = " ".join(f"{r.label}={v}" for r, v in zip(S.roots, values))
         lines.append(f"{body}  weight={','.join(str(c) for c in coeffs)} degree={deg}")
     return "\n".join(lines) + "\n"
 

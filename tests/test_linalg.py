@@ -8,28 +8,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fflv.linalg import IntSpan, densify, span_rank
+from fflv.linalg import IntSpan, span_rank
+
+
+def _sparse(vec):
+    """The sparse vector with these dense entries."""
+    return tuple((i, x) for i, x in enumerate(vec) if x)
 
 
 def test_basic_rank_growth():
     span = IntSpan(3)
     assert span.rank == 0
-    assert densify(span.add([2, 4, 6]), 3) == (1, 2, 3)
-    assert span.add([1, 2, 3]) is None
-    assert densify(span.add([0, 0, 5]), 3) == (0, 0, 1)
+    assert span.add(_sparse([2, 4, 6])) == _sparse([1, 2, 3])
+    assert span.add(_sparse([1, 2, 3])) is None
+    assert span.add(_sparse([0, 0, 5])) == _sparse([0, 0, 1])
     assert span.rank == 2
-    assert [1, 2, 99] in span
-    assert [0, 1, 0] not in span
+    assert _sparse([1, 2, 99]) in span
+    assert _sparse([0, 1, 0]) not in span
+    assert () in span
 
 
 def test_rows_stay_in_echelon_form():
     span = IntSpan(4)
-    span.extend([[0, 3, 1, 0], [2, 1, 0, 0], [2, 4, 1, 7]])
+    span.extend(map(_sparse, [[0, 3, 1, 0], [2, 1, 0, 0], [2, 4, 1, 7]]))
     pivots = []
     for row in span.rows:
-        row = densify(row, 4)
-        lead = next(i for i, x in enumerate(row) if x)
-        assert row[lead] > 0
+        lead, x = row[0]
+        assert x > 0
         pivots.append(lead)
     assert pivots == sorted(pivots)
     assert len(set(pivots)) == len(pivots)
@@ -37,10 +42,10 @@ def test_rows_stay_in_echelon_form():
 
 def test_membership_is_scale_invariant():
     span = IntSpan(2)
-    span.add([3, 5])
-    assert [6, 10] in span
-    assert [-3, -5] in span
-    assert [3, 6] not in span
+    span.add(_sparse([3, 5]))
+    assert _sparse([6, 10]) in span
+    assert _sparse([-3, -5]) in span
+    assert _sparse([3, 6]) not in span
 
 
 def test_width_validation():
@@ -48,13 +53,15 @@ def test_width_validation():
         IntSpan(0)
     span = IntSpan(2)
     with pytest.raises(ValueError):
-        span.add([1, 2, 3])
+        span.add(_sparse([1, 2, 3]))
+    with pytest.raises(ValueError):
+        span.add(((-1, 1),))
 
 
 def test_span_rank_helper():
     assert span_rank([], 3) == 0
-    assert span_rank([[1, 0, 0], [0, 1, 0], [1, 1, 0]], 3) == 2
-    assert span_rank([[1, 1, 1], [1, 2, 3], [2, 3, 4], [0, 0, 1]], 3) == 3
+    assert span_rank(map(_sparse, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]), 3) == 2
+    assert span_rank(map(_sparse, [[1, 1, 1], [1, 2, 3], [2, 3, 4], [0, 0, 1]]), 3) == 3
 
 
 vectors = st.lists(st.integers(-9, 9), min_size=4, max_size=4)
@@ -64,16 +71,16 @@ vectors = st.lists(st.integers(-9, 9), min_size=4, max_size=4)
 @given(st.lists(vectors, max_size=6))
 def test_rank_matches_fraction_gauss(vecs):
     expected = _fraction_rank(vecs, 4)
-    assert span_rank(vecs, 4) == expected
+    assert span_rank(map(_sparse, vecs), 4) == expected
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(vectors, min_size=1, max_size=5), st.integers(-3, 3), st.integers(-3, 3))
 def test_linear_combinations_stay_inside(vecs, a, b):
     span = IntSpan(4)
-    span.extend(vecs)
+    span.extend(map(_sparse, vecs))
     combo = [a * x + b * y for x, y in zip(vecs[0], vecs[-1])]
-    assert combo in span
+    assert _sparse(combo) in span
 
 
 def _fraction_rank(vecs, width):
@@ -146,10 +153,6 @@ class _DenseSpan:
         return row
 
 
-def _sparse(vec):
-    return tuple((i, x) for i, x in enumerate(vec) if x)
-
-
 # Mostly zero entries, so supports are partial and eliminations create
 # entries at columns the vector did not reach before.
 sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 6])
@@ -161,15 +164,15 @@ sparse_entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 6])
 def test_sparse_elimination_matches_dense_reference(vecs):
     width = len(vecs[0]) if vecs else 3
     ref, span = _DenseSpan(width), IntSpan(width)
-    for i, vec in enumerate(vecs):
-        reduced = span.reduce(vec)
-        assert densify(reduced, width) == tuple(_dense_normalize(ref.reduce(vec)))
+    for vec in vecs:
+        reduced = span.reduce(_sparse(vec))
+        assert reduced == _sparse(_dense_normalize(ref.reduce(vec)))
         assert not reduced or reduced[0][1] > 0
         want = ref.add(vec)
-        got = span.add(vec if i % 2 else _sparse(vec))
+        got = span.add(_sparse(vec))
         assert (got is None) == (want is None)
         if got is not None:
-            assert densify(got, width) == want
+            assert got == _sparse(want)
         assert span.rank == len(ref.rows)
-        assert [densify(row, width) for row in span.rows] == ref.rows
+        assert list(span.rows) == [_sparse(row) for row in ref.rows]
         assert [row[0][0] for row in span.rows] == ref.pivots

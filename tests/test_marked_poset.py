@@ -47,14 +47,18 @@ def test_root_sits_between_its_markers():
 
 
 def test_covers_are_a_transitive_reduction():
-    P = build_marked_poset(RootSubset.full(2), DominantWeight((1, 1)))
-    covers = P.covers()
-    for upper, lower in covers:
-        assert P.greater(upper, lower)
-        for mid in P.elements:
-            if mid in (upper, lower):
-                continue
-            assert not (P.greater(upper, mid) and P.greater(mid, lower))
+    """On every subset at ranks 1-3, the covers are exactly the related pairs
+    with nothing strictly between."""
+    for n in (1, 2, 3):
+        for A in all_subsets(n):
+            P = build_marked_poset(A, rho(n))
+            covers = set(P.covers())
+            for upper in P.elements:
+                for lower in P.elements:
+                    between = any(P.greater(upper, mid) and P.greater(mid, lower)
+                                  for mid in P.elements)
+                    is_cover = P.greater(upper, lower) and not between
+                    assert ((upper, lower) in covers) == is_cover
 
 
 def test_chain_points_match_face_points_for_triangular():
@@ -90,17 +94,43 @@ def test_order_points_respect_interval_bounds():
     lam = DominantWeight((2, 1))
     P = build_marked_poset(A, lam)
     pts = marked_order_points(P)
-    for pt in pts:
-        d = pt.as_dict()
-        top = d.get(Root(1, 1), 0)
-        mid = d.get(Root(1, 2), 0)
-        low = d.get(Root(2, 2), 0)
+    assert pts.roots == (Root(1, 1), Root(1, 2), Root(2, 2))
+    for top, mid, low in pts.tuples:
         assert 1 <= top <= 3
         assert 0 <= mid <= 3
         assert 0 <= low <= 1
         assert top >= mid >= low
     assert len(pts) == len(marked_chain_points(P))
 
+
+def _reference_order_points(P):
+    """Every integer point of the box [0, marking(a_1)]^A, in lexicographic
+    order, that respects `P.greater`: x_q >= x_r for roots q > r, and a
+    root below (above) a marker is at most (at least) its marking."""
+    roots = P.A.sorted_roots()
+    top = P.marking(Marker(1))
+    pairs = [(a, b) for a in range(len(roots)) for b in range(len(roots))
+             if P.greater(roots[a], roots[b])]
+    ceilings = [min([P.marking(m) for m in P.markers if P.greater(m, r)]) for r in roots]
+    floors = [max([P.marking(m) for m in P.markers if P.greater(r, m)]) for r in roots]
+    return tuple(x for x in product(range(top + 1), repeat=len(roots))
+                 if all(floors[c] <= x[c] <= ceilings[c] for c in range(len(roots)))
+                 and all(x[a] >= x[b] for a, b in pairs))
+
+
+def test_order_points_match_brute_force_reference():
+    """Point by point, on every subset at ranks 1-3, at rho and at one
+    weight with a zero coefficient."""
+    checked = 0
+    for n, other in ((1, (0,)), (2, (2, 0)), (3, (1, 0, 2))):
+        for lam in (rho(n), DominantWeight(other)):
+            for A in all_subsets(n):
+                P = build_marked_poset(A, lam)
+                got = marked_order_points(P)
+                assert got.roots == A.sorted_roots()
+                assert got.tuples == _reference_order_points(P)
+                checked += 1
+    assert checked == 2 * (2 + 8 + 64)
 
 
 def _reference_marker_chains(P):

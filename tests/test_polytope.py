@@ -1,17 +1,24 @@
 """Face polytopes: inequalities, lattice points, sums, exports."""
 
 import csv
+import gc
 import io
 import itertools
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fflv.polytope
 from fflv.characters import weyl_dimension
-from fflv.marked_poset import build_marked_poset, marked_chain_points, marked_order_points
+from fflv.marked_poset import (
+    _chain_supports,
+    build_marked_poset,
+    marked_chain_points,
+    marked_order_points,
+)
+from fflv.paths import enumerate_dyck_paths
 from fflv.polytope import (
     Inequality,
-    LatticePoint,
     PointSet,
     UnboundedFaceError,
     build_inequalities,
@@ -69,31 +76,23 @@ def test_unbounded_face():
     assert err.value.root == Root(1, 3)
 
 
-def test_lattice_point_api():
-    pt = LatticePoint(2, (Root(1, 1), Root(1, 2)), (1, 2))
-    assert pt.value(Root(1, 2)) == 2
-    assert pt.value(Root(2, 2)) == 0
-    assert pt.as_dict() == {Root(1, 1): 1, Root(1, 2): 2}
-    with pytest.raises(ValueError):
-        LatticePoint(2, (Root(1, 1),), (1, 2))
-    with pytest.raises(ValueError):
-        LatticePoint(2, (Root(1, 1),), (-1,))
-
-
 def test_embed_face_into_full_polytope():
     lam = DominantWeight((1, 1))
     A = inversion_roots(Permutation.simple(1, 2))
-    for pt in enumerate_lattice_points(A, lam):
-        emb = embed_face(pt, lam)
-        assert in_polytope(emb, lam)
-        assert set(emb.roots) == set(full(2).members)
+    S = enumerate_lattice_points(A, lam)
+    emb = embed_face(S, lam)
+    assert in_polytope(emb, lam)
+    assert emb.roots == all_positive_roots(2)
+    assert emb.tuples == ((0, 0, 0), (1, 0, 0))
 
 
 def test_embed_face_rejects_outside_points():
     lam = DominantWeight((1, 1))
-    bad = LatticePoint(2, (Root(1, 1),), (5,))
-    with pytest.raises(ValueError):
-        embed_face(bad, lam)
+    for bad in (PointSet(2, (Root(1, 1),), ((0,), (5,))),
+                PointSet(2, (Root(1, 1),), ((-1,), (0,)))):
+        with pytest.raises(ValueError):
+            embed_face(bad, lam)
+        assert not in_polytope(bad, lam)
 
 
 def test_embedding_can_fail_for_non_triangular_subsets():
@@ -101,8 +100,51 @@ def test_embedding_can_fail_for_non_triangular_subsets():
     A = RootSubset.of(3, [Root(1, 2), Root(2, 3)])
     lam = rho(3)
     S = enumerate_lattice_points(A, lam)
-    outside = [pt for pt in S if not in_polytope(embed_face(pt, lam), lam)]
+    outside = [p for p in S.tuples
+               if not in_polytope(embed_face(PointSet(S.n, S.roots, (p,)), lam), lam)]
     assert outside, "expected at least one face point outside the big polytope"
+    assert not in_polytope(embed_face(S, lam), lam)
+
+
+def test_embed_and_membership_build_one_system_per_call(monkeypatch):
+    """Each call builds its inequality system once, however many points."""
+    lam = rho(3)
+    A = inversion_roots(Permutation.from_word((1, 2, 1), 3))
+    S = enumerate_lattice_points(A, lam)
+    calls = []
+    build = fflv.polytope.build_inequalities
+
+    def build_recorded(A, lam):
+        calls.append(A)
+        return build(A, lam)
+
+    monkeypatch.setattr(fflv.polytope, "build_inequalities", build_recorded)
+    emb = embed_face(S, lam)
+    assert calls == [A]
+    assert in_polytope(emb, lam)
+    assert calls == [A, RootSubset.full(3)]
+    assert len(emb) == len(S) == 8
+
+
+def test_searches_leave_no_cyclic_garbage():
+    """The depth-first searches are self-calling closures.  Each returns with
+    its reference cycle broken, so the points it found are freed with the
+    result and not kept until a full collection runs.  The collector is
+    off during the calls, so no automatic collection hides a cycle."""
+    lam = rho(3)
+    P = build_marked_poset(full(3), lam)
+    searches = [lambda: enumerate_lattice_points(full(3), lam),
+                lambda: marked_order_points(P),
+                lambda: _chain_supports(P),
+                lambda: enumerate_dyck_paths(3)]
+    gc.collect()
+    gc.disable()
+    try:
+        for search in searches:
+            assert search()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_minkowski_sum_matches_weight_addition():
@@ -145,14 +187,15 @@ def test_weight_and_degree_matches_the_root_sum():
     """Every point of a rank-3 face: the weight is the coordinate-weighted
     sum of the roots, each root a{i}.{j} adding 1 at simple roots i..j."""
     for A in (full(3), RootSubset.of(3, [Root(1, 2), Root(2, 3), Root(3, 3)])):
-        for pt in enumerate_lattice_points(A, DominantWeight((2, 1, 1))):
+        S = enumerate_lattice_points(A, DominantWeight((2, 1, 1)))
+        for values in S.tuples:
             expected = [0, 0, 0]
-            for r, v in zip(pt.roots, pt.values):
+            for r, v in zip(S.roots, values):
                 for k in range(r.i, r.j + 1):
                     expected[k - 1] += v
-            wt, deg = weight_and_degree(pt.values, pt.n, pt.roots)
+            wt, deg = weight_and_degree(values, S.n, S.roots)
             assert wt == tuple(expected)
-            assert deg == sum(pt.values)
+            assert deg == sum(values)
 
 
 def test_degree_histogram_adjoint():
