@@ -135,6 +135,16 @@ def test_lattice_character_matches_oracle_for_triangular():
             assert got == demazure_character_oracle(w, lam)
 
 
+def test_lattice_character_accepts_precomputed_points():
+    lam = DominantWeight((2, 1))
+    w = Permutation.longest(2)
+    pts = enumerate_lattice_points(inversion_roots(w), lam)
+    assert character_from_lattice_points(pts, lam, w) == demazure_character_oracle(w, lam)
+    other = inversion_roots(Permutation.simple(1, 2))
+    with pytest.raises(ValueError):
+        character_from_lattice_points(enumerate_lattice_points(other, lam), lam, w)
+
+
 def test_lattice_character_of_non_triangular_element():
     """The sum is formed for any w; for this non-triangular element at this
     weight it happens to coincide with the operator character anyway."""
