@@ -12,6 +12,8 @@ The package computes, entirely in integer arithmetic:
   * explicit integer models of the modules the polytopes enumerate.
 """
 
+from types import ModuleType as _ModuleType
+
 from .characters import (
     Character,
     PartitionWeight,
@@ -28,6 +30,9 @@ from .marked_poset import (
     MarkedPoset,
     Marker,
     build_marked_poset,
+    count_chain_points,
+    count_order_points,
+    is_marked_chain_face,
     marked_chain_points,
     marked_order_points,
 )
@@ -45,6 +50,7 @@ from .polytope import (
     PointSet,
     UnboundedFaceError,
     build_inequalities,
+    count_integer_points,
     degree_histogram,
     dilate,
     embed_face,
@@ -100,4 +106,6 @@ from .weyl import (
 
 __version__ = "1.0.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The imported names, not the submodules that importing them binds.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -10,7 +10,8 @@ A satisfying all of them.  A system is a sorted tuple of supports, free of
 the weight; `support_inequalities` reads each bound off its support's base
 root, for the path supports here and for the marked chain supports of
 `marked_poset` alike.  This module enumerates the integer points exactly,
-embeds them into the full-triangle polytope, and forms Minkowski sums and
+counts them with the same search when only their number is wanted, embeds
+them into the full-triangle polytope, and forms Minkowski sums and
 dilations.  Everything is integer arithmetic.
 
 A point is a tuple of values aligned with its set's root tuple, and a point
@@ -85,6 +86,30 @@ def build_inequalities(A: RootSubset, lam: DominantWeight) -> list[Inequality]:
     return support_inequalities(enumerate_dyck_paths_for(A), lam)
 
 
+def _search_plan(
+    n: int, roots: tuple[Root, ...], ineqs: list[Inequality]
+) -> Optional[tuple[list[list[int]], list[tuple[int, ...]], list[int]]]:
+    """The set-up of the depth-first search over `roots`, shared by the
+    enumerator and the counter: per coordinate, the inequalities containing
+    it and those of them that a later coordinate still reads, and the
+    starting slacks.  None when some bound is negative, so no nonnegative
+    point exists.  Raises UnboundedFaceError for the first coordinate that
+    occurs in no inequality."""
+    touching: list[list[int]] = [[] for _ in roots]
+    index = {r: c for c, r in enumerate(roots)}
+    for t, q in enumerate(ineqs):
+        for r in q.support:
+            touching[index[r]].append(t)
+    for c, r in enumerate(roots):
+        if not touching[c]:
+            raise UnboundedFaceError(n, r)
+    if any(q.bound < 0 for q in ineqs):
+        return None
+    last_reader = {t: c for c, ts in enumerate(touching) for t in ts}
+    read_later = [tuple(t for t in ts if last_reader[t] > c) for c, ts in enumerate(touching)]
+    return touching, read_later, [q.bound for q in ineqs]
+
+
 def enumerate_integer_points(
     n: int, roots: tuple[Root, ...], ineqs: list[Inequality]
 ) -> PointSet:
@@ -115,22 +140,12 @@ def enumerate_integer_points(
     result is then empty; with every bound nonnegative, v <= cap <= slack
     keeps every slack, and so every cap, nonnegative.
     """
-    touching: list[list[int]] = [[] for _ in roots]
-    index = {r: c for c, r in enumerate(roots)}
-    for t, q in enumerate(ineqs):
-        for r in q.support:
-            touching[index[r]].append(t)
-    for c, r in enumerate(roots):
-        if not touching[c]:
-            raise UnboundedFaceError(n, r)
-    if any(q.bound < 0 for q in ineqs):
+    plan = _search_plan(n, roots, ineqs)
+    if plan is None:
         return PointSet(n, roots, ())
     if not roots:
         return PointSet(n, roots, ((),))
-
-    last_reader = {t: c for c, ts in enumerate(touching) for t in ts}
-    read_later = [tuple(t for t in ts if last_reader[t] > c) for c, ts in enumerate(touching)]
-    slack = [q.bound for q in ineqs]
+    touching, read_later, slack = plan
     slack_of = slack.__getitem__
     leaf = len(roots) - 1
     found: list[tuple[int, ...]] = []
@@ -151,6 +166,40 @@ def enumerate_integer_points(
     assign(0, ())
     del assign  # break the closure's self-reference, a cycle only gc would free
     return PointSet(n, roots, tuple(found))
+
+
+def count_integer_points(
+    n: int, roots: tuple[Root, ...], ineqs: list[Inequality]
+) -> int:
+    """The number of points `enumerate_integer_points` would return, found
+    by the same search without building a point: a leaf adds its cap + 1
+    values.  Raises the same UnboundedFaceError."""
+    plan = _search_plan(n, roots, ineqs)
+    if plan is None:
+        return 0
+    if not roots:
+        return 1
+    touching, read_later, slack = plan
+    slack_of = slack.__getitem__
+    leaf = len(roots) - 1
+
+    def count(c: int) -> int:
+        cap = min(map(slack_of, touching[c]))
+        if c == leaf:
+            return cap + 1
+        updated = read_later[c]
+        total = 0
+        for _ in range(cap + 1):
+            total += count(c + 1)
+            for t in updated:
+                slack[t] -= 1
+        for t in updated:
+            slack[t] += cap + 1
+        return total
+
+    total = count(0)
+    del count  # break the closure's self-reference, a cycle only gc would free
+    return total
 
 
 def enumerate_lattice_points(A: RootSubset, lam: DominantWeight) -> PointSet:

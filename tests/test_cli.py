@@ -383,6 +383,8 @@ def _record_polytope_calls(monkeypatch):
 
 
 def test_verify_separate_mu_enumerates_its_own_faces(capsys, monkeypatch):
+    """With mu != lambda the Minkowski check forms S + S(mu) against
+    S(lambda + mu); normality passes by certificate, with no sum."""
     weights, sums = _record_polytope_calls(monkeypatch)
     code, out, _ = run(capsys, "verify", "--w-oneline", "4 3 2 1", "--lambda", "1,2,1",
                        "--mu", "2,0,1", "--no-rep")
@@ -390,19 +392,21 @@ def test_verify_separate_mu_enumerates_its_own_faces(capsys, monkeypatch):
     A = inversion_roots(Permutation((4, 3, 2, 1)))
     lam, mu = DominantWeight((1, 2, 1)), DominantWeight((2, 0, 1))
     left, right, total = (len(enumerate_lattice_points(A, nu)) for nu in (lam, mu, lam + mu))
-    assert weights == [(1, 2, 1), (2, 0, 1), (3, 2, 2), (2, 4, 2), (3, 6, 3)]
-    assert sums == [(left, right), (left, left), (len(enumerate_lattice_points(A, lam.scale(2))), left)]
+    assert weights == [(1, 2, 1), (2, 0, 1), (3, 2, 2)]
+    assert sums == [(left, right)]
     mink = json.loads(out)["checks"]["minkowski"]
     assert mink == {"status": "pass", "left": left, "right": right, "total": total}
     assert (left, right, total) == (175, 36, 1260)
 
 
 def test_verify_mu_equal_lambda_forms_each_polytope_once(capsys, monkeypatch):
+    """A triangular face with mu = lambda is certified: S(lambda) is the
+    only face enumerated and no sum is formed, with the same bundle."""
     weights, sums = _record_polytope_calls(monkeypatch)
     code, out, _ = run(capsys, "verify", "--w-oneline", "3 4 2 1", "--lambda", "2,1,1")
     assert code == 0
-    assert weights == [(2, 1, 1), (4, 2, 2), (6, 3, 3)]
-    assert sums == [(76, 76), (720, 76)]
+    assert weights == [(2, 1, 1)]
+    assert sums == []
     assert out == (
         '{"case":"n=3 lambda=2,1,1 w=3 4 2 1","checks":{"character":{"deficit":0,'
         '"lattice_mass":76,"oracle_mass":76,"status":"pass"},"marked_poset":'
@@ -415,9 +419,8 @@ def test_verify_mu_equal_lambda_forms_each_polytope_once(capsys, monkeypatch):
     )
 
 
-def test_verify_builds_each_face_system_once(capsys, monkeypatch):
-    """The module checks take the face `verify` already holds: the path
-    system is built once for each of lambda, 2 lambda and 3 lambda."""
+def _record_path_systems(monkeypatch):
+    """Wrap the path-system builder; return the log of weights it saw."""
     weights = []
     build = fflv.polytope.build_inequalities
 
@@ -426,9 +429,55 @@ def test_verify_builds_each_face_system_once(capsys, monkeypatch):
         return build(A, lam)
 
     monkeypatch.setattr(fflv.polytope, "build_inequalities", build_recorded)
+    return weights
+
+
+def test_verify_builds_each_face_system_once(capsys, monkeypatch):
+    """A triangular rank-3 `verify` with mu = lambda builds the path system
+    once, for lambda, and forms no Minkowski sum: the module checks take
+    the face `verify` already holds, and the certificate replaces the sums.
+    With a separate mu, S + S(mu) is the one sum formed."""
+    weights = _record_path_systems(monkeypatch)
+    _, sums = _record_polytope_calls(monkeypatch)
     code, _, _ = run(capsys, "verify", "--w-oneline", "4 3 2 1", "--lambda", "1,1,1")
     assert code == 0
+    assert weights == [(1, 1, 1)]
+    assert sums == []
+    code, _, _ = run(capsys, "verify", "--w-oneline", "4 3 2 1", "--lambda", "1,1,1",
+                     "--mu", "1,0,1")
+    assert code == 0
+    assert weights == [(1, 1, 1), (1, 1, 1), (1, 0, 1), (2, 1, 2)]
+    assert sums == [(64, 15)]
+
+
+def test_verify_forms_the_sums_where_the_identity_fails(capsys, monkeypatch):
+    """The face of 1.2, 2.3 is not its marked chain polytope (9 points
+    against 8 at rho(3)), so the sums are formed and `total` is the face
+    count at 2 lambda, not the chain count."""
+    weights, sums = _record_polytope_calls(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--A", "1.2,2.3", "--lambda", "1,1,1", "--no-rep")
+    assert code == 0
     assert weights == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
+    assert sums == [(9, 9), (25, 9)]
+    checks = json.loads(out)["checks"]
+    assert checks["minkowski"]["total"] == 25
+    assert checks["marked_poset"]["ehrhart"][1] == [22, 22]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--w-oneline", "4 3 2 1", "--lambda", "1,1,1"),
+    ("--w-oneline", "4 3 2 1", "--lambda", "1,1,1", "--format", "text"),
+    ("--w-oneline", "4 3 2 1", "--lambda", "1,1,1", "--mu", "1,0,1"),
+    ("--w-oneline", "4 3 2 1", "--lambda", "1,0,1"),
+    ("--A", "1.1,2.2", "--lambda", "1,1"),
+    ("--A", "1.2,1.3,2.3", "--lambda", "1,1,1"),
+])
+def test_certificate_leaves_the_bundle_unchanged(capsys, monkeypatch, argv):
+    """The bundle is byte-identical whether the certificate or the packed
+    sums decide normality and Minkowski additivity."""
+    certified = run(capsys, "verify", *argv)
+    monkeypatch.setattr(fflv.cli, "is_marked_chain_face", lambda A: False)
+    assert run(capsys, "verify", *argv) == certified
 
 
 def test_verify_mu_rank_mismatch(capsys):

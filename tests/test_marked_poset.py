@@ -2,15 +2,27 @@
 
 from itertools import combinations, product
 
+import pytest
+
 from fflv.marked_poset import (
     Marker,
     _chain_supports,
     build_marked_poset,
+    count_chain_points,
+    count_order_points,
+    is_marked_chain_face,
     marked_chain_points,
     marked_order_points,
 )
 from fflv.paths import enumerate_dyck_paths_for
-from fflv.polytope import Inequality, enumerate_lattice_points, support_inequalities
+from fflv.polytope import (
+    Inequality,
+    UnboundedFaceError,
+    dilate,
+    enumerate_lattice_points,
+    minkowski_sum,
+    support_inequalities,
+)
 from fflv.roots import DominantWeight, Root, all_positive_roots, rho
 from fflv.weyl import RootSubset, all_permutations, inversion_roots, is_triangular_element, is_triangular_subset
 
@@ -189,3 +201,148 @@ def test_chain_supports_are_path_supports_for_triangular_subsets():
     for A in triangular:
         chains = _chain_supports(build_marked_poset(A, rho(A.n)))
         assert set(chains) <= set(enumerate_dyck_paths_for(A))
+
+
+def test_counts_match_the_enumerators():
+    """Chain and order counts against the point lists: every subset at ranks
+    1-3 for every weight in {0,1,2}^n, and all 1,024 rank-4 subsets at rho(4)
+    (the whole test within a budget of 3 s)."""
+    sweeps = [(A, DominantWeight(c)) for n in (1, 2, 3) for A in all_subsets(n)
+              for c in product(range(3), repeat=n)]
+    sweeps += [(A, rho(4)) for A in all_subsets(4)]
+    assert len(sweeps) == 2 * 3 + 8 * 9 + 64 * 27 + 1024
+    for A, lam in sweeps:
+        P = build_marked_poset(A, lam)
+        assert count_order_points(P) == len(marked_order_points(P))
+        assert count_chain_points(P) == len(marked_chain_points(P))
+
+
+def test_order_count_reaches_rank5_dilations():
+    """The DP counts what no enumeration could list: 3 rho(5) is 4^15."""
+    P = build_marked_poset(RootSubset.full(5), rho(5).scale(3))
+    assert count_order_points(P) == 4 ** 15
+
+
+def _identity_sweep(n):
+    return [A for A in all_subsets(n) if is_triangular_subset(A)]
+
+
+def test_identity_holds_for_every_triangular_subset():
+    """The face of every triangular subset at ranks 1-5 is its marked chain
+    polytope at every weight; about 3 s, most of it rank 5."""
+    counts = []
+    for n in (1, 2, 3, 4, 5):
+        triangular = _identity_sweep(n)
+        assert all(is_marked_chain_face(A) for A in triangular)
+        counts.append(len(triangular))
+    assert counts == [2, 7, 34, 199, 1308]
+
+
+@pytest.mark.slow
+def test_identity_holds_for_every_triangular_element_at_rank6():
+    """The 1,552 triangular elements of rank 6; about 30 s."""
+    triangular = [w for w in all_permutations(6) if is_triangular_element(w)]
+    assert len(triangular) == 1552
+    assert all(is_marked_chain_face(inversion_roots(w)) for w in triangular)
+
+
+def test_identity_fails_where_a_path_has_no_chain():
+    """Neither an unbounded face nor the separated pair 1.2, 2.3 is a
+    marked chain polytope; the non-triangular pair of simple roots is."""
+    assert not is_marked_chain_face(RootSubset.of(3, [Root(1, 2), Root(1, 3), Root(2, 3)]))
+    assert not is_marked_chain_face(RootSubset.of(3, [Root(1, 2), Root(2, 3)]))
+    pair = RootSubset.of(2, [Root(1, 1), Root(2, 2)])
+    assert is_marked_chain_face(pair) and not is_triangular_subset(pair)
+
+
+def _certified_cases(n, weights):
+    """(A, lambda, S(lambda)) for every subset of rank n whose face is its
+    marked chain polytope, at each weight with a bounded face."""
+    for A in all_subsets(n):
+        if not is_marked_chain_face(A):
+            continue
+        for lam in weights:
+            try:
+                yield A, lam, enumerate_lattice_points(A, lam)
+            except UnboundedFaceError:
+                pass
+
+
+def _assert_sums_fill_dilations(cases):
+    checked = 0
+    for A, lam, S in cases:
+        assert minkowski_sum(S, S) == enumerate_lattice_points(A, lam.scale(2))
+        assert dilate(S, 3) == enumerate_lattice_points(A, lam.scale(3))
+        checked += 1
+    return checked
+
+
+def _weights(n, keep):
+    return [DominantWeight(c) for c in product(range(3), repeat=n) if keep(c)]
+
+
+def test_certificate_agrees_with_packed_sums():
+    """Where the identity holds, the certificate's claims are facts of the
+    packed sums: S + S = S(2 lambda) and S + S + S = S(3 lambda), for every
+    weight in {0,1,2}^n, zero coefficients included, at ranks 1-2, and at
+    rank 3 for the weights of coefficient sum at most 3 (the rest, 9 s, is
+    the slow test below)."""
+    cases = [case for n in (1, 2) for case in _certified_cases(n, _weights(n, lambda c: True))]
+    cases += _certified_cases(3, _weights(3, lambda c: sum(c) <= 3))
+    assert _assert_sums_fill_dilations(cases) == 2 * 3 + 8 * 9 + 52 * 17
+
+
+@pytest.mark.slow
+def test_certificate_agrees_with_packed_sums_at_large_rank3_weights():
+    """The rank-3 weights in {0,1,2}^3 of coefficient sum 4 to 6."""
+    cases = _certified_cases(3, _weights(3, lambda c: sum(c) > 3))
+    assert _assert_sums_fill_dilations(cases) == 52 * 10
+
+
+def _lower_covers(P):
+    """Each root of P with its lower covers, roots and markers alike."""
+    below = {r: [] for r in P.A.sorted_roots()}
+    for upper, lower in P.covers():
+        if isinstance(upper, Root):
+            below[upper].append(lower)
+    return below
+
+
+def _hermite_split(P, P_k, k, u, below):
+    """Split a point u of the chain polytope of P_k, at k times the weight
+    of P, into k points of the chain polytope of P, through the transfer
+    map: lift u to x in the order polytope of P_k (bottom up, x_p = u_p +
+    the largest x of a lower cover of p), take the Hermite pieces
+    floor((x + j) / k), j = 0..k-1, and map each piece back."""
+    roots = P.A.sorted_roots()
+
+    def top_below(x, r, marking):
+        return max(x[q] if isinstance(q, Root) else marking(q) for q in below[r])
+
+    x = {}
+    for r, v in reversed(list(zip(roots, u))):  # a lower cover of r is later, or a marker
+        x[r] = v + top_below(x, r, P_k.marking)
+    pieces = [{r: (x[r] + j) // k for r in roots} for j in range(k)]
+    return [tuple(piece[r] - top_below(piece, r, P.marking) for r in roots)
+            for piece in pieces]
+
+
+def test_hermite_split_writes_dilated_points_as_sums():
+    """Every point of C(2 lambda) and C(3 lambda) is a sum of points of
+    S(lambda), split as the certificate of `verify` splits it, on every
+    subset at ranks 1-3 where the identity holds, at rho and at one weight
+    with a zero coefficient."""
+    checked = 0
+    for n, other in ((1, (2,)), (2, (2, 0)), (3, (1, 0, 2))):
+        for A, lam, S in _certified_cases(n, [rho(n), DominantWeight(other)]):
+            face = set(S.tuples)
+            P = build_marked_poset(A, lam)
+            below = _lower_covers(P)
+            for k in (2, 3):
+                P_k = build_marked_poset(A, lam.scale(k))
+                for u in marked_chain_points(P_k).tuples:
+                    pieces = _hermite_split(P, P_k, k, u, below)
+                    assert all(piece in face for piece in pieces)
+                    assert tuple(map(sum, zip(*pieces))) == u
+                    checked += 1
+    assert checked == 30_117

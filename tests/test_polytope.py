@@ -13,6 +13,7 @@ from fflv.characters import weyl_dimension
 from fflv.marked_poset import (
     _chain_supports,
     build_marked_poset,
+    count_order_points,
     marked_chain_points,
     marked_order_points,
 )
@@ -22,6 +23,7 @@ from fflv.polytope import (
     PointSet,
     UnboundedFaceError,
     build_inequalities,
+    count_integer_points,
     degree_histogram,
     dilate,
     embed_face,
@@ -134,7 +136,10 @@ def test_searches_leave_no_cyclic_garbage():
     lam = rho(3)
     P = build_marked_poset(full(3), lam)
     searches = [lambda: enumerate_lattice_points(full(3), lam),
+                lambda: count_integer_points(3, full(3).sorted_roots(),
+                                             build_inequalities(full(3), lam)),
                 lambda: marked_order_points(P),
+                lambda: count_order_points(P),
                 lambda: _chain_supports(P),
                 lambda: enumerate_dyck_paths(3)]
     gc.collect()
@@ -340,13 +345,15 @@ def assert_matches_brute_force(n, roots, ineqs):
     try:
         expected = brute_force_points(n, roots, ineqs)
     except UnboundedFaceError as exc:
-        with pytest.raises(UnboundedFaceError) as err:
-            enumerate_integer_points(n, roots, ineqs)
-        assert err.value.root == exc.root
+        for search in (enumerate_integer_points, count_integer_points):
+            with pytest.raises(UnboundedFaceError) as err:
+                search(n, roots, ineqs)
+            assert err.value.root == exc.root
         return
     S = enumerate_integer_points(n, roots, ineqs)
     assert (S.n, S.roots) == (n, roots)
     assert S.tuples == tuple(expected)               # lexicographic emission order
+    assert count_integer_points(n, roots, ineqs) == len(expected)
 
 
 @st.composite
@@ -385,3 +392,55 @@ def test_every_small_face_matches_brute_force(n):
             A = RootSubset.of(n, members)
             for lam in weights:
                 assert_matches_brute_force(n, A.sorted_roots(), build_inequalities(A, lam))
+
+
+def _all_subsets(n):
+    positive = all_positive_roots(n)
+    for size in range(len(positive) + 1):
+        for members in itertools.combinations(positive, size):
+            yield RootSubset.of(n, members)
+
+
+def _search_outcome(search, n, roots, ineqs):
+    """The size of the result, or the message of the UnboundedFaceError."""
+    try:
+        result = search(n, roots, ineqs)
+    except UnboundedFaceError as exc:
+        return str(exc)
+    return result if isinstance(result, int) else len(result)
+
+
+def test_count_matches_enumeration_on_small_faces():
+    """Every subset at ranks 1-3 for every weight in {0,1,2}^n, unbounded
+    faces included: the same count, or the same error."""
+    checked = 0
+    for n in (1, 2, 3):
+        for A in _all_subsets(n):
+            for coeffs in itertools.product(range(3), repeat=n):
+                ineqs = build_inequalities(A, DominantWeight(coeffs))
+                args = (n, A.sorted_roots(), ineqs)
+                assert (_search_outcome(count_integer_points, *args)
+                        == _search_outcome(enumerate_integer_points, *args))
+                checked += 1
+    assert checked == 2 * 3 + 8 * 9 + 64 * 27
+
+
+def test_count_matches_enumeration_on_every_rank4_face():
+    """All 1,024 subsets at rank 4 at rho(4), within a budget of 2 s."""
+    lam = rho(4)
+    for A in _all_subsets(4):
+        args = (4, A.sorted_roots(), build_inequalities(A, lam))
+        assert (_search_outcome(count_integer_points, *args)
+                == _search_outcome(enumerate_integer_points, *args))
+
+
+def test_count_raises_the_enumerators_unbounded_error():
+    A = RootSubset.of(3, [Root(1, 2), Root(1, 3), Root(2, 3)])
+    args = (3, A.sorted_roots(), build_inequalities(A, rho(3)))
+    errors = []
+    for search in (enumerate_integer_points, count_integer_points):
+        with pytest.raises(UnboundedFaceError) as err:
+            search(*args)
+        errors.append((err.value.root, str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == Root(1, 3)
