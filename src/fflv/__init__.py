@@ -16,7 +16,6 @@ from types import ModuleType as _ModuleType
 
 from .characters import (
     Character,
-    PartitionWeight,
     character_from_lattice_points,
     demazure_character_oracle,
     demazure_dimension_oracle,
@@ -25,7 +24,7 @@ from .characters import (
     to_partition,
     weyl_dimension,
 )
-from .linalg import IntSpan, span_rank
+from .linalg import IntSpan
 from .marked_poset import (
     MarkedPoset,
     Marker,
@@ -37,13 +36,11 @@ from .marked_poset import (
     marked_order_points,
 )
 from .paths import (
-    DyckPath,
     base_root,
     connected_blocks,
     enumerate_dyck_paths,
     enumerate_dyck_paths_for,
     is_dyck_path_for,
-    restrict_path,
 )
 from .polytope import (
     Inequality,
@@ -82,9 +79,7 @@ from .roots import (
     all_positive_roots,
     dominates,
     fundamental_weight,
-    join_root,
     make_root,
-    meet_root,
     pairing,
     parse_root,
     rho,

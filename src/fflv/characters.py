@@ -10,29 +10,17 @@ arithmetic and makes termwise comparison of characters trivial.
 
 from __future__ import annotations
 
-import json
 from math import prod
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .polytope import PointSet
 from .roots import DominantWeight, all_positive_roots, pairing
 from .weyl import Permutation, inversion_roots, reduced_word
 
 
-class PartitionWeight(NamedTuple):
-    """Weakly decreasing exponent vector with last coordinate zero."""
-
-    parts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-
-def to_partition(lam: DominantWeight) -> PartitionWeight:
+def to_partition(lam: DominantWeight) -> tuple[int, ...]:
     """Tail sums (m_k + ... + m_n) for k = 1..n, then a trailing zero."""
-    tails = tuple(sum(lam.coeffs[k:]) for k in range(lam.n)) + (0,)
-    return PartitionWeight(tails)
+    return tuple(sum(lam.coeffs[k:]) for k in range(lam.n)) + (0,)
 
 
 class Character:
@@ -68,51 +56,6 @@ class Character:
             and self.n == other.n
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other: "Character") -> "Character":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        out = dict(self.terms)
-        for v, m in other.terms.items():
-            out[v] = out.get(v, 0) + m
-        return Character(self.n, out)
-
-    def permuted(self, w: Permutation) -> "Character":
-        """Coordinate permutation: coordinate w(i) of the image equals
-        coordinate i of the original."""
-        if w.n != self.n:
-            raise ValueError("rank mismatch")
-        out: dict[tuple[int, ...], int] = {}
-        for vec, mult in self.terms.items():
-            img = [0] * (self.n + 1)
-            for i, a in enumerate(vec, start=1):
-                img[w(i) - 1] = a
-            key = tuple(img)
-            out[key] = out.get(key, 0) + mult
-        return Character(self.n, out)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for vec in sorted(self.terms, reverse=True):
-            m = self.terms[vec]
-            coeff = "" if m == 1 else f"{m}*"
-            bits.append(f"{coeff}x^({','.join(str(a) for a in vec)})")
-        return " + ".join(bits)
-
-    def to_json(self) -> str:
-        data = {
-            "rank": self.n,
-            "terms": {
-                ",".join(str(a) for a in vec): self.terms[vec]
-                for vec in sorted(self.terms, reverse=True)
-            },
-        }
-        return json.dumps(data, separators=(",", ":"))
 
 
 def demazure_operator(i: int, f: Character) -> Character:
@@ -184,7 +127,7 @@ def demazure_character_oracle(w: Permutation, lam: DominantWeight) -> Character:
     to the monomial of the partition encoding of the weight."""
     if w.n != lam.n:
         raise ValueError("rank mismatch")
-    ch = Character.monomial(lam.n, to_partition(lam).parts)
+    ch = Character.monomial(lam.n, to_partition(lam))
     for i in reversed(reduced_word(w)):
         ch = demazure_operator(i, ch)
     return ch
@@ -206,7 +149,7 @@ def character_from_lattice_points(
         raise ValueError("rank mismatch")
     if set(points.roots) != inversion_roots(w).members:
         raise ValueError("point set must be a face of the inversion set of w")
-    base = to_partition(lam).parts
+    base = to_partition(lam)
     out: dict[tuple[int, ...], int] = {}
     for values in points.tuples:
         vec = list(base)

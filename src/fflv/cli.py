@@ -427,7 +427,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     The namespace is the command: the weight, element and subset flags are
     replaced by their parsed values, and `A` holds the subset in every
-    command that takes a weight.
+    command that takes a weight.  A bad input or running out of memory
+    exits 2, and a broken internal invariant (an `ArithmeticError`) exits
+    3, each with one `error:` line on stderr.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -463,6 +465,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: broken internal invariant: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

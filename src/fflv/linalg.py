@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Optional
+from typing import Optional
 
 SparseVector = tuple[tuple[int, int], ...]
 
@@ -138,17 +138,3 @@ class IntSpan:
 
     def __contains__(self, vector: SparseVector) -> bool:
         return not self.reduce(vector)
-
-    def extend(self, vectors: Iterable[SparseVector]) -> int:
-        """Insert several vectors; return how much the rank grew."""
-        before = self.rank
-        for vec in vectors:
-            self.add(vec)
-        return self.rank - before
-
-
-def span_rank(vectors: Iterable[SparseVector], width: int) -> int:
-    """Rank of the integer span of the given vectors."""
-    span = IntSpan(width)
-    span.extend(vectors)
-    return span.rank

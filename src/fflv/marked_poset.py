@@ -45,10 +45,6 @@ class Marker(NamedTuple):
 
     index: int
 
-    @property
-    def label(self) -> str:
-        return f"m{self.index}"
-
 
 Element = Union[Root, Marker]
 

@@ -1,89 +1,65 @@
 """Monotone staircase paths in the triangle of positive roots.
 
 A full path starts and ends at a simple root and moves one step at a time,
-raising either the start index or the end index.  Restricting a full path to
-a subset of roots, splitting at support gaps, and checking a grid-closure
-condition yields the paths that cut out the face polytope of the subset.
-A path is kept as its support alone: its base root, and with it the bound
-of its inequality, is a function of the support.
+raising either the start index or the end index.  A path is a tuple of
+roots.  Restricting the full paths to a subset of roots, splitting at
+support gaps, and checking a grid-closure condition yields the paths that
+cut out the face polytope of the subset.  The restrictions come from one
+bottom-up pass over the root grid, so no full path is listed unless the
+subset is the whole triangle.  A path is kept as its support alone: its
+base root, and with it the bound of its inequality, is a function of the
+support.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .roots import Root
 from .weyl import RootSubset
 
 
-@dataclass(frozen=True)
-class DyckPath:
-    """A full staircase path: simple root to simple root, one step at a time."""
-
-    n: int
-    roots: tuple[Root, ...]
-
-    def __post_init__(self) -> None:
-        rs = self.roots
-        if not rs:
-            raise ValueError("a path needs at least one root")
-        for r in rs:
-            if not 1 <= r.i <= r.j <= self.n:
-                raise ValueError(f"root {r} out of range for rank {self.n}")
-        if rs[0].i != rs[0].j or rs[-1].i != rs[-1].j:
-            raise ValueError("a full path must start and end at simple roots")
-        for a, b in zip(rs, rs[1:]):
-            if (b.i, b.j) not in ((a.i + 1, a.j), (a.i, a.j + 1)):
-                raise ValueError(f"illegal step {a} -> {b}")
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-
-def base_root(p) -> Root:
+def base_root(p: tuple[Root, ...]) -> Root:
     """First start index paired with last end index: alpha_{i_1, j_s}."""
-    rs = tuple(p)
-    if not rs:
+    if not p:
         raise ValueError("empty path has no base root")
-    return Root(rs[0].i, rs[-1].j)
+    return Root(p[0].i, p[-1].j)
 
 
-def enumerate_dyck_paths(n: int) -> list[DyckPath]:
-    """All full paths for rank n, sorted by their root sequences.
+def _restrictions(A: RootSubset) -> set[tuple[Root, ...]]:
+    """The restrictions to A of all full paths of rank A.n.
 
-    Depth-first walk from each simple root; a path is recorded every time the
-    walk sits on a simple root, then both extensions are explored.
+    One pass over the grid, rows i = n..1 and in each row j = n..i.  Cell
+    (i, j) holds the restrictions of the walks from alpha_{i,j} on to a
+    simple root: the empty walk when i = j, and the walks through
+    (i+1, j) and (i, j+1), each with alpha_{i,j} in front when it lies in
+    A.  A full path is such a walk from a simple root, so the cells on the
+    diagonal hold all restrictions between them.  Only the row below is
+    kept.  Cells outside the triangle share one empty set, which no cell
+    changes: each cell gets a new set.
     """
+    n = A.n
+    found: set[tuple[Root, ...]] = set()
+    below: list[set[tuple[Root, ...]]] = [set()] * (n + 2)
+    for i in range(n, 0, -1):
+        row = [set()] * (n + 2)
+        for j in range(n, i - 1, -1):
+            tails = below[j] | row[j + 1]
+            if i == j:
+                tails.add(())
+            r = Root(i, j)
+            row[j] = {(r,) + t for t in tails} if r in A else tails
+        found |= row[i]
+        below = row
+    return found
+
+
+def enumerate_dyck_paths(n: int) -> list[tuple[Root, ...]]:
+    """All full paths for rank n, sorted by their root sequences: the
+    restrictions to the full triangle."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    out: list[tuple[Root, ...]] = []
-
-    def walk(trail: list[Root]) -> None:
-        cur = trail[-1]
-        if cur.i == cur.j:
-            out.append(tuple(trail))
-        if cur.i + 1 <= cur.j:
-            trail.append(Root(cur.i + 1, cur.j))
-            walk(trail)
-            trail.pop()
-        if cur.j + 1 <= n:
-            trail.append(Root(cur.i, cur.j + 1))
-            walk(trail)
-            trail.pop()
-
-    for i in range(1, n + 1):
-        walk([Root(i, i)])
-    del walk  # break the closure's self-reference, a cycle only gc would free
-    return [DyckPath(n, rs) for rs in sorted(out)]
-
-
-def restrict_path(q: DyckPath, A: RootSubset) -> tuple[Root, ...]:
-    """Subsequence of the full path q lying in A (possibly empty)."""
-    return tuple(r for r in q.roots if r in A)
+    return sorted(_restrictions(RootSubset.full(n)))
 
 
 def connected_blocks(p: Sequence[Root]) -> list[tuple[Root, ...]]:
@@ -127,10 +103,7 @@ def enumerate_dyck_paths_for(A: RootSubset) -> list[tuple[Root, ...]]:
     root sequence yield one entry.  Sorted by root sequence.
     """
     found: set[tuple[Root, ...]] = set()
-    for q in enumerate_dyck_paths(A.n):
-        p = restrict_path(q, A)
-        if not p:
-            continue
+    for p in _restrictions(A):
         for piece in connected_blocks(p):
             if piece not in found and is_dyck_path_for(piece, A):
                 found.add(piece)

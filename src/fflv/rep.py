@@ -154,11 +154,11 @@ class ExplicitModule:
 
     The generator is the cyclic vector the basis was grown from; the basis
     rows are sparse integer vectors in echelon form, ordered by pivot
-    column, so the dimension is their count and membership tests need no
-    further elimination.  Entry d of the profile is the dimension of the
-    span of all products of at most d of the generating operators applied
-    to the generator; the last entry is the dimension.  Lowering closures
-    of this module are kept per root subset, so each one is computed once.
+    column, so the dimension is their count.  Entry d of the profile is the
+    dimension of the span of all products of at most d of the generating
+    operators applied to the generator; the last entry is the dimension.
+    Lowering closures of this module are kept per root subset, so each one
+    is computed once.
     """
 
     space: TensorSpace
@@ -168,7 +168,6 @@ class ExplicitModule:
     profile: tuple[int, ...]
     _subsets: dict[tuple[Root, ...], "ExplicitModule"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _span: Optional[IntSpan] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -180,11 +179,6 @@ class ExplicitModule:
         for row in self.basis:
             span.add(row)
         return span
-
-    def __contains__(self, vector: SparseVector) -> bool:
-        if self._span is None:
-            object.__setattr__(self, "_span", self.span())
-        return tuple(vector) in self._span
 
 
 def _closure(
@@ -253,7 +247,7 @@ def extremal_vector(module: ExplicitModule, w: Permutation) -> SparseVector:
     space = module.space
     if w.n != space.n:
         raise ValueError(f"permutation rank {w.n} does not match module rank {space.n}")
-    content = list(to_partition(module.weight).parts)
+    content = list(to_partition(module.weight))
     vec = module.generator
     for i in reversed(reduced_word(w)):
         amount = content[i - 1] - content[i]
@@ -268,7 +262,7 @@ def extremal_vector(module: ExplicitModule, w: Permutation) -> SparseVector:
     if not vec:
         raise ArithmeticError(f"extremal vector for {w} vanished")
     expected = [0] * (space.n + 1)
-    parts = to_partition(module.weight).parts
+    parts = to_partition(module.weight)
     for i in range(1, space.n + 2):
         expected[w(i) - 1] = parts[i - 1]
     for idx, _ in vec:

@@ -65,27 +65,6 @@ def dominates(a: Root, b: Root) -> bool:
     return a.i <= b.i and a.j <= b.j
 
 
-def join_root(a: Root, b: Root) -> Root:
-    """Least root above both a and b in the usual order.
-
-    Exists iff the union of the two supports is a contiguous interval;
-    otherwise raises ValueError.
-    """
-    if min(a.j, b.j) + 1 < max(a.i, b.i):
-        raise ValueError(f"supports of {a} and {b} are disconnected")
-    return Root(min(a.i, b.i), max(a.j, b.j))
-
-
-def meet_root(a: Root, b: Root) -> Root | None:
-    """Greatest root below both a and b in the usual order, or None.
-
-    Exists iff the supports overlap; join_root(a,b) + meet_root(a,b) = a + b
-    as weight vectors.
-    """
-    i, j = max(a.i, b.i), min(a.j, b.j)
-    return Root(i, j) if i <= j else None
-
-
 @dataclass(frozen=True)
 class DominantWeight:
     """A dominant integral weight, stored by fundamental-weight coefficients."""

@@ -273,6 +273,28 @@ def test_points_out_of_memory_exits_2(capsys, monkeypatch):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_broken_invariant_exits_3(capsys, monkeypatch):
+    """An `ArithmeticError` escaping a command is a broken internal
+    invariant: one error line, nothing on stdout, exit 3."""
+    def broken(w, lam):
+        raise ArithmeticError("operator string lost a term")
+
+    monkeypatch.setattr(fflv.cli, "demazure_character_oracle", broken)
+    code, out, err = run(capsys, "char-compare", "--w", "s1 s2", "--lambda", "2,1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_points_one_root_face_at_rank_14(capsys):
+    """The path system of {a1.1} costs what the subset does, not what the
+    rank does: fourteen zero coefficients give one point."""
+    code, out, err = run(capsys, "points", "--A", "1.1", "--lambda", ",".join(["0"] * 14))
+    assert code == 0
+    assert err == ""
+    assert out.splitlines() == ["count 1", f"a1.1=0  weight={','.join(['0'] * 14)} degree=0"]
+
+
 def test_char_compare_triangular_equal(capsys):
     code, out, _ = run(capsys, "char-compare", "--w", "s1 s2", "--lambda", "2,1",
                        "--format", "json")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fflv.linalg import IntSpan, span_rank
+from fflv.linalg import IntSpan
 
 
 def _sparse(vec):
@@ -30,7 +30,8 @@ def test_basic_rank_growth():
 
 def test_rows_stay_in_echelon_form():
     span = IntSpan(4)
-    span.extend(map(_sparse, [[0, 3, 1, 0], [2, 1, 0, 0], [2, 4, 1, 7]]))
+    for vec in [[0, 3, 1, 0], [2, 1, 0, 0], [2, 4, 1, 7]]:
+        span.add(_sparse(vec))
     pivots = []
     for row in span.rows:
         lead, x = row[0]
@@ -58,27 +59,24 @@ def test_width_validation():
         span.add(((-1, 1),))
 
 
-def test_span_rank_helper():
-    assert span_rank([], 3) == 0
-    assert span_rank(map(_sparse, [[1, 0, 0], [0, 1, 0], [1, 1, 0]]), 3) == 2
-    assert span_rank(map(_sparse, [[1, 1, 1], [1, 2, 3], [2, 3, 4], [0, 0, 1]]), 3) == 3
-
-
 vectors = st.lists(st.integers(-9, 9), min_size=4, max_size=4)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(vectors, max_size=6))
 def test_rank_matches_fraction_gauss(vecs):
-    expected = _fraction_rank(vecs, 4)
-    assert span_rank(map(_sparse, vecs), 4) == expected
+    span = IntSpan(4)
+    for vec in vecs:
+        span.add(_sparse(vec))
+    assert span.rank == _fraction_rank(vecs, 4)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(vectors, min_size=1, max_size=5), st.integers(-3, 3), st.integers(-3, 3))
 def test_linear_combinations_stay_inside(vecs, a, b):
     span = IntSpan(4)
-    span.extend(map(_sparse, vecs))
+    for vec in vecs:
+        span.add(_sparse(vec))
     combo = [a * x + b * y for x, y in zip(vecs[0], vecs[-1])]
     assert _sparse(combo) in span
 

@@ -8,9 +8,9 @@ import fflv
 # deliberate change to this list, and it shows in the diff.  The submodules
 # are not public names: `__all__` lists what the package imports from them.
 PUBLIC = [
-    "Character", "DimensionCapError", "DominantWeight", "DyckPath", "ExplicitModule",
+    "Character", "DimensionCapError", "DominantWeight", "ExplicitModule",
     "Inequality", "IntSpan", "MarkedPoset", "Marker", "MonomialBasisReport",
-    "PartitionWeight", "Permutation", "PointSet", "Root", "RootSubset", "TensorSpace",
+    "Permutation", "PointSet", "Root", "RootSubset", "TensorSpace",
     "UnboundedFaceError", "all_permutations", "all_positive_roots", "base_root",
     "build_highest_weight_module", "build_inequalities", "build_marked_poset",
     "cartan_component_dimension", "character_from_lattice_points",
@@ -21,11 +21,11 @@ PUBLIC = [
     "enumerate_dyck_paths_for", "enumerate_integer_points", "enumerate_lattice_points",
     "essential_monomials", "extremal_vector", "fundamental_weight", "in_polytope",
     "inversion_roots", "is_dyck_path_for", "is_kempf", "is_marked_chain_face",
-    "is_triangular_element", "is_triangular_subset", "join_root", "kempf_complement",
+    "is_triangular_element", "is_triangular_subset", "kempf_complement",
     "kempf_factorization", "make_root", "marked_chain_points", "marked_order_points",
-    "meet_root", "minkowski_sum", "pairing", "parse_permutation", "parse_root",
+    "minkowski_sum", "pairing", "parse_permutation", "parse_root",
     "pbw_filtration_profile", "permutation_from_segments", "points_to_csv",
-    "reduced_word", "restrict_path", "rho", "span_rank",
+    "reduced_word", "rho",
     "subset_submodule", "support_inequalities", "to_partition", "verify_monomial_basis",
     "weight_columns", "weyl_dimension",
 ]

@@ -15,7 +15,6 @@ from fflv.cli import main
 from fflv.polytope import PointSet, degree_histogram, enumerate_lattice_points
 from fflv.rep import (
     DimensionCapError,
-    ExplicitModule,
     TensorSpace,
     build_highest_weight_module,
     cartan_component_dimension,
@@ -167,21 +166,6 @@ def test_non_triangular_example_still_has_a_monomial_basis():
     borel = demazure_submodule(module, w)
     sub_span = sub.span()
     assert any(row not in sub_span for row in borel.basis)
-
-
-def test_membership_builds_the_span_once(monkeypatch):
-    """`v in module` answers as the module's span does, and only the first
-    test builds that span."""
-    module = build_highest_weight_module(rho(3))
-    sub = subset_submodule(module, inversion_roots(Permutation.from_word((1, 3, 2), 3)))
-    reference = sub.span()
-    built = []
-    span = ExplicitModule.span
-    monkeypatch.setattr(ExplicitModule, "span", lambda self: built.append(self) or span(self))
-    answers = [v in sub for v in module.basis + sub.basis]
-    assert answers == [v in reference for v in module.basis + sub.basis]
-    assert True in answers and False in answers
-    assert built == [sub]
 
 
 def test_pbw_profile_matches_degree_histogram():

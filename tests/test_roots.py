@@ -9,9 +9,7 @@ from fflv.roots import (
     all_positive_roots,
     dominates,
     fundamental_weight,
-    join_root,
     make_root,
-    meet_root,
     pairing,
     parse_root,
     rho,
@@ -55,15 +53,6 @@ def test_staircase_vs_usual_order():
     # alpha_2 vs alpha_{1,3}: incomparable in both orders
     assert not dominates(Root(2, 2), Root(1, 3))
     assert not dominates(Root(1, 3), Root(2, 2))
-
-
-def test_join_meet():
-    assert join_root(Root(1, 2), Root(2, 3)) == Root(1, 3)
-    assert meet_root(Root(1, 2), Root(2, 3)) == Root(2, 2)
-    assert join_root(Root(2, 2), Root(2, 2)) == Root(2, 2)
-    assert meet_root(Root(1, 1), Root(3, 3)) is None
-    with pytest.raises(ValueError):
-        join_root(Root(1, 1), Root(3, 3))
 
 
 def test_pairing_values():
