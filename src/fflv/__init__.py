@@ -26,9 +26,6 @@ from .characters import (
 )
 from .linalg import IntSpan
 from .marked_poset import (
-    MarkedPoset,
-    Marker,
-    build_marked_poset,
     count_chain_points,
     count_order_points,
     is_marked_chain_face,

@@ -19,12 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from .characters import character_from_lattice_points, demazure_character_oracle
-from .marked_poset import (
-    build_marked_poset,
-    count_chain_points,
-    count_order_points,
-    is_marked_chain_face,
-)
+from .marked_poset import count_chain_points, count_order_points, is_marked_chain_face
 from .polytope import (
     PointSet,
     UnboundedFaceError,
@@ -296,8 +291,8 @@ def _verify_checks(args: argparse.Namespace) -> dict:
     # t lambda, t = 1..3, each counted without listing a point.
     ehrhart, poset_error = None, None
     try:
-        ehrhart = [(count_chain_points(P), count_order_points(P))
-                   for P in [build_marked_poset(A, lam.scale(t)) for t in (1, 2, 3)]]
+        ehrhart = [(count_chain_points(A, nu), count_order_points(A, nu))
+                   for nu in [lam.scale(t) for t in (1, 2, 3)]]
     except (ValueError, ArithmeticError) as exc:
         poset_error = exc
 

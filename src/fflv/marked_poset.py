@@ -2,20 +2,28 @@
 
 The roots of A keep the staircase order (alpha_{i1,j1} >= alpha_{i2,j2} iff
 i1 <= i2 and j1 <= j2) and are interleaved with marker elements a_1, ...,
-a_{n+1}: marker a_m sits above exactly the roots starting at column m or
-later (a_m > alpha_{k,l} iff k >= m) and below exactly the roots ending
-before row m (alpha_{k,l} > a_m iff l <= m-1), so a_1 is the unique maximum
-and a_{n+1} the unique minimum.  Markers carry the tail sums of the weight:
-a_m is marked with m_m + ... + m_n and a_{n+1} with 0.
+a_{n+1}: marker a_m sits above exactly the roots alpha_{k,l} with k >= m
+and below exactly those with l <= m-1, so a_1 is the unique maximum and
+a_{n+1} the unique minimum.  The markings are the tail sums of the
+weight, `to_partition(lam)`: a_m is marked with its entry m - 1.
+
+One cover relation, read off the root grid (row i, column j holds
+alpha_{i,j}), serves both polytopes.  A root q covers a root r when q > r,
+no root of A lies strictly between them, and r.i <= q.j: when q.j < r.i,
+the markers a_m with q.j < m <= r.i lie between them.  The marker just
+above r, a_{r.i}, covers it iff A has no root in row r.i to the left of r;
+r covers the marker just below it, a_{r.j+1}, iff A has no root in column
+r.j below r.
 
 The chain polytope bounds coordinate sums along saturated marker-to-marker
 chains by marking differences, which are the path bounds of `polytope` read
 off each chain's support; the order polytope squeezes each coordinate
-between its neighbouring markings and its staircase neighbours.  Both have
-the same number of integer points at every dilation.  Each side has an
+between its neighbouring markings and its upper root covers.  Both have the
+same number of integer points at every dilation.  Each side has an
 enumerator and a counter that lists no point: the chain count runs the
 enumerator's own search, the order count is a dynamic programme over the
-order enumerator's root order.
+order enumerator's root order.  Each takes a subset and a weight of the
+same rank, as `enumerate_lattice_points` does.
 
 `is_marked_chain_face` compares the face system of a subset with its chain
 system, free of the weight.  Where they agree, the face is the marked chain
@@ -25,9 +33,7 @@ through the transfer map instead of forming sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Union
-
+from .characters import to_partition
 from .paths import base_root, enumerate_dyck_paths_for
 from .polytope import (
     Inequality,
@@ -36,107 +42,58 @@ from .polytope import (
     enumerate_integer_points,
     support_inequalities,
 )
-from .roots import DominantWeight, Root, dominates
+from .roots import DominantWeight, Root
 from .weyl import RootSubset
 
 
-class Marker(NamedTuple):
-    """The m-th marked element a_m, 1 <= m <= n+1."""
+def _upper_covers(roots: tuple[Root, ...]) -> list[list[int]]:
+    """Per root r of a subset in canonical order, the indices of the roots
+    that cover r in the marked poset, ascending.
 
-    index: int
-
-
-Element = Union[Root, Marker]
-
-
-def _greater(x: Element, y: Element) -> bool:
-    """Strict order on roots and markers combined."""
-    if isinstance(x, Root) and isinstance(y, Root):
-        return x != y and dominates(x, y)
-    if isinstance(x, Marker) and isinstance(y, Marker):
-        return x.index < y.index
-    if isinstance(x, Marker):
-        return y.i >= x.index
-    return x.j <= y.index - 1
-
-
-def _label_key(x: Element):
-    return (0, x.index, 0) if isinstance(x, Marker) else (1, x.i, x.j)
-
-
-@dataclass(frozen=True)
-class MarkedPoset:
-    """A root subset interleaved with marked boundary elements."""
-
-    n: int
-    A: RootSubset
-    lam: DominantWeight
-
-    def __post_init__(self) -> None:
-        if self.lam.n != self.n or self.A.n != self.n:
-            raise ValueError("rank mismatch between subset and weight")
-
-    @property
-    def markers(self) -> tuple[Marker, ...]:
-        return tuple(Marker(m) for m in range(1, self.n + 2))
-
-    @property
-    def elements(self) -> tuple[Element, ...]:
-        return self.markers + self.A.sorted_roots()
-
-    def marking(self, m: Marker) -> int:
-        return sum(self.lam.coeffs[m.index - 1 :])
-
-    def greater(self, x: Element, y: Element) -> bool:
-        return _greater(x, y)
-
-    def covers(self) -> list[tuple[Element, Element]]:
-        """All pairs (upper, lower) with nothing strictly between."""
-        els = self.elements
-        out = []
-        for x in els:
-            for y in els:
-                if not _greater(x, y):
-                    continue
-                if any(_greater(x, z) and _greater(z, y) for z in els):
-                    continue
-                out.append((x, y))
-        return sorted(out, key=lambda e: (_label_key(e[0]), _label_key(e[1])))
+    Such a cover q has q.i <= r.i and r.i <= q.j <= r.j.  In each row i,
+    from r's own upwards, the candidate with the largest j lies below every
+    other candidate of its row, and it covers r iff no candidate of a lower
+    row lies below it: iff its j exceeds every j found so far.
+    """
+    index = {r: c for c, r in enumerate(roots)}
+    above = []
+    for r in roots:
+        covers, reach = [], r.i - 1
+        for i in range(r.i, 0, -1):
+            for j in range(r.j - (i == r.i), reach, -1):
+                q = index.get(Root(i, j))
+                if q is not None:
+                    covers.append(q)
+                    reach = j
+                    break
+        above.append(covers[::-1])
+    return above
 
 
-def build_marked_poset(A: RootSubset, lam: DominantWeight) -> MarkedPoset:
-    return MarkedPoset(A.n, A, lam)
-
-
-def _chain_supports(P: MarkedPoset) -> list[tuple[Root, ...]]:
+def _chain_supports(A: RootSubset) -> list[tuple[Root, ...]]:
     """The root sequences of the saturated chains running from a marker down
     through unmarked roots to the next marker they meet, sorted.
 
-    No marking is read: only a_i covers a root that starts at row i, and a
-    root that ends at row j covers only a_{j+1}.  So a chain from a_i through
-    r_1 > ... > r_k to a_{j+1} has marking difference m_i + ... + m_j, the
-    weight on the coroot of its base root alpha_{i,j}, which is the bound
-    `support_inequalities` gives it.
+    A chain starts at a root that its marker a_{r.i} covers, goes down root
+    covers, and ends at a root that covers its marker a_{r.j+1}.  So a chain
+    from a_i through r_1 > ... > r_k to a_{j+1} has marking difference
+    m_i + ... + m_j, the weight on the coroot of its base root alpha_{i,j},
+    which is the bound `support_inequalities` gives it; no weight is read.
     """
-    below: dict[Element, list[Element]] = {}
-    for upper, lower in P.covers():
-        below.setdefault(upper, []).append(lower)
-
-    found: set[tuple[Root, ...]] = set()
-
-    def descend(trail: list[Root], cur: Element) -> None:
-        for nxt in below.get(cur, ()):
-            if isinstance(nxt, Marker):
-                if trail:
-                    found.add(tuple(trail))
-            else:
-                trail.append(nxt)
-                descend(trail, nxt)
-                trail.pop()
-
-    for m in P.markers:
-        descend([], m)
-    del descend  # break the closure's self-reference, a cycle only gc would free
+    roots = A.sorted_roots()
+    below: list[list[int]] = [[] for _ in roots]
+    for c, qs in enumerate(_upper_covers(roots)):
+        for q in qs:
+            below[q].append(c)
+    ends = [not any(Root(i, r.j) in A for i in range(r.i + 1, r.j + 1)) for r in roots]
+    stack = [(c,) for c, r in enumerate(roots)
+             if not any(Root(r.i, j) in A for j in range(r.i, r.j))]
+    found = []
+    while stack:
+        trail = stack.pop()
+        if ends[trail[-1]]:
+            found.append(tuple([roots[c] for c in trail]))
+        stack.extend([trail + (d,) for d in below[trail[-1]]])
     return sorted(found)
 
 
@@ -164,59 +121,63 @@ def is_marked_chain_face(A: RootSubset) -> bool:
     at rank 6, and for some non-triangular subsets too.
     """
     paths = enumerate_dyck_paths_for(A)
-    chains = _chain_supports(build_marked_poset(A, DominantWeight((0,) * A.n)))
+    chains = _chain_supports(A)
     return (all(any(_dominated(p, c) for c in chains) for p in paths)
             and all(any(_dominated(c, p) for p in paths) for c in chains))
 
 
-def marked_chain_points(P: MarkedPoset) -> PointSet:
-    """Integer points of the marked chain polytope."""
-    return enumerate_integer_points(P.n, P.A.sorted_roots(), _chain_system(P))
+def _check_rank(A: RootSubset, lam: DominantWeight) -> None:
+    if lam.n != A.n:
+        raise ValueError(f"weight rank {lam.n} != subset rank {A.n}")
 
 
-def count_chain_points(P: MarkedPoset) -> int:
+def marked_chain_points(A: RootSubset, lam: DominantWeight) -> PointSet:
+    """Integer points of the marked chain polytope of A at lam."""
+    return enumerate_integer_points(A.n, A.sorted_roots(), _chain_system(A, lam))
+
+
+def count_chain_points(A: RootSubset, lam: DominantWeight) -> int:
     """The number of integer points of the marked chain polytope, counted
     by the enumerator's search without listing them."""
-    return count_integer_points(P.n, P.A.sorted_roots(), _chain_system(P))
+    return count_integer_points(A.n, A.sorted_roots(), _chain_system(A, lam))
 
 
-def _chain_system(P: MarkedPoset) -> list[Inequality]:
-    return support_inequalities(_chain_supports(P), P.lam)
+def _chain_system(A: RootSubset, lam: DominantWeight) -> list[Inequality]:
+    _check_rank(A, lam)
+    return support_inequalities(_chain_supports(A), lam)
 
 
-def _order_constraints(P: MarkedPoset):
-    """The roots of P in canonical order; per root, its lowest and highest
-    value from the markers below and above it; and the indices of its upper
-    covers among the roots, which canonical order lists before it."""
-    roots = P.A.sorted_roots()
-    upper_bound = [P.marking(Marker(r.i)) for r in roots]
-    lower_bound = [P.marking(Marker(r.j + 1)) for r in roots]
-    index = {r: c for c, r in enumerate(roots)}
-    above: list[list[int]] = [[] for _ in roots]
-    for c, r in enumerate(roots):
-        for q in roots:
-            if q == r or not dominates(q, r):
-                continue
-            if any(z != q and z != r and dominates(q, z) and dominates(z, r) for z in roots):
-                continue
-            above[c].append(index[q])
-    return roots, lower_bound, upper_bound, above
+def _order_constraints(A: RootSubset, lam: DominantWeight):
+    """The roots of A in canonical order; per root, its lowest and highest
+    value, the markings of the markers just below and just above it; and
+    the indices of its upper root covers, which canonical order lists
+    before it.
+
+    A staircase cover q of r with q.j < r.i is no cover of the marked
+    poset, and the bounds already imply it: x_q >= mark[q.j] >=
+    mark[r.i - 1] >= x_r.
+    """
+    _check_rank(A, lam)
+    roots = A.sorted_roots()
+    mark = to_partition(lam)
+    return (roots, [mark[r.j] for r in roots], [mark[r.i - 1] for r in roots],
+            _upper_covers(roots))
 
 
-def marked_order_points(P: MarkedPoset) -> PointSet:
-    """Integer points of the marked order polytope.
+def marked_order_points(A: RootSubset, lam: DominantWeight) -> PointSet:
+    """Integer points of the marked order polytope of A at lam.
 
-    Each root coordinate lies between the markings of its column marker
-    (above) and its row-plus-one marker (below), and respects x_lower <=
-    x_upper along root-to-root covers.  Roots are assigned in canonical
-    order, which lists every upper staircase neighbour first.
+    Each root coordinate lies between the markings of the markers just
+    below and just above it, and respects x_lower <= x_upper along
+    root-to-root covers.  Roots are assigned in canonical
+    order, which lists every upper cover first.
 
     The depth-first search fixes the roots in that order and tries each
     one's values in increasing order, so every point below a prefix ending
     in v precedes every point below the same prefix ending in v + 1: the
     points come out in lexicographic order, the order `PointSet` keeps.
     """
-    roots, lower_bound, upper_bound, above = _order_constraints(P)
+    roots, lower_bound, upper_bound, above = _order_constraints(A, lam)
     point = [0] * len(roots)
     found: list[tuple[int, ...]] = []
 
@@ -231,10 +192,10 @@ def marked_order_points(P: MarkedPoset) -> PointSet:
 
     assign(0)
     del assign  # break the closure's self-reference, a cycle only gc would free
-    return PointSet(P.n, roots, tuple(found))
+    return PointSet(A.n, roots, tuple(found))
 
 
-def count_order_points(P: MarkedPoset) -> int:
+def count_order_points(A: RootSubset, lam: DominantWeight) -> int:
     """The number of integer points of the marked order polytope, without
     listing them.
 
@@ -245,7 +206,7 @@ def count_order_points(P: MarkedPoset) -> int:
     values to the number of prefixes that reach them.  A root that no later
     root reads adds its number of values as a factor, with no new state.
     """
-    roots, lower_bound, upper_bound, above = _order_constraints(P)
+    roots, lower_bound, upper_bound, above = _order_constraints(A, lam)
     last_read = [-1] * len(roots)
     for c, qs in enumerate(above):
         for q in qs:

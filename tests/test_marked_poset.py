@@ -1,13 +1,23 @@
-"""Marked posets and their chain and order point counts."""
+"""Marked posets and their chain and order point counts.
 
+The order of the marked poset is defined here, as the reference:
+`_reference_greater` on roots and markers, with its covers, its
+marker-to-marker chains and its order points found by brute force.  The
+library reads one cover relation off the root grid instead, and the tests
+compare the two.
+"""
+
+import random
+from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 import pytest
 
+from fflv.characters import to_partition
 from fflv.marked_poset import (
-    Marker,
     _chain_supports,
-    build_marked_poset,
+    _upper_covers,
     count_chain_points,
     count_order_points,
     is_marked_chain_face,
@@ -18,12 +28,14 @@ from fflv.paths import enumerate_dyck_paths_for
 from fflv.polytope import (
     Inequality,
     UnboundedFaceError,
+    build_inequalities,
+    count_integer_points,
     dilate,
     enumerate_lattice_points,
     minkowski_sum,
     support_inequalities,
 )
-from fflv.roots import DominantWeight, Root, all_positive_roots, rho
+from fflv.roots import DominantWeight, Root, all_positive_roots, dominates, rho
 from fflv.weyl import RootSubset, all_permutations, inversion_roots, is_triangular_element, is_triangular_subset
 
 
@@ -34,122 +46,65 @@ def all_subsets(n):
             yield RootSubset.of(n, combo)
 
 
-def test_marker_count_and_markings():
-    P = build_marked_poset(RootSubset.full(2), DominantWeight((2, 1)))
-    assert len(P.markers) == 3
-    assert [P.marking(m) for m in P.markers] == [3, 1, 0]
+def random_subsets(n, count, seed):
+    rng = random.Random(seed)
+    roots = all_positive_roots(n)
+    return [RootSubset.of(n, [r for r in roots if rng.random() < 0.5]) for _ in range(count)]
 
 
-def test_first_marker_on_top_last_on_bottom():
-    lam = rho(3)
-    for A in all_subsets(3):
-        P = build_marked_poset(A, lam)
-        top, bottom = Marker(1), Marker(4)
-        others = [e for e in P.elements if e not in (top, bottom)]
-        assert all(P.greater(top, e) for e in others + [bottom])
-        assert all(P.greater(e, bottom) for e in others + [top])
+class Marker(NamedTuple):
+    """The m-th marked element a_m, 1 <= m <= n+1."""
+
+    index: int
 
 
-def test_root_sits_between_its_markers():
-    P = build_marked_poset(RootSubset.full(3), rho(3))
-    assert P.greater(Marker(1), Root(1, 2))
-    assert P.greater(Root(1, 2), Marker(3))
-    assert not P.greater(Root(1, 2), Marker(2))
-    assert not P.greater(Marker(2), Root(1, 2))
+def _reference_greater(x, y):
+    """The strict order on roots and markers combined: the staircase order
+    on roots, a_1 > ... > a_{n+1} on markers, a_m above the roots starting
+    at row m or later, and a root above the markers past its last row."""
+    if isinstance(x, Root) and isinstance(y, Root):
+        return x != y and dominates(x, y)
+    if isinstance(x, Marker) and isinstance(y, Marker):
+        return x.index < y.index
+    if isinstance(x, Marker):
+        return y.i >= x.index
+    return x.j <= y.index - 1
 
 
-def test_covers_are_a_transitive_reduction():
-    """On every subset at ranks 1-3, the covers are exactly the related pairs
-    with nothing strictly between."""
-    for n in (1, 2, 3):
-        for A in all_subsets(n):
-            P = build_marked_poset(A, rho(n))
-            covers = set(P.covers())
-            for upper in P.elements:
-                for lower in P.elements:
-                    between = any(P.greater(upper, mid) and P.greater(mid, lower)
-                                  for mid in P.elements)
-                    is_cover = P.greater(upper, lower) and not between
-                    assert ((upper, lower) in covers) == is_cover
+def _markers(n):
+    return tuple(Marker(m) for m in range(1, n + 2))
 
 
-def test_chain_points_match_face_points_for_triangular():
-    lam = rho(3)
-    for w in all_permutations(3):
-        if not is_triangular_element(w):
-            continue
-        A = inversion_roots(w)
-        P = build_marked_poset(A, lam)
-        assert len(marked_chain_points(P)) == len(enumerate_lattice_points(A, lam))
+def _elements(A):
+    return _markers(A.n) + A.sorted_roots()
 
 
-def test_chain_count_can_agree_for_non_triangular_subsets():
-    """Equality of counts does not single out triangular subsets: the pair of
-    simple roots at rank 2 is non-triangular yet the counts agree."""
-    A = RootSubset.of(2, [Root(1, 1), Root(2, 2)])
-    assert not is_triangular_subset(A)
-    lam = DominantWeight((1, 1))
-    P = build_marked_poset(A, lam)
-    assert len(marked_chain_points(P)) == len(enumerate_lattice_points(A, lam))
+def _marking(lam, m):
+    """The tail sum m_m + ... + m_n that marks a_m; 0 for a_{n+1}."""
+    return sum(lam.coeffs[m.index - 1:])
 
 
-def test_chain_equals_order_counts_all_subsets_rank2():
-    lam = DominantWeight((2, 1))
-    for A in all_subsets(2):
-        for t in (1, 2, 3):
-            P = build_marked_poset(A, lam.scale(t))
-            assert len(marked_chain_points(P)) == len(marked_order_points(P))
+@lru_cache(maxsize=None)
+def _reference_covers(A):
+    """All pairs (upper, lower) with nothing strictly between, by brute
+    force over every triple; cached, as several sweeps share subsets."""
+    els = _elements(A)
+    greater = {(x, y) for x in els for y in els if _reference_greater(x, y)}
+    return frozenset((x, y) for x, y in greater
+                     if not any((x, z) in greater and (z, y) in greater for z in els))
 
 
-def test_order_points_respect_interval_bounds():
-    A = RootSubset.full(2)
-    lam = DominantWeight((2, 1))
-    P = build_marked_poset(A, lam)
-    pts = marked_order_points(P)
-    assert pts.roots == (Root(1, 1), Root(1, 2), Root(2, 2))
-    for top, mid, low in pts.tuples:
-        assert 1 <= top <= 3
-        assert 0 <= mid <= 3
-        assert 0 <= low <= 1
-        assert top >= mid >= low
-    assert len(pts) == len(marked_chain_points(P))
+def _reference_upper_covers(A):
+    roots = A.sorted_roots()
+    covers = _reference_covers(A)
+    return [[c for c, q in enumerate(roots) if (q, r) in covers] for r in roots]
 
 
-def _reference_order_points(P):
-    """Every integer point of the box [0, marking(a_1)]^A, in lexicographic
-    order, that respects `P.greater`: x_q >= x_r for roots q > r, and a
-    root below (above) a marker is at most (at least) its marking."""
-    roots = P.A.sorted_roots()
-    top = P.marking(Marker(1))
-    pairs = [(a, b) for a in range(len(roots)) for b in range(len(roots))
-             if P.greater(roots[a], roots[b])]
-    ceilings = [min([P.marking(m) for m in P.markers if P.greater(m, r)]) for r in roots]
-    floors = [max([P.marking(m) for m in P.markers if P.greater(r, m)]) for r in roots]
-    return tuple(x for x in product(range(top + 1), repeat=len(roots))
-                 if all(floors[c] <= x[c] <= ceilings[c] for c in range(len(roots)))
-                 and all(x[a] >= x[b] for a, b in pairs))
-
-
-def test_order_points_match_brute_force_reference():
-    """Point by point, on every subset at ranks 1-3, at rho and at one
-    weight with a zero coefficient."""
-    checked = 0
-    for n, other in ((1, (0,)), (2, (2, 0)), (3, (1, 0, 2))):
-        for lam in (rho(n), DominantWeight(other)):
-            for A in all_subsets(n):
-                P = build_marked_poset(A, lam)
-                got = marked_order_points(P)
-                assert got.roots == A.sorted_roots()
-                assert got.tuples == _reference_order_points(P)
-                checked += 1
-    assert checked == 2 * (2 + 8 + 64)
-
-
-def _reference_marker_chains(P):
+def _reference_marker_chains(A):
     """The saturated chains running from a marker down through unmarked
     roots to the next marker they meet, as {roots: (top, bottom marker)}."""
     below = {}
-    for upper, lower in P.covers():
+    for upper, lower in sorted(_reference_covers(A)):
         below.setdefault(upper, []).append(lower)
     found = {}
 
@@ -163,15 +118,174 @@ def _reference_marker_chains(P):
                 descend(top, trail, nxt)
                 trail.pop()
 
-    for m in P.markers:
+    for m in _markers(A.n):
         descend(m, [], m)
     return found
 
 
-def _reference_chain_inequalities(P, chains):
+# Every subset at ranks 1-4, and 300 seeded random subsets each at ranks 5
+# and 6: the sweep the grid-read covers are checked on.
+COVER_SWEEP = ([A for n in (1, 2, 3, 4) for A in all_subsets(n)]
+               + random_subsets(5, 300, seed=5) + random_subsets(6, 300, seed=6))
+
+
+def test_marker_count_and_markings():
+    """The markings are the tail sums of the weight, `to_partition`."""
+    lam = DominantWeight((2, 1))
+    assert len(_markers(2)) == 3
+    assert [_marking(lam, m) for m in _markers(2)] == [3, 1, 0]
+    for n in (1, 2, 3):
+        for c in product(range(3), repeat=n):
+            lam = DominantWeight(c)
+            assert tuple(_marking(lam, m) for m in _markers(n)) == to_partition(lam)
+
+
+def test_first_marker_on_top_last_on_bottom():
+    for A in all_subsets(3):
+        top, bottom = Marker(1), Marker(4)
+        others = [e for e in _elements(A) if e not in (top, bottom)]
+        assert all(_reference_greater(top, e) for e in others + [bottom])
+        assert all(_reference_greater(e, bottom) for e in others + [top])
+
+
+def test_root_sits_between_its_markers():
+    assert _reference_greater(Marker(1), Root(1, 2))
+    assert _reference_greater(Root(1, 2), Marker(3))
+    assert not _reference_greater(Root(1, 2), Marker(2))
+    assert not _reference_greater(Marker(2), Root(1, 2))
+
+
+def test_covers_are_a_transitive_reduction():
+    """The root covers read off the grid are the reference covers between
+    roots, markers counted: on every subset at ranks 1-4 and on 300 seeded
+    random subsets each at ranks 5 and 6."""
+    assert len(COVER_SWEEP) == 2 + 8 + 64 + 1024 + 600
+    for A in COVER_SWEEP:
+        assert _upper_covers(A.sorted_roots()) == _reference_upper_covers(A), A
+
+
+def test_chain_supports_match_the_reference_walk():
+    """The chain walk over the grid-read covers finds the chains the
+    reference walk over all covers finds, on the same sweep."""
+    for A in COVER_SWEEP:
+        assert _chain_supports(A) == sorted(_reference_marker_chains(A)), A
+
+
+def test_a_marker_between_two_roots_breaks_their_cover():
+    """alpha_11 > a_2 > alpha_22, so alpha_11 does not cover alpha_22, and
+    each simple root is a chain of its own."""
+    A = RootSubset.of(2, [Root(1, 1), Root(2, 2)])
+    assert _reference_greater(Root(1, 1), Marker(2)) and _reference_greater(Marker(2), Root(2, 2))
+    assert _upper_covers(A.sorted_roots()) == [[], []]
+    assert _chain_supports(A) == [(Root(1, 1),), (Root(2, 2),)]
+
+
+def test_rank_mismatch_is_rejected():
+    """A subset and a weight of different ranks are refused by each point
+    and count function."""
+    A = RootSubset.full(2)
+    for lam in (rho(1), rho(3)):
+        for fn in (marked_chain_points, count_chain_points, marked_order_points, count_order_points):
+            with pytest.raises(ValueError, match="rank"):
+                fn(A, lam)
+
+
+def test_chain_points_match_face_points_for_triangular():
+    lam = rho(3)
+    for w in all_permutations(3):
+        if not is_triangular_element(w):
+            continue
+        A = inversion_roots(w)
+        assert len(marked_chain_points(A, lam)) == len(enumerate_lattice_points(A, lam))
+
+
+def test_chain_count_can_agree_for_non_triangular_subsets():
+    """Equality of counts does not single out triangular subsets: the pair of
+    simple roots at rank 2 is non-triangular yet the counts agree."""
+    A = RootSubset.of(2, [Root(1, 1), Root(2, 2)])
+    assert not is_triangular_subset(A)
+    lam = DominantWeight((1, 1))
+    assert len(marked_chain_points(A, lam)) == len(enumerate_lattice_points(A, lam))
+
+
+def test_face_count_equals_chain_count_exactly_where_the_identity_holds():
+    """On the bounded non-triangular subsets at ranks 3 and 4, the face
+    count at rho equals the chain count exactly where the face is the
+    marked chain polytope; both counted without listing a point."""
+    tallies = []
+    for n in (3, 4):
+        lam, equal, bounded = rho(n), 0, 0
+        for A in all_subsets(n):
+            if is_triangular_subset(A):
+                continue
+            try:
+                face = count_integer_points(n, A.sorted_roots(), build_inequalities(A, lam))
+            except UnboundedFaceError:
+                continue
+            same = face == count_chain_points(A, lam)
+            assert same == is_marked_chain_face(A), A
+            bounded += 1
+            equal += same
+        tallies.append((equal, bounded))
+    assert tallies == [(18, 26), (253, 617)]
+
+
+def test_chain_equals_order_counts_all_subsets_rank2():
+    lam = DominantWeight((2, 1))
+    for A in all_subsets(2):
+        for t in (1, 2, 3):
+            nu = lam.scale(t)
+            assert len(marked_chain_points(A, nu)) == len(marked_order_points(A, nu))
+
+
+def test_order_points_respect_interval_bounds():
+    A = RootSubset.full(2)
+    lam = DominantWeight((2, 1))
+    pts = marked_order_points(A, lam)
+    assert pts.roots == (Root(1, 1), Root(1, 2), Root(2, 2))
+    for top, mid, low in pts.tuples:
+        assert 1 <= top <= 3
+        assert 0 <= mid <= 3
+        assert 0 <= low <= 1
+        assert top >= mid >= low
+    assert len(pts) == len(marked_chain_points(A, lam))
+
+
+def _reference_order_points(A, lam):
+    """Every integer point of the box [0, marking(a_1)]^A, in lexicographic
+    order, that respects `_reference_greater`: x_q >= x_r for roots q > r,
+    and a root below (above) a marker is at most (at least) its marking."""
+    roots, markers = A.sorted_roots(), _markers(A.n)
+    top = _marking(lam, markers[0])
+    pairs = [(a, b) for a in range(len(roots)) for b in range(len(roots))
+             if _reference_greater(roots[a], roots[b])]
+    ceilings = [min([_marking(lam, m) for m in markers if _reference_greater(m, r)])
+                for r in roots]
+    floors = [max([_marking(lam, m) for m in markers if _reference_greater(r, m)])
+              for r in roots]
+    return tuple(x for x in product(range(top + 1), repeat=len(roots))
+                 if all(floors[c] <= x[c] <= ceilings[c] for c in range(len(roots)))
+                 and all(x[a] >= x[b] for a, b in pairs))
+
+
+def test_order_points_match_brute_force_reference():
+    """Point by point, on every subset at ranks 1-3, at rho and at one
+    weight with a zero coefficient."""
+    checked = 0
+    for n, other in ((1, (0,)), (2, (2, 0)), (3, (1, 0, 2))):
+        for lam in (rho(n), DominantWeight(other)):
+            for A in all_subsets(n):
+                got = marked_order_points(A, lam)
+                assert got.roots == A.sorted_roots()
+                assert got.tuples == _reference_order_points(A, lam)
+                checked += 1
+    assert checked == 2 * (2 + 8 + 64)
+
+
+def _reference_chain_inequalities(lam, chains):
     """The chain system bounded by marking differences: each chain's top
-    marking less its bottom marking, at the weight of P."""
-    return [Inequality(support, P.marking(top) - P.marking(bottom))
+    marking less its bottom marking, at lam."""
+    return [Inequality(support, _marking(lam, top) - _marking(lam, bottom))
             for support, (top, bottom) in sorted(chains.items())]
 
 
@@ -185,11 +299,10 @@ def test_chain_bounds_are_path_bounds_of_their_supports():
     sweeps += [(A, [rho(4)]) for A in all_subsets(4)]
     assert sum(len(weights) for _, weights in sweeps) == 2 * 3 + 8 * 9 + 64 * 27 + 1024
     for A, weights in sweeps:
-        P = build_marked_poset(A, weights[0])
-        supports, chains = _chain_supports(P), _reference_marker_chains(P)
+        supports, chains = _chain_supports(A), _reference_marker_chains(A)
         for lam in weights:
             assert (support_inequalities(supports, lam)
-                    == _reference_chain_inequalities(build_marked_poset(A, lam), chains))
+                    == _reference_chain_inequalities(lam, chains))
 
 
 def test_chain_supports_are_path_supports_for_triangular_subsets():
@@ -199,8 +312,7 @@ def test_chain_supports_are_path_supports_for_triangular_subsets():
     triangular = [A for n in (1, 2, 3, 4) for A in all_subsets(n) if is_triangular_subset(A)]
     assert len(triangular) == 242
     for A in triangular:
-        chains = _chain_supports(build_marked_poset(A, rho(A.n)))
-        assert set(chains) <= set(enumerate_dyck_paths_for(A))
+        assert set(_chain_supports(A)) <= set(enumerate_dyck_paths_for(A))
 
 
 def test_counts_match_the_enumerators():
@@ -212,15 +324,13 @@ def test_counts_match_the_enumerators():
     sweeps += [(A, rho(4)) for A in all_subsets(4)]
     assert len(sweeps) == 2 * 3 + 8 * 9 + 64 * 27 + 1024
     for A, lam in sweeps:
-        P = build_marked_poset(A, lam)
-        assert count_order_points(P) == len(marked_order_points(P))
-        assert count_chain_points(P) == len(marked_chain_points(P))
+        assert count_order_points(A, lam) == len(marked_order_points(A, lam))
+        assert count_chain_points(A, lam) == len(marked_chain_points(A, lam))
 
 
 def test_order_count_reaches_rank5_dilations():
     """The DP counts what no enumeration could list: 3 rho(5) is 4^15."""
-    P = build_marked_poset(RootSubset.full(5), rho(5).scale(3))
-    assert count_order_points(P) == 4 ** 15
+    assert count_order_points(RootSubset.full(5), rho(5).scale(3)) == 4 ** 15
 
 
 def test_identity_holds_for_every_triangular_subset():
@@ -295,31 +405,31 @@ def test_certificate_agrees_with_packed_sums_at_large_rank3_weights():
     assert _assert_sums_fill_dilations(cases) == 52 * 10
 
 
-def _lower_covers(P):
-    """Each root of P with its lower covers, roots and markers alike."""
-    below = {r: [] for r in P.A.sorted_roots()}
-    for upper, lower in P.covers():
+def _lower_covers(A):
+    """Each root of A with its lower covers in the reference order, roots
+    and markers alike."""
+    below = {r: [] for r in A.sorted_roots()}
+    for upper, lower in _reference_covers(A):
         if isinstance(upper, Root):
             below[upper].append(lower)
     return below
 
 
-def _hermite_split(P, P_k, k, u, below):
-    """Split a point u of the chain polytope of P_k, at k times the weight
-    of P, into k points of the chain polytope of P, through the transfer
-    map: lift u to x in the order polytope of P_k (bottom up, x_p = u_p +
-    the largest x of a lower cover of p), take the Hermite pieces
-    floor((x + j) / k), j = 0..k-1, and map each piece back."""
-    roots = P.A.sorted_roots()
+def _hermite_split(roots, lam, k, u, below):
+    """Split a point u of the chain polytope at k lam into k points of the
+    chain polytope at lam, through the transfer map: lift u to x in the
+    order polytope at k lam (bottom up, x_p = u_p + the largest x of a
+    lower cover of p), take the Hermite pieces floor((x + j) / k), j =
+    0..k-1, and map each piece back."""
 
-    def top_below(x, r, marking):
-        return max(x[q] if isinstance(q, Root) else marking(q) for q in below[r])
+    def top_below(x, r, nu):
+        return max(x[q] if isinstance(q, Root) else _marking(nu, q) for q in below[r])
 
-    x = {}
+    x, lam_k = {}, lam.scale(k)
     for r, v in reversed(list(zip(roots, u))):  # a lower cover of r is later, or a marker
-        x[r] = v + top_below(x, r, P_k.marking)
+        x[r] = v + top_below(x, r, lam_k)
     pieces = [{r: (x[r] + j) // k for r in roots} for j in range(k)]
-    return [tuple(piece[r] - top_below(piece, r, P.marking) for r in roots)
+    return [tuple(piece[r] - top_below(piece, r, lam) for r in roots)
             for piece in pieces]
 
 
@@ -332,12 +442,10 @@ def test_hermite_split_writes_dilated_points_as_sums():
     for n, other in ((1, (2,)), (2, (2, 0)), (3, (1, 0, 2))):
         for A, lam, S in _certified_cases(n, [rho(n), DominantWeight(other)]):
             face = set(S.tuples)
-            P = build_marked_poset(A, lam)
-            below = _lower_covers(P)
+            below = _lower_covers(A)
             for k in (2, 3):
-                P_k = build_marked_poset(A, lam.scale(k))
-                for u in marked_chain_points(P_k).tuples:
-                    pieces = _hermite_split(P, P_k, k, u, below)
+                for u in marked_chain_points(A, lam.scale(k)).tuples:
+                    pieces = _hermite_split(S.roots, lam, k, u, below)
                     assert all(piece in face for piece in pieces)
                     assert tuple(map(sum, zip(*pieces))) == u
                     checked += 1

@@ -12,7 +12,6 @@ import fflv.polytope
 from fflv.characters import weyl_dimension
 from fflv.marked_poset import (
     _chain_supports,
-    build_marked_poset,
     count_order_points,
     marked_chain_points,
     marked_order_points,
@@ -129,18 +128,18 @@ def test_embed_and_membership_build_one_system_per_call(monkeypatch):
 
 
 def test_searches_leave_no_cyclic_garbage():
-    """The depth-first searches are self-calling closures.  Each returns with
-    its reference cycle broken, so the points it found are freed with the
-    result and not kept until a full collection runs.  The collector is
-    off during the calls, so no automatic collection hides a cycle."""
+    """The point searches are self-calling closures, each returning with
+    its reference cycle broken, and the chain and path walks make none, so
+    what they found is freed with the result and not kept until a full
+    collection runs.  The collector is off during the calls, so no
+    automatic collection hides a cycle."""
     lam = rho(3)
-    P = build_marked_poset(full(3), lam)
     searches = [lambda: enumerate_lattice_points(full(3), lam),
                 lambda: count_integer_points(3, full(3).sorted_roots(),
                                              build_inequalities(full(3), lam)),
-                lambda: marked_order_points(P),
-                lambda: count_order_points(P),
-                lambda: _chain_supports(P),
+                lambda: marked_order_points(full(3), lam),
+                lambda: count_order_points(full(3), lam),
+                lambda: _chain_supports(full(3)),
                 lambda: enumerate_dyck_paths(3)]
     gc.collect()
     gc.disable()
@@ -258,9 +257,8 @@ def test_every_producer_emits_strictly_increasing_tuples():
     for A in faces:
         S = enumerate_lattice_points(A, lam)
         T = enumerate_lattice_points(A, DominantWeight((0, 1, 2)))
-        poset = build_marked_poset(A, lam)
         produced = [S, minkowski_sum(S, T), minkowski_sum(T, S), dilate(S, 3),
-                    marked_chain_points(poset), marked_order_points(poset)]
+                    marked_chain_points(A, lam), marked_order_points(A, lam)]
         for P in produced:
             assert_strictly_increasing(P)
     module = build_highest_weight_module(rho(3))

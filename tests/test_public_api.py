@@ -9,10 +9,10 @@ import fflv
 # are not public names: `__all__` lists what the package imports from them.
 PUBLIC = [
     "Character", "DimensionCapError", "DominantWeight", "ExplicitModule",
-    "Inequality", "IntSpan", "MarkedPoset", "Marker", "MonomialBasisReport",
+    "Inequality", "IntSpan", "MonomialBasisReport",
     "Permutation", "PointSet", "Root", "RootSubset", "TensorSpace",
     "UnboundedFaceError", "all_permutations", "all_positive_roots", "base_root",
-    "build_highest_weight_module", "build_inequalities", "build_marked_poset",
+    "build_highest_weight_module", "build_inequalities",
     "cartan_component_dimension", "character_from_lattice_points",
     "connected_blocks", "count_chain_points", "count_integer_points",
     "count_order_points", "degree_histogram", "demazure_character_oracle",
