@@ -20,10 +20,10 @@ chains by marking differences, which are the path bounds of `polytope` read
 off each chain's support; the order polytope squeezes each coordinate
 between its neighbouring markings and its upper root covers.  Both have the
 same number of integer points at every dilation.  Each side has an
-enumerator and a counter that lists no point: the chain count runs the
-enumerator's own search, the order count is a dynamic programme over the
-order enumerator's root order.  Each takes a subset and a weight of the
-same rank, as `enumerate_lattice_points` does.
+enumerator and a counter that lists no point: the chain count runs over
+the state graph of `polytope.count_integer_points`, the order count is a
+dynamic programme over the order enumerator's root order.  Each takes a
+subset and a weight of the same rank, as `enumerate_lattice_points` does.
 
 `is_marked_chain_face` compares the face system of a subset with its chain
 system, free of the weight.  Where they agree, the face is the marked chain
@@ -138,7 +138,8 @@ def marked_chain_points(A: RootSubset, lam: DominantWeight) -> PointSet:
 
 def count_chain_points(A: RootSubset, lam: DominantWeight) -> int:
     """The number of integer points of the marked chain polytope, counted
-    by the enumerator's search without listing them."""
+    over the slack-state graph of `count_integer_points` without listing
+    them."""
     return count_integer_points(A.n, A.sorted_roots(), _chain_system(A, lam))
 
 

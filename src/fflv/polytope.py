@@ -9,10 +9,11 @@ and the polytope is the set of nonnegative real coordinate vectors indexed by
 A satisfying all of them.  A system is a sorted tuple of supports, free of
 the weight; `support_inequalities` reads each bound off its support's base
 root, for the path supports here and for the marked chain supports of
-`marked_poset` alike.  This module enumerates the integer points exactly,
-counts them with the same search when only their number is wanted, embeds
-them into the full-triangle polytope, and forms Minkowski sums and
-dilations.  Everything is integer arithmetic.
+`marked_poset` alike.  This module enumerates the integer points exactly
+and counts them without listing them, both over one state graph that
+merges prefixes with equal completions; it embeds them into the
+full-triangle polytope, and forms Minkowski sums and dilations.
+Everything is integer arithmetic.
 
 A point is a tuple of values aligned with its set's root tuple, and a point
 set is one tuple of such tuples in strictly increasing lexicographic order.
@@ -24,7 +25,7 @@ callers read `PointSet.tuples`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .paths import base_root, enumerate_dyck_paths_for
 from .roots import DominantWeight, Root, all_positive_roots, pairing
@@ -88,118 +89,187 @@ def build_inequalities(A: RootSubset, lam: DominantWeight) -> list[Inequality]:
 
 def _search_plan(
     n: int, roots: tuple[Root, ...], ineqs: list[Inequality]
-) -> Optional[tuple[list[list[int]], list[tuple[int, ...]], list[int]]]:
-    """The set-up of the depth-first search over `roots`, shared by the
-    enumerator and the counter: per coordinate, the inequalities containing
-    it and those of them that a later coordinate still reads, and the
-    starting slacks.  None when some bound is negative, so no nonnegative
-    point exists.  Raises UnboundedFaceError for the first coordinate that
-    occurs in no inequality."""
-    touching: list[list[int]] = [[] for _ in roots]
+) -> Optional[list[tuple[int, int]]]:
+    """Per inequality, its support as a bit mask over the coordinates of
+    `roots` (bit c for coordinate c) and its bound.  None when some bound
+    is negative, so no nonnegative point exists.  Raises UnboundedFaceError
+    for the first coordinate that occurs in no inequality."""
     index = {r: c for c, r in enumerate(roots)}
-    for t, q in enumerate(ineqs):
-        for r in q.support:
-            touching[index[r]].append(t)
+    rows = [(sum([1 << c for c in {index[r] for r in q.support}]), q.bound) for q in ineqs]
+    covered = 0
+    for mask, _ in rows:
+        covered |= mask
     for c, r in enumerate(roots):
-        if not touching[c]:
+        if not covered >> c & 1:
             raise UnboundedFaceError(n, r)
-    if any(q.bound < 0 for q in ineqs):
+    if any(bound < 0 for _, bound in rows):
         return None
-    last_reader = {t: c for c, ts in enumerate(touching) for t in ts}
-    read_later = [tuple(t for t in ts if last_reader[t] > c) for c, ts in enumerate(touching)]
-    return touching, read_later, [q.bound for q in ineqs]
+    return rows
+
+
+def _minimal(masks: list[int], among: list[int]) -> tuple[int, ...]:
+    """The indices in `among` whose mask contains no other mask of `among`."""
+    return tuple([i for i in among
+                  if not any(k != i and masks[k] & masks[i] == masks[k] for k in among)])
+
+
+def _slack_graph(m: int, rows: list[tuple[int, int]]) -> Iterator[list[list[int]]]:
+    """The state graph of the nonnegative integer solutions of `rows` over
+    m coordinates, one depth at a time: for each c < m, per state at depth
+    c, the states at depth c + 1 that coordinate c's values 0, 1, ..., cap
+    lead to.  Depth 0 holds one state, the root, and so does depth m.
+
+    A remaining support at depth c is the nonempty part at c or later of
+    some inequality's support.  The state of a prefix of c values holds,
+    per remaining support in increasing mask order, the least remaining
+    bound of the inequalities whose support contains it: the slacks merged
+    and tightened at once (see `count_integer_points` for why equal states
+    have equal completions).  So a slack is at most that of any larger
+    support, and the least slack over a family of supports is the least
+    over its minimal members (`_minimal`), which are all the loop reads:
+    for the cap of coordinate c, and for each remaining support at depth
+    c + 1 the supports at depth c that contain it, split into those
+    containing c, whose slack drops by the value of c, and the others.
+    Only the current depth's states are kept, so a caller that reads each
+    depth once holds one depth alive.
+    """
+    supports = sorted({mask for mask, _ in rows if mask})
+    root = tuple([min([bound for mask, bound in rows if mask & s == s]) for s in supports])
+    states = [root]
+    for c in range(m):
+        bit = 1 << c
+        after = sorted({s & ~bit for s in supports} - {0})
+        hit = [i for i, s in enumerate(supports) if s & bit]
+        missed = [i for i, s in enumerate(supports) if not s & bit]
+        caps = _minimal(supports, hit)
+        take = [_minimal(supports, [i for i in hit if t & ~supports[i] == 0]) for t in after]
+        keep = [_minimal(supports, [i for i in missed if t & ~supports[i] == 0]) for t in after]
+        ids: dict[tuple[int, ...], int] = {}
+        level = []
+        for state in states:
+            cap = min([state[i] for i in caps])
+            # The new slack is min(x - v, y); a side with no support gets a
+            # stand-in that never wins for v <= cap.
+            pairs = []
+            for tk, kp in zip(take, keep):
+                x = min([state[i] for i in tk]) if tk else None
+                y = min([state[i] for i in kp]) if kp else None
+                pairs.append((y + cap if x is None else x, x if y is None else y))
+            # A state not seen before at depth c + 1 gets the next id.
+            level.append([ids.setdefault(tuple([x - v if x - v < y else y for x, y in pairs]),
+                                         len(ids)) for v in range(cap + 1)])
+        yield level
+        supports, states = after, list(ids)
 
 
 def enumerate_integer_points(
     n: int, roots: tuple[Root, ...], ineqs: list[Inequality]
 ) -> PointSet:
     """Nonnegative integer vectors indexed by `roots` satisfying every
-    inequality.
+    inequality, in lexicographic order.  Raises UnboundedFaceError for the
+    first coordinate that occurs in no inequality.
 
-    Depth-first assignment in the given coordinate order, keeping the
-    remaining slack of every inequality; a coordinate's range at each step is
-    capped by the least slack among the inequalities containing it.  Raises
-    UnboundedFaceError for the first coordinate that occurs in no inequality.
+    The points are read off the state graph of `_slack_graph`, in which a
+    state at depth c stands for every prefix of c values reaching it, and
+    its completions are the same for all of them (`count_integer_points`).
+    A backward pass gives each state its number of completions.  The split
+    depth d is the first depth whose states' completion counts sum to at
+    most a sixteenth of the number of points (or m, the number of
+    coordinates, if none does).  Every state at depth d gets its suffix
+    list, the list of its completions, built once, bottom-up from depth m:
+    a state's list is, for v = 0, 1, ..., cap, the value v in front of
+    each entry of its v-th child's list.  Then the prefixes of depth d are
+    walked breadth-first, each extended by its state's suffix list.
 
-    Emission order: a node of depth c holds a fixed prefix of c values and
-    visits the values of coordinate c in increasing order, so every point
-    below value v precedes every point below v + 1.  By induction on the
-    depth, the points come out in lexicographic order of their tuples,
-    whatever the coordinate order, which is the order `PointSet` keeps.
-    The last coordinate's values form one range and are emitted in one
-    batch.
+    Emission order: the prefixes at each depth come out in lexicographic
+    order, since each one's children follow in increasing value order, and
+    by induction on the depth from m, each suffix list is in lexicographic
+    order too.  A point is its prefix followed by a suffix, so the points
+    come out in lexicographic order of their tuples, whatever the
+    coordinate order, which is the order `PointSet` keeps.
 
-    Slack bookkeeping: while coordinate c holds value v, the slack of each
-    inequality containing c must be its entry value minus v.  Every child
-    returns with all slacks as it found them (induction on the depth; a
-    leaf changes none), so subtracting 1 after each value gives the slack
-    for the next value, and adding back the number of values, cap + 1, once
-    after the loop restores the entry state exactly.  An inequality whose
-    last coordinate is c is read by no node below c, so its slack is not
-    updated at all.  A negative bound admits no nonnegative point, so the
-    result is then empty; with every bound nonnegative, v <= cap <= slack
-    keeps every slack, and so every cap, nonnegative.
+    Memory: a state at depth c + 1 is reached from some state at depth c,
+    and a parent's completion count is the sum of its children's, so the
+    summed completion counts never grow with depth.  The suffix lists
+    alive at any time, those of depth c + 1 while depth c is built, so
+    hold at most an eighth as many entries as there are points, each
+    shorter than a point; the lists of depth c + 1 are dropped once depth
+    c is built.  The prefix list of each depth holds at most one entry per
+    point.  A quarter in place of a sixteenth was slower on the full
+    triangle at rho(5) and 3 rho(4), and its larger suffix lists raised
+    the peak memory of a `points` export.
     """
-    plan = _search_plan(n, roots, ineqs)
-    if plan is None:
+    rows = _search_plan(n, roots, ineqs)
+    if rows is None:
         return PointSet(n, roots, ())
-    if not roots:
-        return PointSet(n, roots, ((),))
-    touching, read_later, slack = plan
-    slack_of = slack.__getitem__
-    leaf = len(roots) - 1
-    found: list[tuple[int, ...]] = []
-
-    def assign(c: int, prefix: tuple[int, ...]) -> None:
-        cap = min(map(slack_of, touching[c]))
-        if c == leaf:
-            found.extend([prefix + (v,) for v in range(cap + 1)])
-            return
-        updated = read_later[c]
-        for v in range(cap + 1):
-            assign(c + 1, prefix + (v,))
-            for t in updated:
-                slack[t] -= 1
-        for t in updated:
-            slack[t] += cap + 1
-
-    assign(0, ())
-    del assign  # break the closure's self-reference, a cycle only gc would free
-    return PointSet(n, roots, tuple(found))
+    m = len(roots)
+    levels = list(_slack_graph(m, rows))
+    completions = [[1]]
+    for level in reversed(levels):
+        below = completions[-1]
+        completions.append([sum([below[k] for k in kids]) for kids in level])
+    completions.reverse()
+    total = completions[0][0]
+    split = next((c for c in range(m + 1) if 16 * sum(completions[c]) <= total), m)
+    suffixes: list[list[tuple[int, ...]]] = [[()]]
+    for level in reversed(levels[split:]):
+        below = suffixes
+        suffixes = []
+        for kids in level:
+            found = []
+            for v, k in enumerate(kids):
+                found += map((v,).__add__, below[k])
+            suffixes.append(found)
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for level in levels[:split]:
+        prefixes = [(p + (v,), k) for p, s in prefixes for v, k in enumerate(level[s])]
+    points: list[tuple[int, ...]] = []
+    for p, s in prefixes:
+        points += map(p.__add__, suffixes[s])
+    return PointSet(n, roots, tuple(points))
 
 
 def count_integer_points(
     n: int, roots: tuple[Root, ...], ineqs: list[Inequality]
 ) -> int:
-    """The number of points `enumerate_integer_points` would return, found
-    by the same search without building a point: a leaf adds its cap + 1
-    values.  Raises the same UnboundedFaceError."""
-    plan = _search_plan(n, roots, ineqs)
-    if plan is None:
+    """The number of points `enumerate_integer_points` returns, counted
+    over the state graph of `_slack_graph` without building a point.
+    Raises the same UnboundedFaceError.
+
+    Soundness.  Fix coordinates 0..c-1 of a prefix.  An inequality then
+    constrains the rest only through its remaining support R, its support
+    at c or later, and its remaining bound, its bound minus the prefix's
+    sum over its support.  Of the inequalities with the same R, the one
+    with the least remaining bound implies the others, so they merge to
+    that least slack.  If R lies inside R' and R' has the smaller slack,
+    the inequality on R' implies the one on R, because every coordinate is
+    nonnegative: the sum over R is at most the sum over R'.  So each slack
+    is tightened to the least slack over the remaining supports containing
+    it.  Neither step changes the set of completions, and the tightened
+    slacks, one per remaining support, are all that set depends on: the
+    remaining supports at depth c are the same for every prefix, so
+    prefixes with equal states have equal completions.  Coordinate c may
+    take the values 0..cap, cap the least slack of a support containing c;
+    a larger value breaks that inequality whatever follows, and with it
+    every slack stays nonnegative, so each state has a completion (all
+    zeros).
+
+    The count is the number of paths from the root to depth m: one pass
+    down the graph keeps, per state of the current depth, the number of
+    prefixes reaching it, so only one depth is alive.
+    """
+    rows = _search_plan(n, roots, ineqs)
+    if rows is None:
         return 0
-    if not roots:
-        return 1
-    touching, read_later, slack = plan
-    slack_of = slack.__getitem__
-    leaf = len(roots) - 1
-
-    def count(c: int) -> int:
-        cap = min(map(slack_of, touching[c]))
-        if c == leaf:
-            return cap + 1
-        updated = read_later[c]
-        total = 0
-        for _ in range(cap + 1):
-            total += count(c + 1)
-            for t in updated:
-                slack[t] -= 1
-        for t in updated:
-            slack[t] += cap + 1
-        return total
-
-    total = count(0)
-    del count  # break the closure's self-reference, a cycle only gc would free
-    return total
+    ways = [1]
+    for level in _slack_graph(len(roots), rows):
+        # Every state of the next depth is some state's child.
+        reached = [0] * (1 + max([k for kids in level for k in kids]))
+        for w, kids in zip(ways, level):
+            for k in kids:
+                reached[k] += w
+        ways = reached
+    return ways[0]
 
 
 def enumerate_lattice_points(A: RootSubset, lam: DominantWeight) -> PointSet:

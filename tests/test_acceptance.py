@@ -20,9 +20,12 @@ from fflv import (
     all_permutations,
     all_positive_roots,
     build_highest_weight_module,
+    build_inequalities,
     character_from_lattice_points,
+    count_integer_points,
     degree_histogram,
     demazure_character_oracle,
+    demazure_dimension_oracle,
     demazure_submodule,
     dilate,
     enumerate_lattice_points,
@@ -265,3 +268,19 @@ def test_criterion_8_essential_monomials_and_products(capsys):
                 problems.append(f"product component mismatch, {lam.coeffs}, "
                                 f"A={[r.label for r in A.sorted_roots()]}")
     finish(capsys, 8, "essential monomials and products", problems, t0, budget=60.0)
+
+
+@pytest.mark.slow
+def test_face_counts_are_demazure_dimensions_at_rank5():
+    """The Hilbert-function side of the flat degeneration at rank 5: for
+    each of the 366 triangular elements and t = 1, 2, the face at t rho(5)
+    has dim V_w(t rho(5)) lattice points.  Counted without listing them;
+    about 25 s, nearly all of it the character oracle."""
+    elements = triangular_elements(5)
+    assert len(elements) == 366
+    for t in (1, 2):
+        lam = rho(5).scale(t)
+        for w in elements:
+            A = inversion_roots(w)
+            count = count_integer_points(5, A.sorted_roots(), build_inequalities(A, lam))
+            assert count == demazure_dimension_oracle(w, lam), (w, t)

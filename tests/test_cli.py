@@ -368,6 +368,16 @@ def test_verify_no_rep_and_text_format(capsys):
     assert out.strip().splitlines()[-1] == "overall: ok"
 
 
+def test_verify_rank5_longest_element_without_modules(capsys):
+    """The polytope side of the rank-5 longest element, Ehrhart rows at
+    rho(5), 2 rho(5) and 3 rho(5) included; about a second."""
+    code, out, _ = run(capsys, "verify", "--w-oneline", "6 5 4 3 2 1",
+                       "--lambda", "1,1,1,1,1", "--no-rep")
+    assert code == 0
+    ehrhart = json.loads(out)["checks"]["marked_poset"]["ehrhart"]
+    assert ehrhart == [[32768, 32768], [14348907, 14348907], [1073741824, 1073741824]]
+
+
 def test_verify_dimension_cap_skips_rep(capsys):
     code, out, _ = run(capsys, "verify", "--w", "s1 s2", "--lambda", "1,1",
                        "--max-dim", "5")

@@ -333,6 +333,14 @@ def test_order_count_reaches_rank5_dilations():
     assert count_order_points(RootSubset.full(5), rho(5).scale(3)) == 4 ** 15
 
 
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_chain_and_order_counts_at_rank5_dilations(t):
+    """The Ehrhart rows of the full triangle at rank 5: both counts are
+    (t + 1)^15, the dimension of V(t rho(5))."""
+    A, lam = RootSubset.full(5), rho(5).scale(t)
+    assert count_chain_points(A, lam) == (t + 1) ** 15 == count_order_points(A, lam)
+
+
 def test_identity_holds_for_every_triangular_subset():
     """The face of every triangular subset at ranks 1-5 is its marked chain
     polytope at every weight; about 2 s, most of it rank 5."""

@@ -18,6 +18,8 @@ from fflv.marked_poset import (
 )
 from fflv.paths import enumerate_dyck_paths
 from fflv.polytope import (
+    _search_plan,
+    _slack_graph,
     Inequality,
     PointSet,
     UnboundedFaceError,
@@ -128,11 +130,11 @@ def test_embed_and_membership_build_one_system_per_call(monkeypatch):
 
 
 def test_searches_leave_no_cyclic_garbage():
-    """The point searches are self-calling closures, each returning with
-    its reference cycle broken, and the chain and path walks make none, so
-    what they found is freed with the result and not kept until a full
-    collection runs.  The collector is off during the calls, so no
-    automatic collection hides a cycle."""
+    """The order search is a self-calling closure that returns with its
+    reference cycle broken, and the state-graph enumerator and counter and
+    the chain and path walks make none, so what they found is freed with
+    the result and not kept until a full collection runs.  The collector
+    is off during the calls, so no automatic collection hides a cycle."""
     lam = rho(3)
     searches = [lambda: enumerate_lattice_points(full(3), lam),
                 lambda: count_integer_points(3, full(3).sorted_roots(),
@@ -323,6 +325,104 @@ def test_minkowski_sum_edge_sets():
         minkowski_sum(S, point_set((-1, 0)))
 
 
+def _reference_plan(n, roots, ineqs):
+    """The set-up of the node-by-node search: per coordinate, the
+    inequalities containing it and those of them a later coordinate still
+    reads, and the starting slacks.  None when some bound is negative.
+    Raises UnboundedFaceError for the first coordinate that occurs in no
+    inequality."""
+    touching = [[] for _ in roots]
+    index = {r: c for c, r in enumerate(roots)}
+    for t, q in enumerate(ineqs):
+        for r in q.support:
+            touching[index[r]].append(t)
+    for c, r in enumerate(roots):
+        if not touching[c]:
+            raise UnboundedFaceError(n, r)
+    if any(q.bound < 0 for q in ineqs):
+        return None
+    last_reader = {t: c for c, ts in enumerate(touching) for t in ts}
+    read_later = [tuple(t for t in ts if last_reader[t] > c) for c, ts in enumerate(touching)]
+    return touching, read_later, [q.bound for q in ineqs]
+
+
+def reference_points(n, roots, ineqs):
+    """Reference enumerator: the depth-first search over every node of the
+    prefix tree.  Each coordinate's values run from 0 up to the least slack
+    of the inequalities containing it, in increasing order, so the points
+    come out in lexicographic order; a child returns with the slacks as it
+    found them."""
+    plan = _reference_plan(n, roots, ineqs)
+    if plan is None:
+        return PointSet(n, roots, ())
+    if not roots:
+        return PointSet(n, roots, ((),))
+    touching, read_later, slack = plan
+    found = []
+
+    def assign(c, prefix):
+        cap = min(slack[t] for t in touching[c])
+        if c == len(roots) - 1:
+            found.extend(prefix + (v,) for v in range(cap + 1))
+            return
+        for v in range(cap + 1):
+            assign(c + 1, prefix + (v,))
+            for t in read_later[c]:
+                slack[t] -= 1
+        for t in read_later[c]:
+            slack[t] += cap + 1
+
+    assign(0, ())
+    return PointSet(n, roots, tuple(found))
+
+
+def reference_count(n, roots, ineqs):
+    """Reference counter: the same search, a leaf adding its cap + 1."""
+    plan = _reference_plan(n, roots, ineqs)
+    if plan is None:
+        return 0
+    if not roots:
+        return 1
+    touching, read_later, slack = plan
+
+    def count(c):
+        cap = min(slack[t] for t in touching[c])
+        if c == len(roots) - 1:
+            return cap + 1
+        total = 0
+        for _ in range(cap + 1):
+            total += count(c + 1)
+            for t in read_later[c]:
+                slack[t] -= 1
+        for t in read_later[c]:
+            slack[t] += cap + 1
+        return total
+
+    return count(0)
+
+
+def _outcome(search, n, roots, ineqs):
+    """What a search returns, or the root and message of its
+    UnboundedFaceError."""
+    try:
+        return search(n, roots, ineqs)
+    except UnboundedFaceError as exc:
+        return exc.root, str(exc)
+
+
+def assert_engine_matches_reference(n, roots, ineqs):
+    """The state-graph enumerator and counter against the node-by-node
+    search: the same point set in the same emission order and the same
+    count, or the same UnboundedFaceError root and message.  Returns the
+    reference outcome."""
+    expected = _outcome(reference_points, n, roots, ineqs)
+    assert _outcome(enumerate_integer_points, n, roots, ineqs) == expected
+    counted = _outcome(reference_count, n, roots, ineqs)
+    assert counted == (len(expected) if isinstance(expected, PointSet) else expected)
+    assert _outcome(count_integer_points, n, roots, ineqs) == counted
+    return expected
+
+
 def brute_force_points(n, roots, ineqs):
     """Reference enumerator: every vector over 0..max bound, kept when it
     satisfies every inequality, in `itertools.product` (lexicographic)
@@ -340,18 +440,16 @@ def brute_force_points(n, roots, ineqs):
 
 
 def assert_matches_brute_force(n, roots, ineqs):
+    """The engine against the node-by-node search, and that search against
+    the brute-force one."""
+    expected = assert_engine_matches_reference(n, roots, ineqs)
     try:
-        expected = brute_force_points(n, roots, ineqs)
+        brute = brute_force_points(n, roots, ineqs)
     except UnboundedFaceError as exc:
-        for search in (enumerate_integer_points, count_integer_points):
-            with pytest.raises(UnboundedFaceError) as err:
-                search(n, roots, ineqs)
-            assert err.value.root == exc.root
+        assert expected == (exc.root, str(exc))
         return
-    S = enumerate_integer_points(n, roots, ineqs)
-    assert (S.n, S.roots) == (n, roots)
-    assert S.tuples == tuple(expected)               # lexicographic emission order
-    assert count_integer_points(n, roots, ineqs) == len(expected)
+    assert (expected.n, expected.roots) == (n, roots)
+    assert expected.tuples == tuple(brute)               # lexicographic emission order
 
 
 @st.composite
@@ -382,7 +480,7 @@ def test_enumerator_matches_brute_force(system):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_every_small_face_matches_brute_force(n):
     """All 2**(n(n+1)/2) faces of rank n at a few small weights, bounded or
-    not, against the brute-force reference."""
+    not, against the node-by-node and the brute-force references."""
     positive = all_positive_roots(n)
     weights = [rho(n), fundamental_weight(1, n), DominantWeight((2,) + (0,) * (n - 1))]
     for size in range(len(positive) + 1):
@@ -399,46 +497,72 @@ def _all_subsets(n):
             yield RootSubset.of(n, members)
 
 
-def _search_outcome(search, n, roots, ineqs):
-    """The size of the result, or the message of the UnboundedFaceError."""
-    try:
-        result = search(n, roots, ineqs)
-    except UnboundedFaceError as exc:
-        return str(exc)
-    return result if isinstance(result, int) else len(result)
-
-
 def test_count_matches_enumeration_on_small_faces():
     """Every subset at ranks 1-3 for every weight in {0,1,2}^n, unbounded
-    faces included: the same count, or the same error."""
+    faces included: the engine's points and count are the reference's, or
+    it raises the same error."""
     checked = 0
     for n in (1, 2, 3):
         for A in _all_subsets(n):
             for coeffs in itertools.product(range(3), repeat=n):
                 ineqs = build_inequalities(A, DominantWeight(coeffs))
-                args = (n, A.sorted_roots(), ineqs)
-                assert (_search_outcome(count_integer_points, *args)
-                        == _search_outcome(enumerate_integer_points, *args))
+                assert_engine_matches_reference(n, A.sorted_roots(), ineqs)
                 checked += 1
     assert checked == 2 * 3 + 8 * 9 + 64 * 27
 
 
 def test_count_matches_enumeration_on_every_rank4_face():
-    """All 1,024 subsets at rank 4 at rho(4), within a budget of 2 s."""
+    """All 1,024 subsets at rank 4 at rho(4), unbounded ones included."""
     lam = rho(4)
     for A in _all_subsets(4):
-        args = (4, A.sorted_roots(), build_inequalities(A, lam))
-        assert (_search_outcome(count_integer_points, *args)
-                == _search_outcome(enumerate_integer_points, *args))
+        assert_engine_matches_reference(4, A.sorted_roots(), build_inequalities(A, lam))
+
+
+@pytest.mark.slow
+def test_every_bounded_rank4_face_matches_the_reference():
+    """The face systems of the 816 bounded subsets at rank 4, at rho(4),
+    (2,1,1,2) and (1,0,2,1), a zero coefficient among them; about 5 s."""
+    checked = 0
+    for A in _all_subsets(4):
+        for coeffs in ((1, 1, 1, 1), (2, 1, 1, 2), (1, 0, 2, 1)):
+            args = (4, A.sorted_roots(), build_inequalities(A, DominantWeight(coeffs)))
+            if isinstance(_outcome(reference_count, *args), int):
+                assert_engine_matches_reference(*args)
+                checked += 1
+    assert checked == 3 * 816
 
 
 def test_count_raises_the_enumerators_unbounded_error():
     A = RootSubset.of(3, [Root(1, 2), Root(1, 3), Root(2, 3)])
     args = (3, A.sorted_roots(), build_inequalities(A, rho(3)))
-    errors = []
-    for search in (enumerate_integer_points, count_integer_points):
-        with pytest.raises(UnboundedFaceError) as err:
-            search(*args)
-        errors.append((err.value.root, str(err.value)))
-    assert errors[0] == errors[1]
+    errors = [_outcome(search, *args) for search in
+              (reference_points, reference_count, enumerate_integer_points, count_integer_points)]
+    assert errors == [errors[0]] * 4
     assert errors[0][0] == Root(1, 3)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (2, 1, 1), (1, 1, 1, 1), (2, 1, 1, 2)])
+def test_graph_states_are_the_completion_sets(coeffs):
+    """Walking each point of the full triangle down `_slack_graph`: the
+    prefixes that reach one state have one set of completions, as the
+    merging argument says, and on these systems distinct states have
+    distinct completion sets, so the merged and tightened slacks leave no
+    two states that could be one."""
+    n = len(coeffs)
+    roots = full(n).sorted_roots()
+    ineqs = build_inequalities(full(n), DominantWeight(coeffs))
+    levels = list(_slack_graph(len(roots), _search_plan(n, roots, ineqs)))
+    points = reference_points(n, roots, ineqs).tuples
+    for c in range(len(roots) + 1):
+        completions = {}
+        for p in points:
+            state = 0
+            for d in range(c):
+                state = levels[d][state][p[d]]
+            completions.setdefault(p[:c], (state, set()))[1].add(p[c:])
+        by_state = {}
+        for state, suffixes in completions.values():
+            by_state.setdefault(state, set()).add(frozenset(suffixes))
+        assert all(len(sets) == 1 for sets in by_state.values())
+        assert len({s for sets in by_state.values() for s in sets}) == len(by_state)
+        assert len(by_state) == (len(levels[c]) if c < len(roots) else 1)
