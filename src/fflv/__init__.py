@@ -21,6 +21,7 @@ from .characters import (
     demazure_dimension_oracle,
     demazure_operator,
     demazure_operator_division,
+    face_character,
     to_partition,
     weyl_dimension,
 )
@@ -45,6 +46,7 @@ from .polytope import (
     UnboundedFaceError,
     build_inequalities,
     count_integer_points,
+    count_points_by_weight,
     degree_histogram,
     dilate,
     embed_face,

@@ -1,5 +1,7 @@
 """Formal characters on exponent vectors, Demazure operators, dimension
-formulas, and the character read off from face lattice points.
+formulas, and the character of a face: from its weight-graded count
+(`face_character`), or from its listed lattice points
+(`character_from_lattice_points`).
 
 Weights are encoded as exponent vectors in Z^{n+1}: a dominant weight with
 coefficients (m_1, ..., m_n) becomes the partition (m_1+...+m_n, m_2+...+m_n,
@@ -11,9 +13,10 @@ arithmetic and makes termwise comparison of characters trivial.
 from __future__ import annotations
 
 from math import prod
+from operator import sub
 from typing import Iterable, Mapping
 
-from .polytope import PointSet
+from .polytope import PointSet, build_inequalities, count_points_by_weight
 from .roots import DominantWeight, all_positive_roots, pairing
 from .weyl import Permutation, inversion_roots, reduced_word
 
@@ -162,6 +165,32 @@ def character_from_lattice_points(
         key = tuple(img)
         out[key] = out.get(key, 0) + 1
     return Character(lam.n, out)
+
+
+def face_character(w: Permutation, lam: DominantWeight) -> Character:
+    """The character `character_from_lattice_points` reads off the face of
+    inversion_roots(w) at lam, from the face's point counts per weight
+    (`count_points_by_weight`) without listing a point.  Raises
+    UnboundedFaceError as the enumerator does.
+
+    A point whose weight sums to b_k on simple root k has the root sum
+    b_1 alpha_1 + ... + b_n alpha_n, and alpha_k is e_k - e_{k+1}, so its
+    exponent vector is the partition weight with b_k - b_{k+1} added at
+    position k (b_0 = b_{n+1} = 0), which w then permutes.  So each weight
+    is mapped once, all weights a column at a time, and distinct weights
+    give distinct exponentials.
+    """
+    if w.n != lam.n:
+        raise ValueError("rank mismatch")
+    A = inversion_roots(w)
+    counts = count_points_by_weight(lam.n, A.sorted_roots(), build_inequalities(A, lam))
+    # The origin is a point of every face, so there is at least one weight.
+    zero = (0,) * len(counts)
+    b = [zero, *zip(*counts), zero]
+    cols: list = [None] * (lam.n + 1)
+    for k, a in enumerate(to_partition(lam)):
+        cols[w(k + 1) - 1] = map(a.__add__, map(sub, b[k], b[k + 1]))
+    return Character(lam.n, dict(zip(zip(*cols), counts.values())))
 
 
 def weyl_dimension(lam: DominantWeight) -> int:

@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .characters import character_from_lattice_points, demazure_character_oracle
+from .characters import demazure_character_oracle, face_character
 from .marked_poset import count_chain_points, count_order_points, is_marked_chain_face
 from .polytope import (
     PointSet,
@@ -177,12 +177,15 @@ def cmd_points(args: argparse.Namespace) -> int:
 
 
 def cmd_char_compare(args: argparse.Namespace) -> int:
-    """Compare the lattice-point character with the operator recursion."""
+    """Compare the lattice-point character with the operator recursion.
+
+    The character comes from the face's point counts per weight, and no
+    point is listed: the number of lattice points is its mass."""
     w, lam = args.w, args.lam
     triangular = is_triangular_element(w)
     oracle = demazure_character_oracle(w, lam)
     try:
-        S = enumerate_lattice_points(args.A, lam)
+        lattice = face_character(w, lam)
     except UnboundedFaceError as exc:
         if args.format == "json":
             print(_compact({
@@ -193,12 +196,11 @@ def cmd_char_compare(args: argparse.Namespace) -> int:
             print(f"oracle mass: {oracle.mass}")
             print(f"unbounded: {exc}")
         return 2
-    lattice = character_from_lattice_points(S, lam, w)
     equal = lattice == oracle
     report = {
         "case": _case_label(args),
         "triangular": triangular,
-        "lattice_points": len(S),
+        "lattice_points": lattice.mass,
         "lattice_mass": lattice.mass,
         "oracle_mass": oracle.mass,
         "mass_deficit": oracle.mass - lattice.mass,
@@ -282,7 +284,7 @@ def _verify_checks(args: argparse.Namespace) -> dict:
         if S is None:
             record("character", "fail", oracle_mass=oracle.mass, error="unbounded face")
         else:
-            lattice = character_from_lattice_points(S, lam, w)
+            lattice = face_character(w, lam)
             status = "pass" if lattice == oracle else "fail"
             record("character", status, lattice_mass=lattice.mass,
                    oracle_mass=oracle.mass, deficit=oracle.mass - lattice.mass)

@@ -10,9 +10,10 @@ A satisfying all of them.  A system is a sorted tuple of supports, free of
 the weight; `support_inequalities` reads each bound off its support's base
 root, for the path supports here and for the marked chain supports of
 `marked_poset` alike.  This module enumerates the integer points exactly
-and counts them without listing them, both over one state graph that
-merges prefixes with equal completions; it embeds them into the
-full-triangle polytope, and forms Minkowski sums and dilations.
+and counts them without listing them, in total or per weight, all three
+over one state graph that merges prefixes with equal completions; it
+embeds them into the full-triangle polytope, and forms Minkowski sums and
+dilations.
 Everything is integer arithmetic.
 
 A point is a tuple of values aligned with its set's root tuple, and a point
@@ -229,6 +230,37 @@ def enumerate_integer_points(
     return PointSet(n, roots, tuple(points))
 
 
+def _weight_tally(
+    m: int, rows: list[tuple[int, int]], steps: Sequence[int]
+) -> dict[int, int]:
+    """Per packed weight, the number of solutions of `rows` over m
+    coordinates with that weight, where a value v at coordinate c adds
+    v * steps[c] to the packed weight.
+
+    One pass down the state graph of `_slack_graph` keeps, per state of
+    the current depth, a tally from the packed weight of each prefix
+    reaching it to the number of such prefixes, so only one depth is
+    alive.  A prefix's packed weight is its parent prefix's plus v *
+    steps[c] for its last value v, so each state's tally is the sum of its
+    parents' tallies shifted along the edges into it, and at depth m,
+    which holds one state, the tally covers every point (see
+    `count_integer_points`).
+    """
+    tallies: list[dict[int, int]] = [{0: 1}]
+    for step, level in zip(steps, _slack_graph(m, rows)):
+        # Every state of the next depth is some state's child.
+        reached: list[dict[int, int]] = [
+            {} for _ in range(1 + max([k for kids in level for k in kids]))]
+        for tally, kids in zip(tallies, level):
+            for v, k in enumerate(kids):
+                into, shift = reached[k], v * step
+                for key, count in tally.items():
+                    key += shift
+                    into[key] = into.get(key, 0) + count
+        tallies = reached
+    return tallies[0]
+
+
 def count_integer_points(
     n: int, roots: tuple[Root, ...], ineqs: list[Inequality]
 ) -> int:
@@ -254,22 +286,51 @@ def count_integer_points(
     every slack stays nonnegative, so each state has a completion (all
     zeros).
 
-    The count is the number of paths from the root to depth m: one pass
-    down the graph keeps, per state of the current depth, the number of
-    prefixes reaching it, so only one depth is alive.
+    The count is the number of paths from the root to depth m: it is the
+    pass of `_weight_tally` with every step zero, where each state's tally
+    holds the single key 0.
     """
     rows = _search_plan(n, roots, ineqs)
     if rows is None:
         return 0
-    ways = [1]
-    for level in _slack_graph(len(roots), rows):
-        # Every state of the next depth is some state's child.
-        reached = [0] * (1 + max([k for kids in level for k in kids]))
-        for w, kids in zip(ways, level):
-            for k in kids:
-                reached[k] += w
-        ways = reached
-    return ways[0]
+    return _weight_tally(len(roots), rows, [0] * len(roots))[0]
+
+
+def count_points_by_weight(
+    n: int, roots: tuple[Root, ...], ineqs: list[Inequality]
+) -> dict[tuple[int, ...], int]:
+    """The points `enumerate_integer_points` returns, counted per weight
+    without building a point: a weight is the tuple of column sums over
+    `weight_columns`, the `weight=` of `points`.  The keys come in
+    lexicographic order.  Raises the same UnboundedFaceError.
+
+    A weight is packed into one int, one bit field per simple root, the
+    field of the last simple root lowest, and a value v at a coordinate
+    adds v times the packed sum of the simple roots its root spans, as
+    `minkowski_sum` packs a point.  No field carries: a coordinate's value
+    is at most its cap, the least bound of an inequality containing it, so
+    the sum in field k, for a point or any prefix of one, is at most the
+    sum of the caps of the roots spanning k, and the field is that sum's
+    bit length wide.  So packed weights add exactly, distinct weights have
+    distinct packed values, and the packed values sort as the weight
+    tuples do.
+    """
+    rows = _search_plan(n, roots, ineqs)
+    if rows is None:
+        return {}
+    caps = [min([bound for mask, bound in rows if mask >> c & 1]) for c in range(len(roots))]
+    fields = []
+    steps = [0] * len(roots)
+    shift = 0
+    for group in reversed(weight_columns(n, roots)):
+        width = sum([caps[c] for c in group]).bit_length()
+        fields.append((shift, (1 << width) - 1))
+        for c in group:
+            steps[c] += 1 << shift
+        shift += width
+    fields.reverse()
+    tally = _weight_tally(len(roots), rows, steps)
+    return {tuple([x >> s & mask for s, mask in fields]): tally[x] for x in sorted(tally)}
 
 
 def enumerate_lattice_points(A: RootSubset, lam: DominantWeight) -> PointSet:

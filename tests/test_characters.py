@@ -1,5 +1,7 @@
 """Characters, divided-difference operators, and the lattice-point character."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,11 @@ from fflv.characters import (
     demazure_dimension_oracle,
     demazure_operator,
     demazure_operator_division,
+    face_character,
     to_partition,
     weyl_dimension,
 )
-from fflv.polytope import enumerate_lattice_points
+from fflv.polytope import UnboundedFaceError, enumerate_lattice_points
 from fflv.roots import DominantWeight, rho
 from fflv.weyl import Permutation, all_permutations, inversion_roots, is_triangular_element
 
@@ -147,6 +150,69 @@ def test_lattice_character_validates_subset():
         character_from_lattice_points(wrong, lam, w)
     with pytest.raises(ValueError):
         character_from_lattice_points(enumerate_lattice_points(inversion_roots(w), lam), rho(3), w)
+
+
+def _listed_character(w, lam):
+    """The reference: the character of the listed face points."""
+    return character_from_lattice_points(
+        enumerate_lattice_points(inversion_roots(w), lam), lam, w)
+
+
+def _outcome(character, w, lam):
+    """What a character function returns, or the root and message of its
+    UnboundedFaceError."""
+    try:
+        return character(w, lam)
+    except UnboundedFaceError as exc:
+        return exc.root, str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_face_character_matches_the_listed_points(n):
+    """Every element of S_{n+1}, triangular or not, at a fixed weight set:
+    the weight-graded character is the one read off the listed points, or
+    both raise the same error.  Both may differ from the operator
+    character for a non-triangular element, as they do 15 times at rank 4,
+    and they still agree."""
+    weights = [rho(n), DominantWeight((2,) + (0,) * (n - 1)),
+               DominantWeight(tuple(k % 3 for k in range(n)))]
+    unbounded = drifted = 0
+    for w in all_permutations(n):
+        for lam in weights:
+            expected = _outcome(_listed_character, w, lam)
+            assert _outcome(face_character, w, lam) == expected
+            if not isinstance(expected, Character):
+                unbounded += 1
+            elif expected != demazure_character_oracle(w, lam):
+                assert not is_triangular_element(w)
+                drifted += 1
+    assert (unbounded, drifted) == {1: (0, 0), 2: (0, 0), 3: (3, 0), 4: (33, 15)}[n]
+
+
+def test_face_character_is_the_demazure_character_for_triangular_rank4():
+    """The 88 triangular elements of rank 4, each at three seeded random
+    weights in {0..3}^4, against the operator recursion."""
+    rng = random.Random(4)
+    triangular = [w for w in all_permutations(4) if is_triangular_element(w)]
+    assert len(triangular) == 88
+    for w in triangular:
+        for _ in range(3):
+            lam = DominantWeight(tuple(rng.randrange(4) for _ in range(4)))
+            assert face_character(w, lam) == demazure_character_oracle(w, lam)
+
+
+def test_face_character_rejects_a_rank_mismatch():
+    with pytest.raises(ValueError):
+        face_character(Permutation.longest(2), rho(3))
+
+
+@pytest.mark.slow
+def test_face_character_of_the_rank5_longest_element():
+    """14,348,907 points at 2 rho(5), counted by weight; about 2 s."""
+    w, lam = Permutation.longest(5), rho(5).scale(2)
+    ch = face_character(w, lam)
+    assert ch.mass == weyl_dimension(lam) == 14348907
+    assert ch == demazure_character_oracle(w, lam)
 
 
 def test_weyl_dimension_values():

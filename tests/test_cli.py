@@ -319,12 +319,31 @@ def test_char_compare_reports_non_triangular(capsys):
 
 
 def test_char_compare_unbounded(capsys):
-    code, out, _ = run(capsys, "char-compare", "--w-oneline", "4 2 3 1",
-                       "--lambda", "1,1,1", "--format", "json")
-    assert code == 2
-    data = json.loads(out)
-    assert "unbounded" in data
-    assert data["oracle_mass"] == 49
+    """Both formats of the unbounded case, byte for byte, exit 2: the error
+    comes from the weight-graded count as it came from the enumerator."""
+    reason = ("coordinate a1.3 is not bounded by any path inequality at rank 3; "
+              "the face is an unbounded cone")
+    argv = ("char-compare", "--w-oneline", "4 2 3 1", "--lambda", "1,1,1", "--format")
+    assert run(capsys, *argv, "json") == (2, (
+        '{"case":"n=3 lambda=1,1,1 w=4 2 3 1","oracle_mass":49,"triangular":false,'
+        f'"unbounded":"{reason}"}}\n'), "")
+    assert run(capsys, *argv, "text") == (2, f"oracle mass: 49\nunbounded: {reason}\n", "")
+
+
+def test_char_compare_lists_no_point(capsys, monkeypatch):
+    """The character comes from the point counts per weight; an enumerator
+    that raises is never reached, and the point count is the mass."""
+    def unreachable(*args):
+        raise AssertionError("char-compare listed the points")
+
+    monkeypatch.setattr(fflv.cli, "enumerate_lattice_points", unreachable)
+    monkeypatch.setattr(fflv.polytope, "enumerate_integer_points", unreachable)
+    code, out, err = run(capsys, "char-compare", "--w-oneline", "5 4 3 2 1",
+                         "--lambda", "2,1,1,2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == ('{"case":"n=4 lambda=2,1,1,2 w=5 4 3 2 1","lattice_mass":6125,'
+                   '"lattice_points":6125,"mass_deficit":0,"oracle_mass":6125,'
+                   '"termwise_equal":true,"triangular":true}\n')
 
 
 def test_verify_full_flag_bundle(capsys):

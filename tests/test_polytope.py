@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from fflv.polytope import (
     UnboundedFaceError,
     build_inequalities,
     count_integer_points,
+    count_points_by_weight,
     degree_histogram,
     dilate,
     embed_face,
@@ -131,7 +133,7 @@ def test_embed_and_membership_build_one_system_per_call(monkeypatch):
 
 def test_searches_leave_no_cyclic_garbage():
     """The order search is a self-calling closure that returns with its
-    reference cycle broken, and the state-graph enumerator and counter and
+    reference cycle broken, and the state-graph enumerator and counters and
     the chain and path walks make none, so what they found is freed with
     the result and not kept until a full collection runs.  The collector
     is off during the calls, so no automatic collection hides a cycle."""
@@ -139,6 +141,8 @@ def test_searches_leave_no_cyclic_garbage():
     searches = [lambda: enumerate_lattice_points(full(3), lam),
                 lambda: count_integer_points(3, full(3).sorted_roots(),
                                              build_inequalities(full(3), lam)),
+                lambda: count_points_by_weight(3, full(3).sorted_roots(),
+                                               build_inequalities(full(3), lam)),
                 lambda: marked_order_points(full(3), lam),
                 lambda: count_order_points(full(3), lam),
                 lambda: _chain_supports(full(3)),
@@ -411,15 +415,24 @@ def _outcome(search, n, roots, ineqs):
 
 
 def assert_engine_matches_reference(n, roots, ineqs):
-    """The state-graph enumerator and counter against the node-by-node
+    """The state-graph enumerator and counters against the node-by-node
     search: the same point set in the same emission order and the same
-    count, or the same UnboundedFaceError root and message.  Returns the
-    reference outcome."""
+    count, each weight counted as often as the reference points with those
+    `weight_columns` sums, in lexicographic order of the weights; or the
+    same UnboundedFaceError root and message.  Returns the reference
+    outcome."""
     expected = _outcome(reference_points, n, roots, ineqs)
     assert _outcome(enumerate_integer_points, n, roots, ineqs) == expected
     counted = _outcome(reference_count, n, roots, ineqs)
     assert counted == (len(expected) if isinstance(expected, PointSet) else expected)
     assert _outcome(count_integer_points, n, roots, ineqs) == counted
+    graded = _outcome(count_points_by_weight, n, roots, ineqs)
+    if isinstance(expected, PointSet):
+        by_weight = Counter(weight_and_degree(p, n, roots)[0] for p in expected.tuples)
+        assert graded == dict(by_weight)
+        assert list(graded) == sorted(by_weight)
+    else:
+        assert graded == expected
     return expected
 
 
@@ -499,8 +512,8 @@ def _all_subsets(n):
 
 def test_count_matches_enumeration_on_small_faces():
     """Every subset at ranks 1-3 for every weight in {0,1,2}^n, unbounded
-    faces included: the engine's points and count are the reference's, or
-    it raises the same error."""
+    faces included: the engine's points, count and counts per weight are
+    the reference's, or it raises the same error."""
     checked = 0
     for n in (1, 2, 3):
         for A in _all_subsets(n):
@@ -536,8 +549,9 @@ def test_count_raises_the_enumerators_unbounded_error():
     A = RootSubset.of(3, [Root(1, 2), Root(1, 3), Root(2, 3)])
     args = (3, A.sorted_roots(), build_inequalities(A, rho(3)))
     errors = [_outcome(search, *args) for search in
-              (reference_points, reference_count, enumerate_integer_points, count_integer_points)]
-    assert errors == [errors[0]] * 4
+              (reference_points, reference_count, enumerate_integer_points, count_integer_points,
+               count_points_by_weight)]
+    assert errors == [errors[0]] * 5
     assert errors[0][0] == Root(1, 3)
 
 
@@ -566,3 +580,24 @@ def test_graph_states_are_the_completion_sets(coeffs):
         assert all(len(sets) == 1 for sets in by_state.values())
         assert len({s for sets in by_state.values() for s in sets}) == len(by_state)
         assert len(by_state) == (len(levels[c]) if c < len(roots) else 1)
+
+
+@pytest.mark.parametrize("coeffs, filled", [
+    ((0, 0, 0, 9), None), ((12, 0, 0, 0), None),
+    ((0, 0, 0, 15), 1), ((3, 0, 0, 0), 4), ((0, 0, 0, 7), 1),
+])
+def test_weight_counts_with_a_field_filled_to_its_width(coeffs, filled):
+    """The full rank-4 triangle at weights on one end: the weights reach
+    the sum of the coordinate caps on some simple root, the bound the packed
+    fields are sized by.  Where that maximum is all ones in binary (simple
+    root `filled`; at (3,0,0,0) it is the lowest field), a field one bit
+    narrower would carry into its neighbour."""
+    A = full(4)
+    roots, ineqs = A.sorted_roots(), build_inequalities(A, DominantWeight(coeffs))
+    assert_engine_matches_reference(4, roots, ineqs)
+    graded = count_points_by_weight(4, roots, ineqs)
+    caps = [min(q.bound for q in ineqs if r in q.support) for r in roots]
+    widths = [sum(caps[c] for c in group).bit_length() for group in weight_columns(4, roots)]
+    tops = [max(weight[k] for weight in graded) for k in range(4)]
+    assert [k + 1 for k in range(4) if tops[k] == (1 << widths[k]) - 1] == (
+        [] if filled is None else [filled])

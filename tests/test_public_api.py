@@ -15,11 +15,11 @@ PUBLIC = [
     "build_highest_weight_module", "build_inequalities",
     "cartan_component_dimension", "character_from_lattice_points",
     "connected_blocks", "count_chain_points", "count_integer_points",
-    "count_order_points", "degree_histogram", "demazure_character_oracle",
+    "count_order_points", "count_points_by_weight", "degree_histogram", "demazure_character_oracle",
     "demazure_dimension_oracle", "demazure_operator", "demazure_operator_division",
     "demazure_submodule", "dilate", "dominates", "embed_face", "enumerate_dyck_paths",
     "enumerate_dyck_paths_for", "enumerate_integer_points", "enumerate_lattice_points",
-    "essential_monomials", "extremal_vector", "fundamental_weight", "in_polytope",
+    "essential_monomials", "extremal_vector", "face_character", "fundamental_weight", "in_polytope",
     "inversion_roots", "is_dyck_path_for", "is_kempf", "is_marked_chain_face",
     "is_triangular_element", "is_triangular_subset", "kempf_complement",
     "kempf_factorization", "make_root", "marked_chain_points", "marked_order_points",
