@@ -68,6 +68,7 @@ from .rep import (
     demazure_submodule,
     essential_monomials,
     extremal_vector,
+    lowering_weights,
     pbw_filtration_profile,
     subset_submodule,
     verify_monomial_basis,

@@ -46,6 +46,16 @@ class Character:
         self.terms = {v: m for v, m in clean.items() if m}
 
     @classmethod
+    def _of(cls, n: int, terms: dict[tuple[int, ...], int]) -> "Character":
+        """A character on terms that this module built: distinct exponent
+        vectors of length n + 1, tuples already.  Only the zero
+        multiplicities are dropped; nothing is validated."""
+        ch = cls.__new__(cls)
+        ch.n = n
+        ch.terms = {v: m for v, m in terms.items() if m}
+        return ch
+
+    @classmethod
     def monomial(cls, n: int, vec: Iterable[int], mult: int = 1) -> "Character":
         return cls(n, {tuple(vec): mult})
 
@@ -85,7 +95,7 @@ def demazure_operator(i: int, f: Character) -> Character:
         elif d <= -2:
             for k in range(1, -d):
                 bump(vec[: i - 1] + (a + k, b - k) + vec[i + 1 :], -mult)
-    return Character(f.n, out)
+    return Character._of(f.n, out)
 
 
 def demazure_operator_division(i: int, f: Character) -> Character:
@@ -164,7 +174,7 @@ def character_from_lattice_points(
             img[w(i) - 1] = a
         key = tuple(img)
         out[key] = out.get(key, 0) + 1
-    return Character(lam.n, out)
+    return Character._of(lam.n, out)
 
 
 def face_character(w: Permutation, lam: DominantWeight) -> Character:
@@ -190,7 +200,7 @@ def face_character(w: Permutation, lam: DominantWeight) -> Character:
     cols: list = [None] * (lam.n + 1)
     for k, a in enumerate(to_partition(lam)):
         cols[w(k + 1) - 1] = map(a.__add__, map(sub, b[k], b[k + 1]))
-    return Character(lam.n, dict(zip(zip(*cols), counts.values())))
+    return Character._of(lam.n, dict(zip(zip(*cols), counts.values())))
 
 
 def weyl_dimension(lam: DominantWeight) -> int:

@@ -18,7 +18,11 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .characters import demazure_character_oracle, face_character
+from .characters import (
+    character_from_lattice_points,
+    demazure_character_oracle,
+    face_character,
+)
 from .marked_poset import count_chain_points, count_order_points, is_marked_chain_face
 from .polytope import (
     PointSet,
@@ -35,7 +39,9 @@ from .rep import (
     build_highest_weight_module,
     demazure_submodule,
     essential_monomials,
+    lowering_weights,
     pbw_filtration_profile,
+    subset_submodule,
     verify_monomial_basis,
 )
 from .roots import DominantWeight, parse_root
@@ -284,7 +290,7 @@ def _verify_checks(args: argparse.Namespace) -> dict:
         if S is None:
             record("character", "fail", oracle_mass=oracle.mass, error="unbounded face")
         else:
-            lattice = face_character(w, lam)
+            lattice = character_from_lattice_points(S, lam, w)
             status = "pass" if lattice == oracle else "fail"
             record("character", status, lattice_mass=lattice.mass,
                    oracle_mass=oracle.mass, deficit=oracle.mass - lattice.mass)
@@ -333,19 +339,34 @@ def _verify_checks(args: argparse.Namespace) -> dict:
         record("rep", "skipped", reason="unbounded face")
     else:
         try:
+            # The target is U(n-_A) applied to the highest vector.  For an
+            # element its dimension and weights come from the Borel closure
+            # and its profile from the essential scan (`fflv.rep`); a subset
+            # forms its lowering closure.
             module = build_highest_weight_module(lam, cap=args.max_dim)
-            report = verify_monomial_basis(module, S)
+            if w is None:
+                target = subset_submodule(module, A)
+                weights = target.weights
+            else:
+                target = demazure_submodule(module, w)
+                weights = lowering_weights(target, w)
+            report = verify_monomial_basis(module, S, target.dimension)
             dims = {"subset": report.submodule_dimension, "lattice": len(S)}
             if w is not None:
-                dims["demazure"] = demazure_submodule(module, w).dimension
+                dims["demazure"] = target.dimension
                 dims["oracle"] = oracle.mass
-            profile = pbw_filtration_profile(module, A)
+            essential = essential_monomials(module, A, weights=weights)
+            if w is None:
+                profile = pbw_filtration_profile(module, A)
+                incs = [profile[0]] + [profile[i] - profile[i - 1]
+                                       for i in range(1, len(profile))]
+            else:
+                kept = degree_histogram(essential)
+                incs = [kept.get(d, 0) for d in range(max(kept) + 1)]
             hist = degree_histogram(S)
-            incs = [profile[0]] + [profile[i] - profile[i - 1]
-                                   for i in range(1, len(profile))]
             want = [hist.get(d, 0) for d in range(max(hist) + 1)] if hist else [1]
             graded_ok = incs == want
-            essential_ok = essential_monomials(module, A) == S
+            essential_ok = essential == S
             basis_ok = report.ok
             status = "pass" if (basis_ok and graded_ok and essential_ok) else "fail"
             record("rep", status, dims=dims, basis_ok=basis_ok,

@@ -23,19 +23,43 @@ apply a point.
 Lowering and raising follow the convention that the lowering operator for the
 positive root built on rows i..j is E_{j+1,i} and the raising operator is
 E_{i,j+1}, so lowering moves weight down the dominance order.
+
+No stage does work whose result is already known:
+
+- Generation.  The simple raising operators e_1, ..., e_n generate n+ as a
+  Lie algebra (every e_alpha is an iterated commutator of them), so a
+  subspace closed under them is closed under every e_alpha: the Borel
+  closure of an extremal vector is taken over the e_i alone.
+- PBW and the twist by w.  For A = N(w), the inversion set of w, the
+  lowerings in A span n- intersected with w^-1 n+ w, so U(n-_A) v_lambda is
+  w^-1 V_w(lambda) for a lift of w: it has the dimension of the Borel
+  closure V_w(lambda), and the weights of its rows mapped by w^-1
+  (`lowering_weights`).  N(w) is closed under root addition, so by PBW the
+  ordered monomials of degree at most d span the degree-d piece of the
+  filtration, and the essential scan's rank after each degree is the
+  graded profile.  No lowering closure is formed for an element; a subset
+  that is not closed (say {alpha11, alpha22}) keeps it.
+- Weight budgets.  A closure or scan knows each image's weight before it
+  computes it, and skips the image when the span's weight space there is
+  already full (`_closure`, `_scan`): full against the Weyl character for
+  the irreducible module, the module's row weights for its closures, and
+  the target's for the essential scan.  A skipped image lies in the span,
+  so rows, ranks, profiles and kept sets do not change.  No check reads a
+  budget: a short one leaves a result short, which the checks report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd, prod
-from typing import Iterable, Iterator, Optional, Sequence
+from operator import mul, sub
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .characters import to_partition, weyl_dimension
+from .characters import demazure_character_oracle, to_partition, weyl_dimension
 from .linalg import IntSpan, SparseVector
 from .polytope import PointSet
-from .roots import DominantWeight, Root, all_positive_roots
+from .roots import DominantWeight, Root
 from .weyl import Permutation, RootSubset, reduced_word
 
 _SubsetKey = tuple[int, ...]
@@ -157,8 +181,10 @@ class ExplicitModule:
     column, so the dimension is their count.  Entry d of the profile is the
     dimension of the span of all products of at most d of the generating
     operators applied to the generator; the last entry is the dimension.
-    Lowering closures of this module are kept per root subset, so each one
-    is computed once.
+    Every row is a weight vector, and `weights` counts the rows of each
+    weight (content vector, as `TensorSpace.weight_of` gives it): the
+    module's character.  Lowering closures of this module are kept per
+    root subset, so each one is computed once.
     """
 
     space: TensorSpace
@@ -166,6 +192,7 @@ class ExplicitModule:
     generator: SparseVector
     basis: tuple[SparseVector, ...]
     profile: tuple[int, ...]
+    weights: dict[tuple[int, ...], int] = field(compare=False, repr=False)
     _subsets: dict[tuple[Root, ...], "ExplicitModule"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -184,35 +211,62 @@ class ExplicitModule:
 def _closure(
     space: TensorSpace,
     start: SparseVector,
-    tables: Sequence[_Op],
+    ops: Sequence[tuple[int, int]],
     cap: Optional[int] = None,
     what: str = "module",
-) -> tuple[tuple[SparseVector, ...], tuple[int, ...]]:
-    """Smallest span containing the start vector and closed under the ops.
+    budget: Optional[Mapping[tuple[int, ...], int]] = None,
+) -> tuple[tuple[SparseVector, ...], tuple[int, ...], dict[tuple[int, ...], int]]:
+    """Smallest span containing the start vector and closed under the
+    matrix units E_ab, given as pairs (a, b).
 
     Grown breadth first, one degree at a time: the rows that entered at
     degree d span the degree-d products modulo all shorter ones, so applying
-    every op to them alone reaches degree d + 1.  Returns the echelon rows
-    and the rank after each degree, up to the degree where the span stops
-    growing.
+    every op to them alone reaches degree d + 1.  Returns the echelon rows,
+    the rank after each degree, up to the degree where the span stops
+    growing, and the number of rows of each weight.
+
+    Every row is a weight vector, and E_ab adds one at position a of its
+    content and takes one away at b, so each image's weight is known before
+    it is computed.  A budget bounds, per weight, the dimension of that
+    weight space in a module known to contain the closure; a weight it
+    does not list has bound 0.  An image is skipped when its weight already
+    has that many rows: the span's weight space is then the module's, which
+    holds the image.  A skipped image would not have enlarged the span, so
+    the same images enter in the same order, and the rows and the profile
+    are those without a budget.  A bound that is too small can only leave
+    the closure short.
     """
     span = IntSpan(space.dimension)
+    moves = [(space.table(a, b), a - 1, b - 1) for a, b in ops]
+    counts: dict[tuple[int, ...], int] = {}
+    frontier = []
     row = span.add(start)
-    frontier = [row] if row is not None else []
+    if row is not None:
+        weight = space.weight_of(row[0][0])
+        counts[weight] = 1
+        frontier.append((row, weight))
     profile = [span.rank]
     while frontier:
-        fresh: list[SparseVector] = []
-        for vec in frontier:
-            for table in tables:
+        fresh = []
+        for vec, weight in frontier:
+            for table, a, b in moves:
+                shifted = list(weight)
+                shifted[a] += 1
+                shifted[b] -= 1
+                key = tuple(shifted)
+                held = counts.get(key, 0)
+                if budget is not None and held >= budget.get(key, 0):
+                    continue
                 row = span.add(space.apply(table, vec))
                 if row is not None:
                     if cap is not None and span.rank > cap:
                         raise DimensionCapError(span.rank, cap, what)
-                    fresh.append(row)
+                    counts[key] = held + 1
+                    fresh.append((row, key))
         if fresh:
             profile.append(span.rank)
         frontier = fresh
-    return span.rows, tuple(profile)
+    return span.rows, tuple(profile), counts
 
 
 def build_highest_weight_module(lam: DominantWeight, cap: int = 400) -> ExplicitModule:
@@ -220,21 +274,26 @@ def build_highest_weight_module(lam: DominantWeight, cap: int = 400) -> Explicit
 
     The closure of the highest vector of the ambient tensor space under the
     simple lowering operators; its dimension always comes out equal to the
-    Weyl dimension formula, which is checked.
+    Weyl dimension formula, which is checked.  The closure lies in the
+    irreducible module, so its budget is the Weyl character (the Demazure
+    character of the longest element).  The dimension check certifies the
+    budget: one short at some weight leaves the closure short of the Weyl
+    dimension, which raises.
     """
     n = len(lam.coeffs)
     expected = weyl_dimension(lam)
     if expected > cap:
         raise DimensionCapError(expected, cap)
     space = TensorSpace.from_weight(lam)
-    simple = [space.lowering_table(Root(i, i)) for i in range(1, n + 1)]
+    character = demazure_character_oracle(Permutation.longest(n), lam)
     top = space.highest_vector()
-    basis, profile = _closure(space, top, simple, cap=cap)
+    basis, profile, weights = _closure(space, top, [(i + 1, i) for i in range(1, n + 1)],
+                                       cap=cap, budget=character.terms)
     if len(basis) != expected:
         raise ArithmeticError(
             f"highest weight closure has dimension {len(basis)}, expected {expected}"
         )
-    return ExplicitModule(space, lam, top, basis, profile)
+    return ExplicitModule(space, lam, top, basis, profile, weights)
 
 
 def extremal_vector(module: ExplicitModule, w: Permutation) -> SparseVector:
@@ -281,38 +340,64 @@ def extremal_vector(module: ExplicitModule, w: Permutation) -> SparseVector:
 def demazure_submodule(module: ExplicitModule, w: Permutation) -> ExplicitModule:
     """Span generated from the extremal vector by the Borel subalgebra.
 
-    Closure of the extremal vector of weight w(lambda) under all raising
-    operators.  The Cartan subalgebra acts diagonally on every vector this
-    produces (they are weight vectors), so no extra closure step is needed.
+    Closure of the extremal vector of weight w(lambda) under the simple
+    raising operators, which generate every raising operator (module
+    docstring), with the module's row weights as its budget.  The Cartan
+    subalgebra acts diagonally on every vector this produces (they are
+    weight vectors), so no extra closure step is needed.  The profile
+    counts products of simple raisings.
     """
     space = module.space
     gen = extremal_vector(module, w)
-    tables = [space.raising_table(r) for r in all_positive_roots(space.n)]
-    basis, profile = _closure(space, gen, tables, what="Borel closure")
-    return ExplicitModule(space, module.weight, gen, basis, profile)
+    simple = [(i, i + 1) for i in range(1, space.n + 1)]
+    basis, profile, weights = _closure(space, gen, simple, what="Borel closure",
+                                       budget=module.weights)
+    return ExplicitModule(space, module.weight, gen, basis, profile, weights)
+
+
+def lowering_weights(borel: ExplicitModule, w: Permutation) -> dict[tuple[int, ...], int]:
+    """The weights of U(n-_A) v_lambda for A = N(w), with multiplicity,
+    read off the Borel closure `demazure_submodule(module, w)`.
+
+    A lift of w^-1 maps V_w(lambda) onto U(n-_A) v_lambda (module
+    docstring) and the weight space of content c onto that of the content
+    whose position i reads position w(i) of c.  That map is a bijection of
+    weights, so the multiplicities carry over.
+    """
+    reads = [w(i) - 1 for i in range(1, w.n + 2)]
+    return {tuple([c[k] for k in reads]): m for c, m in borel.weights.items()}
 
 
 def subset_submodule(module: ExplicitModule, A: RootSubset) -> ExplicitModule:
     """Span generated from the highest vector by the lowerings in A.
 
-    The closure is defined for every subset A, triangular or not.  It is
-    computed once per module and subset; later calls return the same object.
+    The closure is defined for every subset A, triangular or not, and the
+    module's row weights are its budget.  It is computed once per module
+    and subset; later calls return the same object.
     """
     space = module.space
-    if A.n != space.n:
-        raise ValueError(f"subset rank {A.n} does not match module rank {space.n}")
+    _check_rank(A.n, space)
     roots = A.sorted_roots()
     sub = module._subsets.get(roots)
     if sub is None:
-        tables = [space.lowering_table(r) for r in roots]
-        basis, profile = _closure(space, module.generator, tables, what="lowering closure")
-        sub = ExplicitModule(space, module.weight, module.generator, basis, profile)
+        ops = [(r.j + 1, r.i) for r in roots]
+        basis, profile, weights = _closure(space, module.generator, ops,
+                                           what="lowering closure", budget=module.weights)
+        sub = ExplicitModule(space, module.weight, module.generator, basis, profile, weights)
         module._subsets[roots] = sub
     return sub
 
 
+def _check_rank(n: int, space: TensorSpace) -> None:
+    if n != space.n:
+        raise ValueError(f"subset rank {n} does not match module rank {space.n}")
+
+
 def _ordered_images(
-    module: ExplicitModule, listing: Sequence[Root], scan: Iterable[tuple[int, ...]]
+    module: ExplicitModule,
+    listing: Sequence[Root],
+    scan: Iterable[tuple[int, ...]],
+    wanted: Optional[Callable[[tuple[int, ...]], bool]] = None,
 ) -> Iterator[tuple[tuple[int, ...], SparseVector]]:
     """Yield (s, image of the highest vector under the ordered monomial s)
     for each exponent tuple s of the scan, in any order.  The rightmost
@@ -320,12 +405,20 @@ def _ordered_images(
     L_k^{s_k} ... L_m^{s_m} v.  The next tuple keeps the levels above the
     highest position p where it differs; level p goes on from its image if
     s_p grew, and every other level from p down is rebuilt from the one
-    above.  A zero level is not applied to."""
+    above.  A zero level is not applied to.
+
+    A tuple for which `wanted` is false computes no image and is not
+    yielded: the stack stays that of the last wanted tuple, whose levels
+    the next wanted tuple keeps or rebuilds as above, so its image is the
+    one rebuilt from the highest vector.  `wanted` is asked tuple by tuple,
+    after the caller has taken the previous image, so it may read what the
+    caller did with it.
+    """
     space = module.space
     tables = [space.lowering_table(r) for r in listing]
     last = (0,) * len(listing)
     levels = [module.generator] * (len(listing) + 1)
-    for s in scan:
+    for s in scan if wanted is None else filter(wanted, scan):
         p = len(s) - 1
         while p >= 0 and s[p] == last[p]:
             p -= 1
@@ -360,19 +453,26 @@ class MonomialBasisReport:
         return self.independent and self.spanning
 
 
-def verify_monomial_basis(module: ExplicitModule, points: PointSet) -> MonomialBasisReport:
+def verify_monomial_basis(
+    module: ExplicitModule, points: PointSet, dimension: Optional[int] = None
+) -> MonomialBasisReport:
     """Check that the ordered monomials over the lattice points form a basis.
 
     `points` is the face polytope of A, the subset of its coordinates, at
     the module's weight.  For each lattice point, the ordered lowering
     monomial is applied to the highest vector; the report records whether
-    those vectors are linearly independent and whether they span the
-    submodule generated by the lowerings in A.  Points are walked in colex
-    order (lex on the reversed tuple).  The face is downward closed, so a
-    point's predecessor is the point less one at its first nonzero exponent,
-    and each image costs one apply.
+    those vectors are linearly independent and whether they span U(n-_A)
+    applied to the highest vector, which holds them all.  `dimension` is
+    the dimension of that submodule where it is known (for A = N(w), the
+    Borel closure's, by the module docstring); without it the lowering
+    closure of A is formed.  Points are walked in colex order (lex on the
+    reversed tuple).  The face is downward closed, so a point's
+    predecessor is the point less one at its first nonzero exponent, and
+    each image costs one apply.
     """
-    sub = subset_submodule(module, RootSubset.of(points.n, points.roots))
+    _check_rank(points.n, module.space)
+    if dimension is None:
+        dimension = subset_submodule(module, RootSubset.of(points.n, points.roots)).dimension
     span = IntSpan(module.space.dimension)
     witness: Optional[tuple[int, ...]] = None
     colex = sorted(points.tuples, key=lambda s: s[::-1])
@@ -382,9 +482,9 @@ def verify_monomial_basis(module: ExplicitModule, points: PointSet) -> MonomialB
     return MonomialBasisReport(
         lattice_points=len(points),
         rank=span.rank,
-        submodule_dimension=sub.dimension,
+        submodule_dimension=dimension,
         independent=witness is None,
-        spanning=span.rank == sub.dimension,
+        spanning=span.rank == dimension,
         witness=witness,
     )
 
@@ -418,7 +518,10 @@ def _degree_compositions(total: int, parts: int, lex: bool) -> Iterator[tuple[in
 
 
 def essential_monomials(
-    module: ExplicitModule, A: RootSubset, order: str = "revlex"
+    module: ExplicitModule,
+    A: RootSubset,
+    order: str = "revlex",
+    weights: Optional[Mapping[tuple[int, ...], int]] = None,
 ) -> PointSet:
     """Exponents whose ordered monomial escapes the span of all smaller ones.
 
@@ -429,36 +532,106 @@ def essential_monomials(
     the result does not depend on any basis choice.  Each degree is
     generated in scan order, not sorted, and walked by `_ordered_images`.
 
-    When the monomials never span the lowering closure, ArithmeticError is
-    raised at the first degree whose ordered monomials all kill the highest
-    vector.  An ordered monomial of degree d + 1 is its leftmost factor
-    times an ordered monomial of degree d, so every later degree vanishes
-    too; lowering operators are nilpotent, so that degree always comes.
+    The scan runs until the span is U(n-_A) applied to the highest vector,
+    which holds every monomial vector.  `weights` are that submodule's
+    weights with multiplicity where they are known (for A = N(w),
+    `lowering_weights`); without them the lowering closure of A is formed
+    and its rows' weights are taken.  Their total is the rank the scan
+    stops at, and each is the budget of its weight (`_scan`).
+
+    When the monomials never span it, ArithmeticError is raised at the
+    first degree whose ordered monomials all kill the highest vector.  An
+    ordered monomial of degree d + 1 is its leftmost factor times an
+    ordered monomial of degree d, so every later degree vanishes too;
+    lowering operators are nilpotent, so that degree always comes.
     """
     if order not in ("revlex", "lex"):
         raise ValueError(f"order must be 'revlex' or 'lex', got {order!r}")
-    space = module.space
-    target = subset_submodule(module, A).dimension
+    _check_rank(A.n, module.space)
+    if weights is None:
+        weights = subset_submodule(module, A).weights
     listing = _tall_first(A.members)
-    span = IntSpan(space.dimension)
-    found: list[dict[Root, int]] = []
+    kept = _scan(module, listing, order == "lex", sum(weights.values()), weights)
+    roots = A.sorted_roots()
+    at = [listing.index(r) for r in roots]
+    # Each exponent tuple is scanned once, so the sorted tuples are distinct.
+    return PointSet(module.space.n, roots, tuple(sorted(tuple([s[k] for k in at])
+                                                        for s in kept)))
+
+
+def _scan(
+    module: ExplicitModule,
+    listing: Sequence[Root],
+    lex: bool,
+    dimension: int,
+    budget: Optional[Mapping[tuple[int, ...], int]],
+) -> list[tuple[int, ...]]:
+    """The exponent tuples over `listing`, in scan order, whose ordered
+    monomial enlarges the span of the earlier ones, until the span has
+    rank `dimension` (`essential_monomials`).
+
+    The image of s has the weight lambda - (b_1 alpha_1 + ... + b_n
+    alpha_n), b_k the sum of s over the roots that contain alpha_k; it is
+    keyed by the b_k packed into one int, `width` bits each.  A budget
+    maps a weight (content vector) to the multiplicity of the target, a
+    submodule holding every image, there; a weight it does not list has
+    none.  A tuple whose weight already has that many rows in the span
+    computes no image (`wanted`): its image is in the target's weight
+    space, which the span then holds, so it would not have been kept, and
+    the kept tuples and the ranks are those without a budget.
+
+    An image is nonzero only if its weight is one of the module's, whose
+    depths b_k sum to at most H, the height of lambda - w0 lambda; a tuple
+    of degree d has that sum at least d.  So all images of degree H + 1
+    vanish and the scan raises by then, every b_k it meets is at most
+    H + 1, and no field carries.  A degree whose computed images all vanish
+    is walked again over its tuples at the budget's weights, the only
+    ones whose skipped image can be nonzero, and the scan raises only when
+    all of those vanish too: exactly when every image of the degree does.
+    """
+    parts = to_partition(module.weight)
+    deepest = sum(accumulate(map(sub, parts, parts[::-1])))
+    width = (deepest + 1).bit_length()
+    steps = [sum([1 << width * (k - 1) for k in range(r.i, r.j + 1)]) for r in listing]
+    room: dict[int, int] = {}
+    if budget is not None:
+        for content, mult in budget.items():
+            depths = list(accumulate(map(sub, parts, content)))
+            # A weight out of these bounds is not the module's, so no image's.
+            if depths.pop() == 0 and all(0 <= b <= deepest for b in depths):
+                room[sum([b << width * k for k, b in enumerate(depths)])] = mult
+    held: dict[int, int] = {}
+
+    def wanted(s: tuple[int, ...]) -> bool:
+        key = sum(map(mul, s, steps))
+        return held.get(key, 0) < room.get(key, 0)
+
+    def targeted(s: tuple[int, ...]) -> bool:
+        return sum(map(mul, s, steps)) in room
+
+    span = IntSpan(module.space.dimension)
+    kept: list[tuple[int, ...]] = []
     degree = 0
-    while span.rank < target:
-        vanished = True
-        scan = _degree_compositions(degree, len(listing), order == "lex")
-        for s, image in _ordered_images(module, listing, scan):
-            vanished = vanished and not image
-            if span.add(image) is not None:
-                found.append(dict(zip(listing, s)))
-                if span.rank == target:
-                    break
-        if vanished:
+    while span.rank < dimension:
+        live = False
+        walk = _ordered_images(module, listing, _degree_compositions(degree, len(listing), lex),
+                               None if budget is None else wanted)
+        for s, image in walk:
+            if image:
+                live = True
+                if span.add(image) is not None:
+                    key = sum(map(mul, s, steps))
+                    held[key] = held.get(key, 0) + 1
+                    kept.append(s)
+                    if span.rank == dimension:
+                        break
+        if not live and budget is not None:
+            again = _degree_compositions(degree, len(listing), lex)
+            live = any(image for _, image in _ordered_images(module, listing, again, targeted))
+        if not live:
             raise ArithmeticError("essential monomial scan did not stabilize")
         degree += 1
-    roots = A.sorted_roots()
-    # Each exponent tuple is scanned once, so the sorted tuples are distinct.
-    return PointSet(space.n, roots, tuple(sorted(tuple(f.get(r, 0) for r in roots)
-                                                 for f in found)))
+    return kept
 
 
 def cartan_component_dimension(
@@ -478,7 +651,7 @@ def cartan_component_dimension(
     # Over the concatenated factors the lexicographic basis index of a pair
     # is i1 * d2 + i2, and E_ab summed over all factors is the diagonal action.
     space = TensorSpace(n, left.factors + right.factors)
-    tables = [space.lowering_table(r) for r in A.sorted_roots()]
-    basis, _ = _closure(space, space.highest_vector(), tables, cap=cap,
-                        what="diagonal closure")
+    ops = [(r.j + 1, r.i) for r in A.sorted_roots()]
+    basis, _, _ = _closure(space, space.highest_vector(), ops, cap=cap,
+                           what="diagonal closure")
     return len(basis)

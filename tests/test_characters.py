@@ -59,6 +59,16 @@ def test_operator_string_cases():
         demazure_operator(2, f)
 
 
+def test_operator_drops_cancelled_terms():
+    """The operator builds its output without validation, yet a term that
+    cancels to zero is dropped: D_1(x^(2,0) + x^(0,2)) is x^(2,0) + x^(0,2),
+    the +x^(1,1) of the first string against the -x^(1,1) of the second."""
+    f = Character(1, {(2, 0): 1, (0, 2): 1})
+    g = demazure_operator(1, f)
+    assert g.terms == {(2, 0): 1, (0, 2): 1}
+    assert g == f
+
+
 small_characters = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
     st.integers(-2, 3),

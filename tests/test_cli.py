@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
+import fflv.characters
 import fflv.cli
+import fflv.marked_poset
 import fflv.polytope
 from fflv.cli import main
 from fflv.polytope import dilate, enumerate_lattice_points
@@ -499,6 +501,45 @@ def test_verify_builds_each_face_system_once(capsys, monkeypatch):
     assert code == 0
     assert weights == [(1, 1, 1), (1, 1, 1), (1, 0, 1), (2, 1, 2)]
     assert sums == [(64, 15)]
+
+
+def test_verify_builds_the_face_system_once_for_every_check(capsys, monkeypatch):
+    """`verify --w` builds the path system at lambda once, in every module
+    that holds the builder: the character check reads the listed face, so
+    no second system and no weight tally is formed for it.  One more path
+    system is enumerated, by the marked-poset certificate, free of the
+    weight."""
+    built, paths, tallies = [], [], []
+    for module in (fflv.polytope, fflv.characters):
+        monkeypatch.setattr(module, "build_inequalities",
+                            lambda A, lam, f=module.build_inequalities:
+                            built.append(lam.coeffs) or f(A, lam))
+    for module in (fflv.polytope, fflv.marked_poset):
+        monkeypatch.setattr(module, "enumerate_dyck_paths_for",
+                            lambda A, f=module.enumerate_dyck_paths_for:
+                            paths.append(A) or f(A))
+    monkeypatch.setattr(fflv.characters, "count_points_by_weight",
+                        lambda *a, f=fflv.characters.count_points_by_weight:
+                        tallies.append(a) or f(*a))
+    code, out, _ = run(capsys, "verify", "--w-oneline", "4 3 2 1", "--lambda", "1,1,1")
+    assert code == 0
+    assert json.loads(out)["checks"]["character"] == {
+        "deficit": 0, "lattice_mass": 64, "oracle_mass": 64, "status": "pass"}
+    assert built == [(1, 1, 1)]
+    assert len(paths) == 2
+    assert tallies == []
+
+
+@pytest.mark.slow
+def test_verify_rank5_longest_element_with_modules(capsys):
+    """The whole bundle of the rank-5 longest element at rho(5), module
+    checks included: a module of dimension 32,768, about a minute."""
+    code, out, _ = run(capsys, "verify", "--w-oneline", "6 5 4 3 2 1",
+                       "--lambda", "1,1,1,1,1", "--max-dim", "40000")
+    assert code == 0
+    rep = json.loads(out)["checks"]["rep"]
+    assert rep["status"] == "pass"
+    assert rep["dims"] == {"subset": 32768, "lattice": 32768, "demazure": 32768, "oracle": 32768}
 
 
 def test_verify_forms_the_sums_where_the_identity_fails(capsys, monkeypatch):

@@ -22,7 +22,8 @@ PUBLIC = [
     "essential_monomials", "extremal_vector", "face_character", "fundamental_weight", "in_polytope",
     "inversion_roots", "is_dyck_path_for", "is_kempf", "is_marked_chain_face",
     "is_triangular_element", "is_triangular_subset", "kempf_complement",
-    "kempf_factorization", "make_root", "marked_chain_points", "marked_order_points",
+    "kempf_factorization", "lowering_weights", "make_root", "marked_chain_points",
+    "marked_order_points",
     "minkowski_sum", "pairing", "parse_permutation", "parse_root",
     "pbw_filtration_profile", "permutation_from_segments", "points_to_csv",
     "reduced_word", "rho",

@@ -1,5 +1,6 @@
 """Explicit modules, extremal vectors, monomial bases, and graded profiles."""
 
+import json
 import warnings
 from functools import lru_cache
 from itertools import combinations, product
@@ -10,7 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fflv.rep
-from fflv.characters import demazure_dimension_oracle, weyl_dimension
+from fflv.characters import (
+    Character,
+    demazure_character_oracle,
+    demazure_dimension_oracle,
+    weyl_dimension,
+)
 from fflv.cli import main
 from fflv.polytope import PointSet, degree_histogram, enumerate_lattice_points
 from fflv.rep import (
@@ -21,6 +27,7 @@ from fflv.rep import (
     demazure_submodule,
     essential_monomials,
     extremal_vector,
+    lowering_weights,
     pbw_filtration_profile,
     subset_submodule,
     verify_monomial_basis,
@@ -368,17 +375,24 @@ def test_digit_ops_match_full_row_tables(space_and_vectors):
 
 
 def test_rank3_verify_runs_three_closures(capsys, monkeypatch):
+    """`verify` forms three kinds of closure.  An element forms the module
+    and its Borel closure, which gives the target's dimension and weights,
+    and no lowering closure; a subset forms the module and its lowering
+    closure."""
     whats = []
     closure = fflv.rep._closure
 
-    def counted(space, start, tables, cap=None, what="module"):
+    def counted(space, start, ops, cap=None, what="module", budget=None):
         whats.append(what)
-        return closure(space, start, tables, cap=cap, what=what)
+        return closure(space, start, ops, cap=cap, what=what, budget=budget)
 
     monkeypatch.setattr(fflv.rep, "_closure", counted)
     assert main(["verify", "--w-oneline", "4 3 2 1", "--lambda", "1,1,1"]) == 0
+    assert whats == ["module", "Borel closure"]
+    whats.clear()
+    assert main(["verify", "--A", "1.1,1.2,1.3,2.2,2.3,3.3", "--lambda", "1,1,1"]) == 0
     capsys.readouterr()
-    assert whats == ["module", "lowering closure", "Borel closure"]
+    assert whats == ["module", "lowering closure"]
 
 
 def test_rank4_closures_match_weyl_and_demazure_dimensions():
@@ -414,29 +428,44 @@ def _walk_module(lam):
 @st.composite
 def _walks(draw):
     """A module at rank 1-3, a listing of some of its roots in (row, column)
-    or tall-first order, and a scan of exponent tuples in no order."""
+    or tall-first order, a scan of exponent tuples in no order, and for
+    each tuple of the scan whether it is wanted."""
     lam = draw(st.sampled_from([DominantWeight((3,)), DominantWeight((1, 2)),
                                 DominantWeight((2, 1)), rho(3), DominantWeight((0, 2, 1))]))
     roots = draw(st.lists(st.sampled_from(all_positive_roots(lam.n)), min_size=1, unique=True))
     listing = sorted(roots) if draw(st.booleans()) else fflv.rep._tall_first(roots)
     exponents = st.tuples(*[st.integers(0, 4)] * len(listing))
-    return lam, tuple(listing), draw(st.lists(exponents, max_size=12))
+    scan = draw(st.lists(exponents, max_size=12))
+    wanted = draw(st.lists(st.booleans(), min_size=len(scan), max_size=len(scan)))
+    return lam, tuple(listing), scan, wanted
 
 
 @settings(max_examples=80, deadline=None)
 @given(_walks())
 @example((rho(3), (Root(1, 1), Root(1, 2), Root(2, 3)),
-          [(0, 0, 0), (1, 2, 1), (1, 2, 1), (0, 0, 0), (2, 0, 1), (3, 2, 0), (1, 2, 1)]))
+          [(0, 0, 0), (1, 2, 1), (1, 2, 1), (0, 0, 0), (2, 0, 1), (3, 2, 0), (1, 2, 1)],
+          [True, False, True, False, False, True, True]))
 @example((DominantWeight((1, 2)), (Root(1, 2), Root(1, 1), Root(2, 2)),
-          [(0, 2, 0), (0, 1, 2), (1, 1, 2), (1, 4, 2), (0, 0, 1), (0, 0, 0)]))
+          [(0, 2, 0), (0, 1, 2), (1, 1, 2), (1, 4, 2), (0, 0, 1), (0, 0, 0)],
+          [False, False, True, False, True, True]))
 def test_ordered_images_match_rebuilt_images(walk):
     """The suffix-sharing walk yields every tuple of the scan, in the scan's
     order, with the image rebuilt from the highest vector: with repeats,
-    zero tuples, vanishing images and unsorted scans."""
-    lam, listing, scan = walk
+    zero tuples, vanishing images and unsorted scans.  With a `wanted`
+    predicate it yields the wanted tuples alone, each with its rebuilt
+    image after any run of skipped tuples, and asks the predicate once per
+    tuple, in scan order."""
+    lam, listing, scan, wanted = walk
     module = _walk_module(lam)
     walked = list(fflv.rep._ordered_images(module, listing, scan))
     assert walked == [(s, _reference_ordered_image(module, listing, s)) for s in scan]
+    asked = []
+    answers = iter(wanted)
+    walked = list(fflv.rep._ordered_images(
+        module, listing, scan, lambda s: asked.append(s) or next(answers)))
+    assert asked == scan
+    assert walked == [(s, _reference_ordered_image(module, listing, s))
+                      for s, keep in zip(scan, wanted) if keep]
 
 
 def test_monomial_basis_costs_one_apply_per_point(monkeypatch):
@@ -466,3 +495,172 @@ def test_degree_compositions_come_in_scan_order(lex, key):
             want = sorted((s for s in product(range(total + 1), repeat=parts)
                            if sum(s) == total), key=key)
             assert list(fflv.rep._degree_compositions(total, parts, lex)) == want, (total, parts)
+
+
+def _weights(n, values):
+    return [DominantWeight(c) for c in product(values, repeat=n)]
+
+
+@lru_cache(maxsize=None)
+def _module(lam):
+    return build_highest_weight_module(lam, cap=2000)
+
+
+def _rep_block(capsys, *argv):
+    assert main(["verify", *argv]) in (0, 1)
+    return json.loads(capsys.readouterr().out)["checks"]["rep"]
+
+
+def _element_and_subset_blocks(capsys, monkeypatch, n, weights):
+    """Compare the two `rep` blocks and the two weight maps for every
+    element of rank n at each weight; return the blocks' statuses."""
+    monkeypatch.setattr(fflv.cli, "build_highest_weight_module",
+                        lambda lam, cap: _module(lam))
+    statuses = []
+    for lam in weights:
+        coeffs = ",".join(map(str, lam.coeffs))
+        module = _module(lam)
+        for w in all_permutations(n):
+            A = inversion_roots(w)
+            if not A.members:
+                continue
+            sub = subset_submodule(module, A)
+            borel = demazure_submodule(module, w)
+            assert lowering_weights(borel, w) == sub.weights, (lam, w)
+            assert borel.dimension == sub.dimension
+            element = _rep_block(capsys, "--w-oneline", " ".join(map(str, w.images)),
+                                 "--lambda", coeffs, "--max-dim", "2000")
+            labels = ",".join(f"{r.i}.{r.j}" for r in A.sorted_roots())
+            subset = _rep_block(capsys, "--A", labels, "--lambda", coeffs, "--max-dim", "2000")
+            if "dims" in element:
+                assert element["dims"].pop("demazure") == element["dims"]["subset"]
+                assert element["dims"].pop("oracle") == element["dims"]["subset"]
+            assert element == subset, (lam, w)
+            statuses.append(element["status"])
+    assert len(statuses) == len(weights) * (len(all_permutations(n)) - 1)
+    return set(statuses)
+
+
+@pytest.mark.parametrize("n,weights,statuses", [
+    (1, _weights(1, (0, 1, 2)), {"pass"}),
+    (2, _weights(2, (0, 1, 2)), {"pass"}),
+    (3, _weights(3, (0, 1, 2)), {"pass", "skipped"}),
+    (4, [rho(4)], {"pass", "fail", "skipped"}),
+])
+def test_element_and_its_inversion_set_give_one_rep_block(
+        capsys, monkeypatch, n, weights, statuses):
+    """For every element of S_2..S_4 at every weight in {0,1,2}^n, and of
+    S_5 at rho(4), the `rep` block of `verify --w` (target from the Borel
+    closure, profile from the essential scan) equals that of `verify --A`
+    on the inversion set (the lowering closure), and the Borel closure's
+    weights mapped by w^-1 are the lowering closure's row weights.  The
+    blocks pass, or, for some non-triangular elements, are skipped on an
+    unbounded face or fail alike at rank 4."""
+    assert _element_and_subset_blocks(capsys, monkeypatch, n, weights) == statuses
+
+
+@pytest.mark.parametrize("lam,elements", [
+    (DominantWeight((2, 1)), all_permutations(2)),
+    (DominantWeight((1, 0, 2)), all_permutations(3)),
+    (rho(3), all_permutations(3)),
+    (DominantWeight((2, 1, 1)), all_permutations(3)),
+    (rho(4), [Permutation.longest(4), Permutation.from_word((2, 1, 3, 2, 4), 4),
+              Permutation.from_word((1, 3, 2), 4)]),
+])
+def test_budgets_change_no_row_profile_or_kept_set(lam, elements):
+    """Budgeted closures (the module, Borel closures, lowering closures of
+    inversion sets) give the rows, profile and weights of the unbudgeted
+    ones, and the budgeted essential scan keeps the tuples of the
+    unbudgeted one, in the same order: for every element at ranks 2-3,
+    and at rho(4) for the longest element, a triangular non-Kempf one and
+    a non-triangular one."""
+    module = _module(lam)
+    space, n = module.space, lam.n
+    simple = [(i + 1, i) for i in range(1, n + 1)]
+    closure = fflv.rep._closure
+    assert closure(space, module.generator, simple) == (
+        module.basis, module.profile, module.weights)
+    for w in elements:
+        A = inversion_roots(w)
+        borel = demazure_submodule(module, w)
+        raising = [(i, i + 1) for i in range(1, n + 1)]
+        assert closure(space, borel.generator, raising) == (
+            borel.basis, borel.profile, borel.weights)
+        sub = subset_submodule(module, A)
+        lowering = [(r.j + 1, r.i) for r in A.sorted_roots()]
+        assert closure(space, module.generator, lowering) == (
+            sub.basis, sub.profile, sub.weights)
+        listing = fflv.rep._tall_first(A.members)
+        for lex in (False, True):
+            kept = fflv.rep._scan(module, listing, lex, sub.dimension, sub.weights)
+            assert kept == fflv.rep._scan(module, listing, lex, sub.dimension, None), (w, lex)
+
+
+def _one_short(weights, at):
+    short = dict(weights)
+    short[at] -= 1
+    return short
+
+
+@pytest.mark.parametrize("lam", [DominantWeight((1, 1)), DominantWeight((2, 1)), rho(3)])
+def test_a_short_build_budget_raises(monkeypatch, lam):
+    """A Weyl character one short at any weight below the highest leaves
+    the module short of the Weyl dimension, which raises.  At the highest
+    weight, whose row is the start vector and no image, it changes
+    nothing.  So a short budget never builds another module."""
+    character = demazure_character_oracle(Permutation.longest(lam.n), lam)
+    module = build_highest_weight_module(lam)
+    top = fflv.rep.to_partition(lam)
+    for at in character.terms:
+        short = Character(lam.n, _one_short(character.terms, at))
+        monkeypatch.setattr(fflv.rep, "demazure_character_oracle", lambda w, lam: short)
+        if at == top:
+            built = build_highest_weight_module(lam)
+            assert (built.basis, built.profile, built.weights) == (
+                module.basis, module.profile, module.weights)
+            continue
+        with pytest.raises(ArithmeticError, match="highest weight closure has dimension"):
+            build_highest_weight_module(lam)
+
+
+@pytest.mark.parametrize("lam,w", [
+    (DominantWeight((1, 1)), Permutation.longest(2)),
+    (DominantWeight((2, 1)), Permutation.from_word((1, 2), 2)),
+    (rho(3), Permutation((3, 4, 2, 1))),
+])
+def test_a_short_scan_budget_can_only_fail(capsys, monkeypatch, lam, w):
+    """A scan budget one short at any one weight never passes: scanning to
+    the true dimension, the weight never fills and the scan does not
+    stabilize; scanning to the budget's total, it keeps one tuple too few.
+    Through `verify --w`, a short weight map fails the `rep` block."""
+    module = _module(lam)
+    A = inversion_roots(w)
+    S = enumerate_lattice_points(A, lam)
+    borel = demazure_submodule(module, w)
+    weights = lowering_weights(borel, w)
+    listing = fflv.rep._tall_first(A.members)
+    for at in weights:
+        short = _one_short(weights, at)
+        with pytest.raises(ArithmeticError, match="did not stabilize"):
+            fflv.rep._scan(module, listing, False, borel.dimension, short)
+        kept = essential_monomials(module, A, weights=short)
+        assert len(kept) == len(S) - 1
+    at = next(iter(weights))
+    monkeypatch.setattr(fflv.cli, "lowering_weights", lambda b, w: _one_short(weights, at))
+    rep = _rep_block(capsys, "--w-oneline", " ".join(map(str, w.images)),
+                     "--lambda", ",".join(map(str, lam.coeffs)))
+    assert rep["status"] == "fail"
+    assert (rep["basis_ok"], rep["essential_ok"], rep["graded_ok"]) == (True, False, False)
+
+
+def test_non_closed_subset_still_does_not_stabilize():
+    """{alpha11, alpha22} is not closed under root addition: its ordered
+    monomials never span the lowering closure, budget or no budget."""
+    module = _module(DominantWeight((1, 1)))
+    A = RootSubset.of(2, {Root(1, 1), Root(2, 2)})
+    sub = subset_submodule(module, A)
+    assert sub.profile == (1, 3, 5, 7, 8)
+    listing = fflv.rep._tall_first(A.members)
+    for budget in (sub.weights, None):
+        with pytest.raises(ArithmeticError, match="did not stabilize"):
+            fflv.rep._scan(module, listing, False, sub.dimension, budget)
