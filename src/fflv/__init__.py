@@ -45,6 +45,7 @@ from .polytope import (
     PointSet,
     UnboundedFaceError,
     build_inequalities,
+    compose_points,
     count_integer_points,
     count_points_by_weight,
     degree_histogram,
@@ -52,8 +53,11 @@ from .polytope import (
     embed_face,
     enumerate_integer_points,
     enumerate_lattice_points,
+    ideal_sum,
     in_polytope,
+    lattice_point_graph,
     minkowski_sum,
+    packed_fields,
     points_to_csv,
     support_inequalities,
     weight_columns,

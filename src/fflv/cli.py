@@ -27,11 +27,12 @@ from .marked_poset import count_chain_points, count_order_points, is_marked_chai
 from .polytope import (
     PointSet,
     UnboundedFaceError,
+    compose_points,
     degree_histogram,
-    dilate,
     enumerate_lattice_points,
-    minkowski_sum,
-    points_to_csv,
+    ideal_sum,
+    lattice_point_graph,
+    packed_fields,
     weight_columns,
 )
 from .rep import (
@@ -135,50 +136,64 @@ def cmd_weyl_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_points(args: argparse.Namespace) -> int:
-    """Export the lattice points of one face polytope.
+    """Export the lattice points of one face polytope, or with `--dilate k`
+    of its k-fold Minkowski sum, in lexicographic order.
 
-    Rows are written in lexicographic order straight from the point tuples,
-    each through one `%d` template per format; weights and degrees are
-    column sums over `weight_columns`, taken for all points at once.
+    The rows come off the state graph of `lattice_point_graph`, which
+    forms no pairwise sum.  `compose_points` walks it once with text
+    cells, each coordinate value's cell formatted once, so a row's text is
+    a concatenation, and for text and json once more with packed ints that
+    carry the point's weight, the column sums over `weight_columns`, and
+    its degree, each in a field of `packed_fields`; the weight and degree
+    text is formatted once per distinct packed value.
     """
     lam = args.lam
     try:
-        S = enumerate_lattice_points(args.A, lam)
+        levels = lattice_point_graph(args.A, lam, args.dilate)
     except UnboundedFaceError as exc:
         print(f"unbounded: {exc}", file=sys.stderr)
         return 2
-    if args.dilate > 1:
-        S = dilate(S, args.dilate)
+    n, roots = lam.n, args.A.sorted_roots()
+    values = [range(max(map(len, level))) for level in levels]
+
+    def rows(cell) -> list[str]:
+        """Each point's text: per coordinate c, cell(c, root, v) for its value v."""
+        return compose_points(levels, [[cell(c, r, v) for v in vs]
+                                       for c, (r, vs) in enumerate(zip(roots, values))], "")
+
     out = sys.stdout
     if args.format == "csv":
-        out.write(points_to_csv(S))
+        header = ",".join([r.label for r in roots])
+        out.write("\n".join([header] + rows(lambda c, r, v: f",{v}" if c else str(v))) + "\n")
         return 0
-    points = S.tuples
-    count = len(points)
-    cols = list(zip(*points))
-    weights = [list(map(sum, zip(*[cols[c] for c in group]))) if group else [0] * count
-               for group in weight_columns(S.n, S.roots)]
-    degrees = list(map(sum, points))
-    weight = ",".join(["%d"] * S.n)
+    groups = weight_columns(n, roots) + (tuple(range(len(roots))),)
+    steps, fields = packed_fields(groups, [len(vs) - 1 for vs in values])
+    packed = compose_points(levels, [[v * step for v in vs] for step, vs in zip(steps, values)], 0)
+
+    # Per distinct packed value, its weight coefficients, then its degree.
+    sums = {x: tuple([x >> s & mask for s, mask in fields]) for x in set(packed)}
+    weight = ",".join(["%d"] * n)
     if args.format == "json":
         # The keys in `json.dumps(sort_keys=True)` order, without building
         # the document: A, count, lambda, points, rank; degree, values,
         # weight inside a point.  `values` lists the nonzero coordinates as
-        # [i, j, v]: per column, entry v is ",[i,j,v]" and entry 0 is empty,
-        # so a point's entries joined, less the leading comma, are its list.
+        # [i, j, v]: the cell of value v is ",[i,j,v]" and that of 0 is
+        # empty, so a point's text, less the leading comma, is its list.
         out.write('{"A":%s,"count":%d,"lambda":%s,"points":[' % (
-            _compact([[r.i, r.j] for r in S.roots]), count, _compact(list(lam.coeffs))))
-        entries = [[""] + [f",[{r.i},{r.j},{v}]" for v in range(1, max(col) + 1)]
-                   for r, col in zip(S.roots, cols)]
-        values = (map("".join, zip(*[map(e.__getitem__, col) for e, col in zip(entries, cols)]))
-                  if cols else [""] * count)
-        row = '{"degree":%d,"values":[%s],"weight":[' + weight + "]}"
-        out.write(",".join([row % (d, v[1:], *w) for d, v, *w in zip(degrees, values, *weights)]))
-        out.write('],"rank":%d}\n' % S.n)
+            _compact([[r.i, r.j] for r in roots]), len(packed), _compact(list(lam.coeffs))))
+        ends = {x: ('{"degree":%d,"values":[' % t[-1], '],"weight":[' + weight % t[:-1] + "]}")
+                for x, t in sums.items()}
+        out.write(",".join([head + text[1:] + tail for (head, tail), text in zip(
+            map(ends.__getitem__, packed),
+            rows(lambda c, r, v: f",[{r.i},{r.j},{v}]" if v else ""))]))
+        out.write('],"rank":%d}\n' % n)
     else:
-        out.write(f"count {count}\n")
-        row = " ".join(f"{r.label}=%d" for r in S.roots) + f"  weight={weight} degree=%d\n"
-        out.writelines(map(row.__mod__, zip(*cols, *weights, degrees)))
+        template = f"  weight={weight} degree=%d\n"
+        tails = {x: template % t for x, t in sums.items()}
+        out.write(f"count {len(packed)}\n")
+        out.writelines(map(str.__add__,
+                           rows(lambda c, r, v: f" {r.label}={v}" if c else f"{r.label}={v}"),
+                           map(tails.__getitem__, packed)))
     return 0
 
 
@@ -253,7 +268,8 @@ def _verify_checks(args: argparse.Namespace) -> dict:
     is the face at k lambda, for k = 2 (which is also the mu = lambda
     Minkowski check) and k = 3.  The count of S(2 lambda) is then the chain
     count at 2 lambda, which the Ehrhart table holds.  Everything else (mu
-    != lambda, and faces where the identity fails) forms the packed sums.
+    != lambda, and faces where the identity fails) forms the sums, as
+    order ideals (`ideal_sum`).
     """
     A, w, lam, mu = args.A, args.w, args.lam, args.mu
     checks: dict[str, dict] = {}
@@ -275,7 +291,7 @@ def _verify_checks(args: argparse.Namespace) -> dict:
                 faces[(nu,)] = enumerate_lattice_points(A, nu)
         for k in range(2, len(weights) + 1):
             if weights[:k] not in faces:
-                faces[weights[:k]] = minkowski_sum(faces[weights[:k - 1]], faces[weights[k - 1:k]])
+                faces[weights[:k]] = ideal_sum(faces[weights[:k - 1]], faces[weights[k - 1:k]])
         return faces[weights]
 
     S = None

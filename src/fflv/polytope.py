@@ -11,10 +11,15 @@ the weight; `support_inequalities` reads each bound off its support's base
 root, for the path supports here and for the marked chain supports of
 `marked_poset` alike.  This module enumerates the integer points exactly
 and counts them without listing them, in total or per weight, all three
-over one state graph that merges prefixes with equal completions; it
-embeds them into the full-triangle polytope, and forms Minkowski sums and
-dilations.
-Everything is integer arithmetic.
+over one state graph that merges prefixes with equal completions
+(`_slack_graph`).  One walk over such a graph (`compose_points`) composes
+per-coordinate cells into value tuples, text rows or packed sums
+(`packed_fields`).  A face is an order ideal of N^m, so the Minkowski sum
+of faces, and of a face with itself k times, is the ideal generated by
+sums of maximal points, listed over a state graph of generator suffixes
+(`_sum_graph`) without forming a pairwise sum; `minkowski_sum` and
+`dilate` sum arbitrary point sets.  The module also embeds points into
+the full-triangle polytope.  Everything is integer arithmetic.
 
 A point is a tuple of values aligned with its set's root tuple, and a point
 set is one tuple of such tuples in strictly increasing lexicographic order.
@@ -26,6 +31,8 @@ callers read `PointSet.tuples`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, lshift
 from typing import Iterator, Optional, Sequence
 
 from .paths import base_root, enumerate_dyck_paths_for
@@ -163,24 +170,28 @@ def _slack_graph(m: int, rows: list[tuple[int, int]]) -> Iterator[list[list[int]
         supports, states = after, list(ids)
 
 
-def enumerate_integer_points(
-    n: int, roots: tuple[Root, ...], ineqs: list[Inequality]
-) -> PointSet:
-    """Nonnegative integer vectors indexed by `roots` satisfying every
-    inequality, in lexicographic order.  Raises UnboundedFaceError for the
-    first coordinate that occurs in no inequality.
+def compose_points(levels: list[list[list[int]]], cells: Sequence[Sequence], unit) -> list:
+    """Per point of a state graph, in lexicographic order of the points, the
+    composition `unit + cells[0][v_0] + ... + cells[m-1][v_{m-1}]` of its
+    coordinates' cells, for cells under an associative `+`: value tuples
+    `(v,)` with unit `()` give the points, strings give text rows, and ints
+    give packed sums.
 
-    The points are read off the state graph of `_slack_graph`, in which a
-    state at depth c stands for every prefix of c values reaching it, and
-    its completions are the same for all of them (`count_integer_points`).
+    `levels` is a state graph as `_slack_graph` yields it: per coordinate
+    c, per state at depth c, the states that c's values 0, 1, ... lead to,
+    where a state at depth c stands for every prefix of c values reaching
+    it, and its completions are the same for all of them.  The graph of a
+    face (`count_integer_points`) and of a sum of faces (`_sum_graph`) both
+    have that property, and their depth 0 and depth m hold one state each.
     A backward pass gives each state its number of completions.  The split
     depth d is the first depth whose states' completion counts sum to at
     most a sixteenth of the number of points (or m, the number of
     coordinates, if none does).  Every state at depth d gets its suffix
-    list, the list of its completions, built once, bottom-up from depth m:
-    a state's list is, for v = 0, 1, ..., cap, the value v in front of
-    each entry of its v-th child's list.  Then the prefixes of depth d are
-    walked breadth-first, each extended by its state's suffix list.
+    list, the compositions of its completions, built once, bottom-up from
+    depth m: a state's list is, for v = 0, 1, ..., its v-th cell in front
+    of each entry of its v-th child's list.  Then the prefixes of depth d
+    are walked breadth-first, each composition extended by its state's
+    suffix list.
 
     Emission order: the prefixes at each depth come out in lexicographic
     order, since each one's children follow in increasing value order, and
@@ -193,18 +204,13 @@ def enumerate_integer_points(
     and a parent's completion count is the sum of its children's, so the
     summed completion counts never grow with depth.  The suffix lists
     alive at any time, those of depth c + 1 while depth c is built, so
-    hold at most an eighth as many entries as there are points, each
-    shorter than a point; the lists of depth c + 1 are dropped once depth
-    c is built.  The prefix list of each depth holds at most one entry per
-    point.  A quarter in place of a sixteenth was slower on the full
-    triangle at rho(5) and 3 rho(4), and its larger suffix lists raised
-    the peak memory of a `points` export.
+    hold at most an eighth as many entries as there are points; the lists
+    of depth c + 1 are dropped once depth c is built.  The prefix list of
+    each depth holds at most one entry per point.  A quarter in place of a
+    sixteenth was slower on the full triangle at rho(5) and 3 rho(4), and
+    its larger suffix lists raised the peak memory of a `points` export.
     """
-    rows = _search_plan(n, roots, ineqs)
-    if rows is None:
-        return PointSet(n, roots, ())
-    m = len(roots)
-    levels = list(_slack_graph(m, rows))
+    m = len(levels)
     completions = [[1]]
     for level in reversed(levels):
         below = completions[-1]
@@ -212,22 +218,165 @@ def enumerate_integer_points(
     completions.reverse()
     total = completions[0][0]
     split = next((c for c in range(m + 1) if 16 * sum(completions[c]) <= total), m)
-    suffixes: list[list[tuple[int, ...]]] = [[()]]
-    for level in reversed(levels[split:]):
-        below = suffixes
+    suffixes: list[list] = [[unit]]
+    for c in reversed(range(split, m)):
+        below, cell = suffixes, cells[c]
         suffixes = []
-        for kids in level:
-            found = []
-            for v, k in enumerate(kids):
-                found += map((v,).__add__, below[k])
+        for kids in levels[c]:
+            found: list = []
+            for x, k in zip(cell, kids):
+                found += map(x.__add__, below[k])
             suffixes.append(found)
-    prefixes: list[tuple[tuple[int, ...], int]] = [((), 0)]
-    for level in levels[:split]:
-        prefixes = [(p + (v,), k) for p, s in prefixes for v, k in enumerate(level[s])]
-    points: list[tuple[int, ...]] = []
+    prefixes = [(unit, 0)]
+    for cell, level in zip(cells[:split], levels[:split]):
+        prefixes = [(p + x, k) for p, s in prefixes for x, k in zip(cell, level[s])]
+    points: list = []
     for p, s in prefixes:
         points += map(p.__add__, suffixes[s])
-    return PointSet(n, roots, tuple(points))
+    return points
+
+
+def _value_cells(levels: list[list[list[int]]]) -> list[list[tuple[int]]]:
+    """Per coordinate, the cell `(v,)` of each value v, for `compose_points`
+    to compose value tuples."""
+    values = [(v,) for v in range(max([len(kids) for level in levels for kids in level],
+                                      default=0))]
+    return [values] * len(levels)
+
+
+def enumerate_integer_points(
+    n: int, roots: tuple[Root, ...], ineqs: list[Inequality]
+) -> PointSet:
+    """Nonnegative integer vectors indexed by `roots` satisfying every
+    inequality, in lexicographic order, composed as value tuples over the
+    state graph of `_slack_graph` (`compose_points`).  Raises
+    UnboundedFaceError for the first coordinate that occurs in no
+    inequality."""
+    rows = _search_plan(n, roots, ineqs)
+    if rows is None:
+        return PointSet(n, roots, ())
+    levels = list(_slack_graph(len(roots), rows))
+    return PointSet(n, roots, tuple(compose_points(levels, _value_cells(levels), ())))
+
+
+def _ideal_graph(shifts: Sequence[int], generators: set[int]) -> Iterator[list[list[int]]]:
+    """The state graph of the order ideal of N^m generated by `generators`,
+    one depth at a time as `_slack_graph` yields it.  A generator is packed
+    with coordinate c in the field at bit shifts[c], the fields laid out
+    from the last coordinate (lowest bits) to the first.
+
+    The state of a prefix of c values is the set of the generators' suffixes
+    (their coordinates c and later, the low bits below coordinate c - 1's
+    field) over the generators at or above the prefix.  A completion of the
+    prefix is a point at or below one of those suffixes, so equal states
+    have equal completions.  Coordinate c takes the values 0 .. the largest
+    value of c in the state, and value v leads to the suffixes after c of
+    those with a value of at least v at c.  Depth m holds one state, the
+    empty suffix.
+    """
+    states = [frozenset(generators)]
+    for shift in shifts:
+        low = (1 << shift) - 1
+        ids: dict[frozenset[int], int] = {}
+        level = []
+        for state in states:
+            by_value: dict[int, list[int]] = {}
+            for x in state:
+                by_value.setdefault(x >> shift, []).append(x & low)
+            kids = [0] * (1 + max(by_value))
+            child: set[int] = set()
+            for v in reversed(range(len(kids))):
+                child.update(by_value.get(v, ()))
+                kids[v] = ids.setdefault(frozenset(child), len(ids))
+            level.append(kids)
+        yield level
+        states = list(ids)
+
+
+def _sum_graph(m: int, summands: Sequence[Sequence[tuple[int, ...]]]) -> list[list[list[int]]]:
+    """The state graph of the Minkowski sum of the point sets `summands`
+    over m coordinates, each a nonempty finite order ideal of N^m, as
+    faces are.  Raises ValueError when some summand is no order ideal.
+
+    A face is an order ideal: x >= 0 under upper bounds on sums of
+    nonnegative coordinates, so lowering a coordinate of a point keeps it
+    in the face.  If I is the ideal generated by G and J the one generated
+    by H, then I + J is the ideal generated by G + H.  Each g + h lies in
+    I + J, which is an ideal: for x <= a + b with a in I and b in J, take
+    y = min(x, a) and z = x - y; then y <= a and 0 <= z <= b, so y is in I,
+    z in J and x = y + z.  Conversely a + b <= g + h for generators g >= a
+    and h >= b.  So the sum is the ideal generated by the sums of the
+    summands' maximal points, taken one summand at a time with the sums
+    deduplicated after each step, and `_ideal_graph` lists it without
+    forming a pairwise sum of points.  Every generator is a point of the
+    sum so far, so a step forms at most (points so far) x (maximal points
+    of the summand) sums, and pairwise sums form (points so far) x (points
+    of the summand).
+
+    Packing: coordinate c gets a field of (1 + sum over the summands of
+    their largest value at c).bit_length() bits.  A sum of generators, and
+    a summand's point plus 1 at one coordinate, then never carries, so
+    packed ints add as vectors, and a point p is maximal in its summand
+    exactly when no p + e_c is packed among the summand's points.  A point
+    p with p_c > 0 whose p - e_c is not among them shows a summand that is
+    no order ideal.
+    """
+    columns = [list(zip(*points)) for points in summands]
+    shifts = [0] * m
+    for c in reversed(range(m - 1)):
+        shifts[c] = shifts[c + 1] + (1 + sum([max(cols[c + 1]) for cols in columns])).bit_length()
+    units = [1 << s for s in shifts]
+    generators = {0}
+    for points, cols in zip(summands, columns):
+        packed = [0] * len(points)
+        for col, s in zip(cols, shifts):
+            packed = list(map(add, packed, map(lshift, col, repeat(s))))
+        present = set(packed)
+        if any(min(col) < 0 or not present.issuperset(map(u.__rsub__, compress(packed, col)))
+               for col, u in zip(cols, units)):
+            raise ValueError("a summand is not an order ideal of nonnegative points")
+        covered: set[int] = set()
+        for u in units:
+            covered.update(map(u.__rsub__, present.intersection(map(u.__add__, packed))))
+        maximal = present - covered
+        sums: set[int] = set()
+        for g in generators:
+            sums.update(map(g.__add__, maximal))
+        generators = sums
+    return list(_ideal_graph(shifts, generators))
+
+
+def ideal_sum(S1: PointSet, S2: PointSet) -> PointSet:
+    """The Minkowski sum of two faces, or of any two finite order ideals of
+    N^m, composed over the state graph of `_sum_graph` without forming the
+    pairwise sums; `minkowski_sum` takes arbitrary point sets.  Raises
+    ValueError for mismatched coordinates or a summand that is not an
+    order ideal."""
+    if S1.n != S2.n or S1.roots != S2.roots:
+        raise ValueError("Minkowski sum needs matching rank and root order")
+    if not S1.tuples or not S2.tuples:
+        return PointSet(S1.n, S1.roots, ())
+    levels = _sum_graph(len(S1.roots), [S1.tuples, S2.tuples])
+    return PointSet(S1.n, S1.roots, tuple(compose_points(levels, _value_cells(levels), ())))
+
+
+def lattice_point_graph(A: RootSubset, lam: DominantWeight, k: int = 1) -> list[list[list[int]]]:
+    """The state graph of the k-fold Minkowski sum of the face of A at the
+    given weight (k >= 1), over the coordinates of `A.sorted_roots()`, for
+    `compose_points`: the face's graph of `_slack_graph` for k = 1, and
+    otherwise the graph of `_sum_graph` over k copies of the points
+    composed on it.  A dominant weight bounds every support by a
+    nonnegative number, so the origin is a point and the graph is never
+    empty.  Raises UnboundedFaceError as the enumerator does."""
+    if lam.n != A.n:
+        raise ValueError(f"weight rank {lam.n} != subset rank {A.n}")
+    if k < 1:
+        raise ValueError("dilation factor must be >= 1")
+    roots = A.sorted_roots()
+    levels = list(_slack_graph(len(roots), _search_plan(A.n, roots, build_inequalities(A, lam))))
+    if k == 1:
+        return levels
+    return _sum_graph(len(roots), [compose_points(levels, _value_cells(levels), ())] * k)
 
 
 def _weight_tally(
@@ -296,6 +445,33 @@ def count_integer_points(
     return _weight_tally(len(roots), rows, [0] * len(roots))[0]
 
 
+def packed_fields(
+    groups: Sequence[Sequence[int]], caps: Sequence[int]
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Packed sums of coordinate groups: per coordinate c, the step that a
+    value v at c adds v times, and per group, in the given order, the
+    (shift, mask) of its bit field, the field of the last group lowest.
+
+    A group's field holds the sum of its coordinates' values, and it is
+    the bit length of the sum of their caps wide.  A point or a prefix of
+    one sums to at most that in every field when each coordinate is at
+    most its cap, so no field carries: packed sums add exactly, distinct
+    sums have distinct packed values, and the packed values sort as the
+    tuples of group sums do.
+    """
+    steps = [0] * len(caps)
+    fields = []
+    shift = 0
+    for group in reversed(groups):
+        width = sum([caps[c] for c in group]).bit_length()
+        fields.append((shift, (1 << width) - 1))
+        for c in group:
+            steps[c] += 1 << shift
+        shift += width
+    fields.reverse()
+    return steps, fields
+
+
 def count_points_by_weight(
     n: int, roots: tuple[Root, ...], ineqs: list[Inequality]
 ) -> dict[tuple[int, ...], int]:
@@ -304,31 +480,16 @@ def count_points_by_weight(
     `weight_columns`, the `weight=` of `points`.  The keys come in
     lexicographic order.  Raises the same UnboundedFaceError.
 
-    A weight is packed into one int, one bit field per simple root, the
-    field of the last simple root lowest, and a value v at a coordinate
-    adds v times the packed sum of the simple roots its root spans, as
-    `minkowski_sum` packs a point.  No field carries: a coordinate's value
-    is at most its cap, the least bound of an inequality containing it, so
-    the sum in field k, for a point or any prefix of one, is at most the
-    sum of the caps of the roots spanning k, and the field is that sum's
-    bit length wide.  So packed weights add exactly, distinct weights have
-    distinct packed values, and the packed values sort as the weight
-    tuples do.
+    A weight is packed into one int by `packed_fields`, one field per
+    simple root, and the tally of `_weight_tally` adds packed weights.  A
+    coordinate's value is at most its cap, the least bound of an
+    inequality containing it, so no field carries.
     """
     rows = _search_plan(n, roots, ineqs)
     if rows is None:
         return {}
     caps = [min([bound for mask, bound in rows if mask >> c & 1]) for c in range(len(roots))]
-    fields = []
-    steps = [0] * len(roots)
-    shift = 0
-    for group in reversed(weight_columns(n, roots)):
-        width = sum([caps[c] for c in group]).bit_length()
-        fields.append((shift, (1 << width) - 1))
-        for c in group:
-            steps[c] += 1 << shift
-        shift += width
-    fields.reverse()
+    steps, fields = packed_fields(weight_columns(n, roots), caps)
     tally = _weight_tally(len(roots), rows, steps)
     return {tuple([x >> s & mask for s, mask in fields]): tally[x] for x in sorted(tally)}
 

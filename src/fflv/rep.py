@@ -157,9 +157,6 @@ class TensorSpace:
     def lowering_table(self, root: Root) -> _Op:
         return self.table(root.j + 1, root.i)
 
-    def raising_table(self, root: Root) -> _Op:
-        return self.table(root.i, root.j + 1)
-
     def apply(self, table: _Op, vec: SparseVector) -> SparseVector:
         """Image of a sparse vector under an op, as a sparse vector."""
         out: dict[int, int] = {}

@@ -1,6 +1,7 @@
 """Command line interface, exercised in process through main()."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -243,6 +244,8 @@ def reference_points_output(S, lam, fmt):
 
 
 NON_TRIANGULAR_4 = "1.1,1.3,2.2,2.3,2.4,3.3,4.4"
+FULL_TRIANGLE_4 = "1.1,1.2,1.3,1.4,2.2,2.3,2.4,3.3,3.4,4.4"
+FULL_TRIANGLE_5 = ",".join(f"{i}.{j}" for i in range(1, 6) for j in range(i, 6))
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -250,6 +253,12 @@ NON_TRIANGULAR_4 = "1.1,1.3,2.2,2.3,2.4,3.3,4.4"
     ("1.1,1.2,1.3,2.2,2.3,3.3", "1,1,1", 1),       # the full triangle at rho(3)
     (NON_TRIANGULAR_4, "1,1,1,1", 1),
     (NON_TRIANGULAR_4, "1,1,1,1", 2),
+    (NON_TRIANGULAR_4, "1,1,1,1", 3),
+    # A packed weight field filled to its width: simple root 1's at
+    # (0,0,0,7), simple root 4's at (3,0,0,0), the field next to the
+    # degree (`test_weight_counts_with_a_field_filled_to_its_width`).
+    (FULL_TRIANGLE_4, "0,0,0,7", 1),
+    (FULL_TRIANGLE_4, "3,0,0,0", 1),
     ("1.2,2.3", "2,1,1", 1),                       # a1.1 etc. absent, zeros common
     ("", "1,1", 1),                                # only the origin, no columns
 ])
@@ -264,11 +273,33 @@ def test_points_output_matches_reference_rendering(capsys, fmt, subset, lam, k):
     assert_same_output(out, reference_points_output(S, weight, fmt))
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("--A", FULL_TRIANGLE_5, "--lambda", "1,1,1,1,1", "--format", "text"),
+     "ea512a4a9e3ece4bf929b0d6f5b7ee9194da6976a794b19c3a25dabfa577e55b"),
+    (("--A", FULL_TRIANGLE_5, "--lambda", "1,1,1,1,1", "--format", "csv"),
+     "f4cb3a699902f07d5c8c953a0711e88c5a2cee06939e8e3ab9716b3045f57d04"),
+    (("--A", FULL_TRIANGLE_5, "--lambda", "1,1,1,1,1", "--format", "json"),
+     "5015e3697c911081b7f93824f807a7f8e19cccd00d37da4df894175e975e967c"),
+    (("--A", NON_TRIANGULAR_4, "--lambda", "1,1,1,1", "--format", "csv"),
+     "271799f9f9f5290ac1165aacb9fdb5aba873183c1c14f6fda474595eb03256eb"),
+    (("--A", NON_TRIANGULAR_4, "--lambda", "1,1,1,1", "--format", "json", "--dilate", "2"),
+     "88a8cd087f8ad7927c7d1ddad444630c8d984c28375a37c9bab83ff77d152c7b"),
+    (("--A", NON_TRIANGULAR_4, "--lambda", "1,1,1,1", "--format", "csv", "--dilate", "3"),
+     "3be02664c1c6c49bce503fda58a12e666b449152c7ad735b9a8434441b2f945b"),
+])
+def test_points_export_bytes_are_pinned(capsys, argv, digest):
+    """The `points` exports of the benchmark, pinned by the sha256 of their
+    stdout as the per-point rendering produced it."""
+    code, out, err = run(capsys, "points", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_points_out_of_memory_exits_2(capsys, monkeypatch):
-    def exhausted(A, lam):
+    def exhausted(A, lam, k):
         raise MemoryError
 
-    monkeypatch.setattr(fflv.cli, "enumerate_lattice_points", exhausted)
+    monkeypatch.setattr(fflv.cli, "lattice_point_graph", exhausted)
     code, out, err = run(capsys, "points", "--A", "1.1", "--lambda", "1,1")
     assert code == 2
     assert out == ""
@@ -420,7 +451,7 @@ def test_verify_with_separate_mu(capsys):
 def _record_polytope_calls(monkeypatch):
     """Wrap the CLI's enumerator and Minkowski sum; return the call logs."""
     weights, sums = [], []
-    enumerate_, minkowski = fflv.cli.enumerate_lattice_points, fflv.cli.minkowski_sum
+    enumerate_, minkowski = fflv.cli.enumerate_lattice_points, fflv.cli.ideal_sum
 
     def enumerate_recorded(A, lam):
         weights.append(lam.coeffs)
@@ -431,7 +462,7 @@ def _record_polytope_calls(monkeypatch):
         return minkowski(S1, S2)
 
     monkeypatch.setattr(fflv.cli, "enumerate_lattice_points", enumerate_recorded)
-    monkeypatch.setattr(fflv.cli, "minkowski_sum", minkowski_recorded)
+    monkeypatch.setattr(fflv.cli, "ideal_sum", minkowski_recorded)
     return weights, sums
 
 

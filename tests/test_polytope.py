@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -21,10 +22,13 @@ from fflv.paths import enumerate_dyck_paths
 from fflv.polytope import (
     _search_plan,
     _slack_graph,
+    _sum_graph,
+    _value_cells,
     Inequality,
     PointSet,
     UnboundedFaceError,
     build_inequalities,
+    compose_points,
     count_integer_points,
     count_points_by_weight,
     degree_histogram,
@@ -32,7 +36,9 @@ from fflv.polytope import (
     embed_face,
     enumerate_integer_points,
     enumerate_lattice_points,
+    ideal_sum,
     in_polytope,
+    lattice_point_graph,
     minkowski_sum,
     points_to_csv,
     weight_columns,
@@ -145,6 +151,9 @@ def test_searches_leave_no_cyclic_garbage():
                                                build_inequalities(full(3), lam)),
                 lambda: marked_order_points(full(3), lam),
                 lambda: count_order_points(full(3), lam),
+                lambda: lattice_point_graph(full(3), lam, 3),
+                lambda: ideal_sum(enumerate_lattice_points(full(3), lam),
+                                  enumerate_lattice_points(full(3), lam)),
                 lambda: _chain_supports(full(3)),
                 lambda: enumerate_dyck_paths(3)]
     gc.collect()
@@ -255,8 +264,9 @@ def assert_strictly_increasing(S):
 
 
 def test_every_producer_emits_strictly_increasing_tuples():
-    """The enumerator, packed sums and dilations, both marked-poset
-    polytopes and the essential monomials all emit lexicographic order."""
+    """The enumerator, packed and order-ideal sums and dilations, both
+    marked-poset polytopes and the essential monomials all emit
+    lexicographic order."""
     lam = DominantWeight((2, 1, 1))
     faces = [full(3), RootSubset.of(3, [Root(1, 2), Root(2, 3)]),
              inversion_roots(Permutation.from_oneline((3, 4, 2, 1))), RootSubset.of(3, [])]
@@ -264,6 +274,8 @@ def test_every_producer_emits_strictly_increasing_tuples():
         S = enumerate_lattice_points(A, lam)
         T = enumerate_lattice_points(A, DominantWeight((0, 1, 2)))
         produced = [S, minkowski_sum(S, T), minkowski_sum(T, S), dilate(S, 3),
+                    ideal_sum(S, T), ideal_sum(T, S),
+                    graph_points(3, S.roots, lattice_point_graph(A, lam, 3)),
                     marked_chain_points(A, lam), marked_order_points(A, lam)]
         for P in produced:
             assert_strictly_increasing(P)
@@ -601,3 +613,116 @@ def test_weight_counts_with_a_field_filled_to_its_width(coeffs, filled):
     tops = [max(weight[k] for weight in graded) for k in range(4)]
     assert [k + 1 for k in range(4) if tops[k] == (1 << widths[k]) - 1] == (
         [] if filled is None else [filled])
+
+
+NON_TRIANGULAR_4 = RootSubset.of(4, [Root(1, 1), Root(1, 3), Root(2, 2), Root(2, 3), Root(2, 4),
+                                     Root(3, 3), Root(4, 4)])
+
+
+def graph_points(n, roots, levels):
+    """The points of a state graph, composed as value tuples."""
+    return PointSet(n, roots, tuple(compose_points(levels, _value_cells(levels), ())))
+
+
+def _bounded_faces(ranks):
+    """Per bounded face at the given ranks, the subset and its point set at
+    each weight in {0,1,2}^n."""
+    for n in ranks:
+        weights = [DominantWeight(c) for c in itertools.product(range(3), repeat=n)]
+        for A in _all_subsets(n):
+            try:
+                yield A, {lam: enumerate_lattice_points(A, lam) for lam in weights}
+            except UnboundedFaceError:
+                pass
+
+
+def _sample(cases, size):
+    """Every case, or a seeded sample of `size` of them."""
+    return cases if size is None else random.Random(19).sample(cases, size)
+
+
+@pytest.mark.parametrize("size", [2000, pytest.param(None, marks=pytest.mark.slow)])
+def test_ideal_sum_matches_the_pairwise_sums_on_small_faces(size):
+    """S(lambda) + S(mu) as the ideal generated by sums of maximal points
+    is the set of pairwise sums, on every bounded face at ranks 1-3 for
+    lambda, mu in {0,1,2}^n: all 44,406 pairs under `-m slow` (about 20 s),
+    a seeded sample otherwise."""
+    pairs = [(S[lam], S[mu]) for _, S in _bounded_faces((1, 2, 3)) for lam in S for mu in S]
+    assert len(pairs) == 44406
+    for S1, S2 in _sample(pairs, size):
+        assert ideal_sum(S1, S2) == minkowski_sum(S1, S2)
+
+
+@pytest.mark.parametrize("size", [500, pytest.param(None, marks=pytest.mark.slow)])
+def test_dilated_graph_matches_the_pairwise_sums_on_small_faces(size):
+    """The graph of the k-fold sum, k = 2, 3, lists `dilate`'s points on
+    every bounded face at ranks 1-3 for lambda in {0,1,2}^n: all 3,396
+    cases under `-m slow` (about 10 s), a seeded sample otherwise."""
+    cases = [(A, lam, S, k) for A, faces in _bounded_faces((1, 2, 3))
+             for lam, S in faces.items() for k in (2, 3)]
+    assert len(cases) == 3396
+    for A, lam, S, k in _sample(cases, size):
+        assert graph_points(A.n, S.roots, lattice_point_graph(A, lam, k)) == dilate(S, k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sums_of_a_non_triangular_face(k):
+    """The rank-4 face the benchmark dilates, at rho(4): the graph of its
+    k-fold sum and the iterated `ideal_sum` both give `dilate`'s points."""
+    S = enumerate_lattice_points(NON_TRIANGULAR_4, rho(4))
+    assert len(S) == 208
+    want = dilate(S, k)
+    assert graph_points(4, S.roots, lattice_point_graph(NON_TRIANGULAR_4, rho(4), k)) == want
+    got = S
+    for _ in range(k - 1):
+        got = ideal_sum(got, S)
+    assert got == want
+
+
+@pytest.mark.parametrize("A, coeffs, k", [
+    (full(3), (1, 1, 1), 2),
+    (full(3), (2, 0, 1), 3),
+    (RootSubset.of(3, [Root(1, 2), Root(2, 3)]), (2, 1, 1), 3),
+    (NON_TRIANGULAR_4, (1, 1, 1, 1), 2),
+])
+def test_ideal_graph_states_are_the_completion_sets(A, coeffs, k):
+    """Walking each point of a k-fold sum down its `_sum_graph`: the
+    prefixes that reach one state have one set of completions, as the
+    generator-suffix argument says, and every state is reached."""
+    S = enumerate_lattice_points(A, DominantWeight(coeffs))
+    m = len(S.roots)
+    levels = _sum_graph(m, [S.tuples] * k)
+    for c in range(m + 1):
+        completions = {}
+        for p in dilate(S, k).tuples:
+            state = 0
+            for d in range(c):
+                state = levels[d][state][p[d]]
+            completions.setdefault(p[:c], (state, set()))[1].add(p[c:])
+        by_state = {}
+        for state, suffixes in completions.values():
+            by_state.setdefault(state, set()).add(frozenset(suffixes))
+        assert all(len(sets) == 1 for sets in by_state.values())
+        assert len(by_state) == (len(levels[c]) if c < m else 1)
+
+
+def test_ideal_sum_edge_sets():
+    S = point_set((0, 0), (1, 0), (0, 1), (0, 2))
+    assert ideal_sum(S, point_set((0, 0))) == S
+    assert ideal_sum(S, S) == minkowski_sum(S, S)
+    assert ideal_sum(S, PointSet(3, S.roots, ())).tuples == ()
+    assert ideal_sum(point_set(()), point_set(())) == point_set(())
+    for bad in (point_set((1, 0)), point_set((0, 0), (1, 1)), point_set((-1, 0), (0, 0))):
+        with pytest.raises(ValueError):
+            ideal_sum(S, bad)
+    with pytest.raises(ValueError):
+        ideal_sum(S, enumerate_lattice_points(full(2), rho(2)))
+
+
+def test_lattice_point_graph_rejects_bad_input():
+    with pytest.raises(ValueError):
+        lattice_point_graph(full(2), rho(2), 0)
+    with pytest.raises(ValueError):
+        lattice_point_graph(full(2), rho(3), 2)
+    with pytest.raises(UnboundedFaceError):
+        lattice_point_graph(inversion_roots(Permutation.from_oneline((4, 2, 3, 1))), rho(3), 2)

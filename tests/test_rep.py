@@ -56,7 +56,7 @@ def test_sl2_lowering_string():
     assert module.dimension == 4
     space = module.space
     f = space.lowering_table(Root(1, 1))
-    e = space.raising_table(Root(1, 1))
+    e = space.table(1, 2)
     assert not any(space.apply(e, module.generator))
     vec = module.generator
     for _ in range(3):
