@@ -92,11 +92,11 @@ from .weyl import (
     Permutation,
     RootSubset,
     all_permutations,
+    classify_permutations,
     inversion_roots,
     is_kempf,
     is_triangular_element,
     is_triangular_subset,
-    kempf_complement,
     kempf_factorization,
     parse_permutation,
     permutation_from_segments,

@@ -48,9 +48,8 @@ from .rep import (
 from .roots import DominantWeight, parse_root
 from .weyl import (
     RootSubset,
-    all_permutations,
+    classify_permutations,
     inversion_roots,
-    is_kempf,
     is_triangular_element,
     is_triangular_subset,
     parse_permutation,
@@ -102,8 +101,7 @@ def cmd_weyl_scan(args: argparse.Namespace) -> int:
     n = args.n
 
     # One (w, length, is_kempf, is_triangular) tuple per element.
-    rows = [(str(w), w.length(), is_kempf(w), is_triangular_element(w))
-            for w in all_permutations(n)]
+    rows = classify_permutations(n)
     bad = [w for w, _, kempf, tri in rows if kempf and not tri]
     counts = {
         "total": len(rows),

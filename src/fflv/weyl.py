@@ -4,32 +4,91 @@ Permutations are elements of S_{n+1} acting on {1, ..., n+1}.  Products of
 generator words are evaluated left to right as function composition:
 (s_a s_b)(k) = s_a(s_b(k)).
 
-One Lehmer code, c_i = #{k > i : w(k) < w(i)}, gives the length (its sum),
-the segment tops of the Kempf factorization (ell_i = i - 1 + c_i) and the
-Kempf test.  Triangular elements are the permutations that avoid the
-patterns 2413 and 4231.
+One walk over one-line prefixes classifies elements.  A prefix state
+carries the Lehmer code c_i = #{k > i : w(k) < w(i)} of its letters, summed
+to the length and checked by the Kempf test as it grows, and the values that
+would complete a pattern 2413 or 4231 (the triangular test) if placed later.
+`classify_permutations` takes every prefix of S_{n+1} once, in lexicographic
+order; `Permutation.length`, `is_kempf`, `is_triangular_element` and
+`kempf_factorization` fold the same step over one element's letters.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .roots import Root, all_positive_roots
 
 
-def _lehmer_code(images: tuple[int, ...]) -> Iterator[int]:
-    """c_i = #{k > i : w(k) < w(i)} for each position i, in one pass.
+def _completions(prefix: list[int], x: int) -> int:
+    """Bit mask of the values that, placed anywhere after prefix + [x],
+    complete a 2413 or 4231 whose third letter is x.
 
-    Bit v of `seen` is set once the value v has appeared, so the values
-    below w(i) that stand to the left of i are the set bits of
-    seen & (2^{w(i)} - 2); the other w(i) - 1 - that many stand to the right.
+    A 2413 with x as its "1" needs positions i < k in the prefix with
+    x < w(i) < w(k); its "3" is then any value in the open interval
+    (w(i), w(k)).  For a fixed k these intervals share their right end, so
+    their union is (min{w(i) > x : i < k}, w(k)), empty when that minimum
+    exceeds w(k).  A 4231 with x as its "3" needs i < k with
+    w(k) < x < w(i); its "1" is any value below w(k), so the union is every
+    value below the largest such w(k).  One pass over the prefix keeps the
+    running minimum `low` of the values above x and the largest qualifying
+    w(k), `top`; bits low+1 .. v-1 are (1 << v) - (2 << low).
     """
-    seen = 0
-    for v in images:
-        bit = 1 << v
-        yield v - 1 - (seen & (bit - 2)).bit_count()
-        seen |= bit
+    bits = top = 0
+    low = None
+    for v in prefix:
+        if v < x:
+            if low is not None and v > top:
+                top = v
+        elif low is None or v < low:
+            low = v
+        else:
+            bits |= (1 << v) - (2 << low)
+    return bits | ((1 << top) - 1)
+
+
+def _step(state: tuple, x: int) -> tuple:
+    """The state of a prefix with x appended.
+
+    A state is (seen, text, length, c, kempf, forbidden, prefix):
+    - seen: bit v set when the value v is in the prefix;
+    - text: the one-line letters so far, each followed by a space;
+    - length: the sum of the Lehmer code so far;
+    - c: the code value of the last letter;
+    - kempf: whether c_i <= c_{i+1} + 1 held at every step so far;
+    - forbidden: the values that would complete a 2413 or 4231 placed at any
+      later position (`_completions` of every letter so far), or -1 once the
+      prefix holds such a pattern; -1 has every bit set, so it stays -1.
+      Only the bits of values not yet placed are ever read;
+    - prefix: the letters so far, as a list that is never changed.  A
+      tuple would do, but CPython keeps up to 2000 freed tuples of each
+      size for reuse, and the prefixes the walk frees would hold about
+      0.5 MB there while a scan formats its rows.
+    The values below x that stand to its left are the set bits of
+    seen & (2^x - 2); the other x - 1 - that many stand to its right, so
+    that is c.  Every occurrence of a pattern is found when its fourth
+    letter is appended, since its third letter came earlier.
+    """
+    seen, text, length, prev, kempf, forbidden, prefix = state
+    bit = 1 << x
+    c = x - 1 - (seen & (bit - 2)).bit_count()
+    if forbidden & bit:
+        forbidden = -1
+    else:
+        forbidden |= _completions(prefix, x)
+    return (seen | bit, f"{text}{x} ", length + c, c, kempf and prev <= c + 1,
+            forbidden, prefix + [x])
+
+
+# The state of the empty prefix.
+_ROOT = (0, "", 0, 0, True, 0, [])
+
+
+def _fold(images: tuple[int, ...]) -> tuple:
+    """The state of the whole one-line word."""
+    return functools.reduce(_step, images, _ROOT)
 
 
 @dataclass(frozen=True)
@@ -63,7 +122,7 @@ class Permutation:
 
     def length(self) -> int:
         """Coxeter length = number of one-line inversions = sum of the Lehmer code."""
-        return sum(_lehmer_code(self.images))
+        return _fold(self.images)[2]
 
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self.images, start=1))
@@ -170,36 +229,10 @@ def is_triangular_element(w: Permutation) -> bool:
     failure: w(i) < w(l) forces w(j) < w(i) < w(l) < w(k) (pattern 2413),
     and w(k) < w(j) forces w(l) < w(k) < w(j) < w(i) (pattern 4231).
 
-    The test runs over the middle pair k < j with bit masks of the values
-    left of k and right of j (bit v is set when the value v stands there).
-    A 2413 needs w(k) > w(j) and a value left of k and a larger one right
-    of j, both strictly between w(j) and w(k); it suffices to compare the
-    smallest such left value with the largest such right value.  A 4231
-    needs w(k) < w(j), a value left of k above w(j) and a value right of j
-    below w(k).  Fewer than four letters hold no pattern.
+    The test is the walk's step (`_step`) folded over the one-line word:
+    the forbidden mask ends at -1 exactly when a pattern occurs.
     """
-    im = w.images
-    m = len(im)
-    if m < 4:
-        return True
-    full = (2 << m) - 2
-    left = 1 << im[0]
-    for k in range(1, m - 2):
-        wk = im[k]
-        below_wk = (1 << wk) - 1
-        seen = left | (1 << wk)
-        for wj in im[k + 1:m - 1]:
-            seen |= 1 << wj
-            right = full ^ seen
-            if wk > wj:
-                between = below_wk & ~((2 << wj) - 1)
-                lo = left & between
-                if lo and (right & between) >> (lo & -lo).bit_length():
-                    return False
-            elif left >> (wj + 1) and right & below_wk:
-                return False
-        left |= 1 << wk
-    return True
+    return _fold(w.images)[5] >= 0
 
 
 def is_triangular_subset(A: RootSubset) -> bool:
@@ -244,8 +277,10 @@ def kempf_factorization(w: Permutation) -> tuple[int, ...]:
     all other values.  Once w_1 ... w_{i-1} are peeled off, positions
     1..i-1 hold 1..i-1 and positions i..n+1 hold i..n+1 in the relative
     order of w(i), ..., w(n+1).  So position i holds i + c_i = ell_i + 1.
+    The code values are read off the walk's states after i letters.
     """
-    return tuple(i + c for i, c in zip(range(w.n), _lehmer_code(w.images)))
+    states = itertools.accumulate(w.images[:-1], _step, initial=_ROOT)
+    return tuple(i - 1 + state[3] for i, state in enumerate(states) if i)
 
 
 def is_kempf(w: Permutation) -> bool:
@@ -256,14 +291,10 @@ def is_kempf(w: Permutation) -> bool:
     test is c_i <= c_{i+1} + 1, that is ell_i <= ell_{i+1}.  The exception
     adds nothing: c_i <= n + 1 - i always, and ell_{i+1} = n means
     c_{i+1} = n - i.  The last pair (c_n <= 1, c_{n+1} = 0) always passes,
-    so the test runs over the whole code.
+    so the test runs over the whole code: the walk's Kempf flag, folded
+    over the one-line word.
     """
-    prev = 0
-    for c in _lehmer_code(w.images):
-        if prev > c + 1:
-            return False
-        prev = c
-    return True
+    return _fold(w.images)[4]
 
 
 def permutation_from_segments(ells) -> Permutation:
@@ -283,28 +314,6 @@ def permutation_from_segments(ells) -> Permutation:
     return w
 
 
-def kempf_complement(n: int, ells) -> RootSubset:
-    """Complement of the inversion set of the Kempf element with segment tops
-    (ell_1, ..., ell_n).
-
-    Validates that the tops are weakly increasing (the Kempf condition in
-    segment form) and returns all positive roots that are not inversions of
-    the rebuilt element.  When consecutive tops rise by at most one, the
-    result is the union of left-justified blocks: block i spans columns 1..i
-    and rows i..i + (ell_{i+1} - ell_i - 1) with the convention ell_{n+1} = n.
-    Larger jumps deepen earlier columns beyond their block, so the set is
-    always computed from the element itself.
-    """
-    ells = tuple(ells)
-    if len(ells) != n:
-        raise ValueError(f"need {n} segment tops, got {len(ells)}")
-    if any(ells[i] > ells[i + 1] for i in range(n - 1)):
-        raise ValueError(f"segment tops must be weakly increasing, got {ells}")
-    w = permutation_from_segments(ells)
-    inv = inversion_roots(w).members
-    return RootSubset(n, frozenset(set(all_positive_roots(n)) - inv))
-
-
 def reduced_word(w: Permutation) -> tuple[int, ...]:
     """Lexicographically smallest reduced word (greedy smallest left descent)."""
     word = []
@@ -320,6 +329,33 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
 
 def all_permutations(n: int) -> list[Permutation]:
     """All of S_{n+1} sorted by one-line notation."""
-    import itertools
-
     return [Permutation(p) for p in itertools.permutations(range(1, n + 2))]
+
+
+def classify_permutations(n: int) -> list[tuple[str, int, bool, bool]]:
+    """(one-line text, length, is_kempf, is_triangular) of every element of
+    S_{n+1}, in lexicographic one-line order, as `str(w)`, `w.length()`,
+    `is_kempf(w)` and `is_triangular_element(w)` give them.
+
+    One walk over the one-line prefixes, level by level, each prefix
+    extended once by `_step`.  Every level is in lexicographic order: the
+    one before it is, and each prefix is extended by its free values in
+    increasing order.  The last letter is forced, and its step needs no new
+    state: its code value is 0, so the length stands and the Kempf test
+    c_n <= c_{n+1} + 1 = 1 holds (two values are left at position n), and
+    the element is triangular when that letter is not forbidden.  So each
+    prefix of n - 1 letters is extended in one pass to its two rows, and
+    the states of n letters are never stored.
+    """
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+    values = range(1, n + 2)
+    # The free values under each mask of used ones, in increasing order.
+    free = [[x for x in values if not seen >> x & 1] for seen in range(2 << (n + 1))]
+    level = [_ROOT]
+    for _ in range(n - 1):
+        level = [_step(state, x) for state in level for x in free[state[0]]]
+    return [(f"{text}{y}", length, kempf, not forbidden >> y & 1)
+            for state in level for x in free[state[0]]
+            for seen, text, length, _, kempf, forbidden, _ in [_step(state, x)]
+            for y in free[seen]]

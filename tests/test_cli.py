@@ -1,7 +1,10 @@
 """Command line interface, exercised in process through main()."""
 
+import argparse
 import csv
+import gc
 import hashlib
+import inspect
 import io
 import json
 import subprocess
@@ -13,6 +16,7 @@ import fflv.characters
 import fflv.cli
 import fflv.marked_poset
 import fflv.polytope
+import fflv.weyl
 from fflv.cli import main
 from fflv.polytope import dilate, enumerate_lattice_points
 from fflv.roots import DominantWeight, parse_root
@@ -126,6 +130,65 @@ def test_scan_output_matches_reference_rendering(capsys, fmt):
         want_code, want = reference_scan_output(n, fmt)
         assert (code, err) == (want_code, "")
         assert_same_output(out, want)
+
+
+@pytest.mark.parametrize("n, fmt, digest", [
+    (6, "text", "00bb40fef786bbfae16492078a2d629fa1085fdac5dd1beba3944ee327265571"),
+    (6, "csv", "2be3609bbd8455b0bfa1ec6d260e5bc7a3d17db524a86bf737283141013757ae"),
+    (6, "json", "5788030198df6c34f28b141cb0b37e8aca67b23fc3c06a2de4188a8f570e5e18"),
+    (7, "text", "db5325341a62019bd7cac1c0794d830a883f6d12aa1291669bf9b8efef69ce5e"),
+    (7, "csv", "f80357d61abd981e82139ba5244f5d4a11f8d64e50fc1df6b5d47614345642bd"),
+    (7, "json", "df362a88522937ee9694b49cde2bfa33781108e59d72715e306c944ff8190dd2"),
+])
+def test_scan_bytes_are_pinned(capsys, n, fmt, digest):
+    """The `scan` cases of the benchmark, pinned by the sha256 of their
+    stdout as the per-element classification produced it."""
+    code, out, err = run(capsys, "weyl-scan", "--n", str(n), "--max-rank", "7",
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_scan_leaves_no_cyclic_garbage(capsys):
+    """The walk keeps its levels in lists and steps by a plain function, so
+    a scan's states and rows are freed when it returns.  The command is
+    called past `main`, whose argument parser holds cycles of its own; the
+    collector is off during the calls, so no automatic collection hides a
+    cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        for fmt in ("text", "csv", "json"):
+            assert fflv.cli.cmd_weyl_scan(argparse.Namespace(n=5, format=fmt)) == 0
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out.count("total=720 ") == 1
+
+
+def test_scan_is_one_call_into_the_weyl_layer(capsys, monkeypatch):
+    """The benchmark's tracer wraps every public function of `fflv.weyl`
+    wherever an fflv module holds it; a scan makes one such call, so the
+    tracer records one span per scan and none per prefix or element."""
+    calls = []
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "fflv" or name.startswith("fflv."))]
+    for attr, fn in list(vars(fflv.weyl).items()):
+        if attr.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != "fflv.weyl":
+            continue
+
+        def counted(*args, _fn=fn, _name=attr, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for holder in modules:
+            for key, value in list(vars(holder).items()):
+                if value is fn:
+                    monkeypatch.setattr(holder, key, counted)
+    for fmt in ("text", "csv", "json"):
+        code, _, _ = run(capsys, "weyl-scan", "--n", "4", "--format", fmt)
+        assert code == 0
+    assert calls == ["classify_permutations"] * 3
 
 
 def test_points_text(capsys):

@@ -13,7 +13,8 @@ PUBLIC = [
     "Permutation", "PointSet", "Root", "RootSubset", "TensorSpace",
     "UnboundedFaceError", "all_permutations", "all_positive_roots", "base_root",
     "build_highest_weight_module", "build_inequalities",
-    "cartan_component_dimension", "character_from_lattice_points", "compose_points",
+    "cartan_component_dimension", "character_from_lattice_points", "classify_permutations",
+    "compose_points",
     "connected_blocks", "count_chain_points", "count_integer_points",
     "count_order_points", "count_points_by_weight", "degree_histogram", "demazure_character_oracle",
     "demazure_dimension_oracle", "demazure_operator", "demazure_operator_division",
@@ -22,7 +23,7 @@ PUBLIC = [
     "essential_monomials", "extremal_vector", "face_character", "fundamental_weight",
     "ideal_sum", "in_polytope",
     "inversion_roots", "is_dyck_path_for", "is_kempf", "is_marked_chain_face",
-    "is_triangular_element", "is_triangular_subset", "kempf_complement",
+    "is_triangular_element", "is_triangular_subset",
     "kempf_factorization", "lattice_point_graph", "lowering_weights", "make_root",
     "marked_chain_points",
     "marked_order_points",

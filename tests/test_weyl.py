@@ -9,11 +9,11 @@ from fflv.weyl import (
     Permutation,
     RootSubset,
     all_permutations,
+    classify_permutations,
     inversion_roots,
     is_kempf,
     is_triangular_element,
     is_triangular_subset,
-    kempf_complement,
     kempf_factorization,
     parse_permutation,
     permutation_from_segments,
@@ -120,6 +120,28 @@ def test_factorization_tops_weakly_increasing_iff_kempf():
         ells = kempf_factorization(w)
         increasing = all(ells[i] <= ells[i + 1] for i in range(len(ells) - 1))
         assert increasing == is_kempf(w)
+
+
+def kempf_complement(n, ells):
+    """Complement of the inversion set of the Kempf element with segment tops
+    (ell_1, ..., ell_n).
+
+    Validates that the tops are weakly increasing (the Kempf condition in
+    segment form) and returns all positive roots that are not inversions of
+    the rebuilt element.  When consecutive tops rise by at most one, the
+    result is the union of left-justified blocks: block i spans columns 1..i
+    and rows i..i + (ell_{i+1} - ell_i - 1) with the convention ell_{n+1} = n.
+    Larger jumps deepen earlier columns beyond their block, so the set is
+    always computed from the element itself.
+    """
+    ells = tuple(ells)
+    if len(ells) != n:
+        raise ValueError(f"need {n} segment tops, got {len(ells)}")
+    if any(ells[i] > ells[i + 1] for i in range(n - 1)):
+        raise ValueError(f"segment tops must be weakly increasing, got {ells}")
+    w = permutation_from_segments(ells)
+    inv = inversion_roots(w).members
+    return RootSubset(n, frozenset(set(all_positive_roots(n)) - inv))
 
 
 def test_kempf_complement_is_true_complement():
@@ -260,3 +282,18 @@ def test_kempf_and_triangular_counts_s6_to_s8():
         perms = all_permutations(n)
         assert sum(map(is_kempf, perms)) == kempf
         assert sum(map(is_triangular_element, perms)) == triangular
+
+
+def test_walk_rows_are_the_per_element_classification_on_s2_to_s8():
+    """The prefix walk gives, element by element and in order, the text,
+    length and flags of the per-element functions; n = 1 has no prefix
+    level before its last two letters."""
+    for n in range(1, 8):
+        want = [(str(w), w.length(), is_kempf(w), is_triangular_element(w))
+                for w in all_permutations(n)]
+        assert classify_permutations(n) == want, n
+
+
+def test_walk_rejects_rank_below_one():
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        classify_permutations(0)
