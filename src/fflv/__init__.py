@@ -65,6 +65,7 @@ from .polytope import (
 from .rep import (
     DimensionCapError,
     ExplicitModule,
+    IrreducibleModule,
     MonomialBasisReport,
     TensorSpace,
     build_highest_weight_module,

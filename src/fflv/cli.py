@@ -353,10 +353,12 @@ def _verify_checks(args: argparse.Namespace) -> dict:
         record("rep", "skipped", reason="unbounded face")
     else:
         try:
-            # The target is U(n-_A) applied to the highest vector.  For an
-            # element its dimension and weights come from the Borel closure
-            # and its profile from the essential scan (`fflv.rep`); a subset
-            # forms its lowering closure.
+            # The module is its tensor space, highest vector and Weyl
+            # character; no closure of it is formed.  The target is U(n-_A)
+            # applied to the highest vector.  For an element its dimension
+            # and weights come from the Borel closure and its profile from
+            # the essential scan (`fflv.rep`); a subset forms its lowering
+            # closure.
             module = build_highest_weight_module(lam, cap=args.max_dim)
             if w is None:
                 target = subset_submodule(module, A)

@@ -39,13 +39,26 @@ No stage does work whose result is already known:
   filtration, and the essential scan's rank after each degree is the
   graded profile.  No lowering closure is formed for an element; a subset
   that is not closed (say {alpha11, alpha22}) keeps it.
+- The irreducible module.  No closure of V(lambda) is formed
+  (`IrreducibleModule`).  Index 0 of the tensor space is killed by every
+  E_{i,i+1} and is a weight vector of weight lambda in a
+  finite-dimensional module, so it generates a copy of V(lambda).  The
+  weights of V(lambda), with multiplicity, are the Weyl character, which
+  is Demazure's formula at the longest element
+  (`demazure_character_oracle`).  Every vector a stage forms lies in that
+  copy: the extremal vector and every ordered monomial image are
+  lowerings of the highest vector, and the closures are spans of images
+  of those.  So the Weyl character is a sound budget for the Borel
+  closure, the lowering closures and the scan's target.
 - Weight budgets.  A closure or scan knows each image's weight before it
   computes it, and skips the image when the span's weight space there is
   already full (`_closure`, `_scan`): full against the Weyl character for
-  the irreducible module, the module's row weights for its closures, and
-  the target's for the essential scan.  A skipped image lies in the span,
-  so rows, ranks, profiles and kept sets do not change.  No check reads a
-  budget: a short one leaves a result short, which the checks report.
+  the Borel and lowering closures, and against the target's row weights
+  for the essential scan.  A skipped image lies in the span, so rows,
+  ranks, profiles and kept sets do not change.  No check reads a budget:
+  a short one leaves a result short, and then the Borel or lowering
+  dimension, the oracle mass and the lattice count disagree, which the
+  checks report.
 """
 
 from __future__ import annotations
@@ -171,7 +184,7 @@ class TensorSpace:
 
 @dataclass(frozen=True)
 class ExplicitModule:
-    """A submodule of the ambient tensor space, given by an echelon basis.
+    """A closure inside the ambient tensor space, given by an echelon basis.
 
     The generator is the cyclic vector the basis was grown from; the basis
     rows are sparse integer vectors in echelon form, ordered by pivot
@@ -180,8 +193,7 @@ class ExplicitModule:
     operators applied to the generator; the last entry is the dimension.
     Every row is a weight vector, and `weights` counts the rows of each
     weight (content vector, as `TensorSpace.weight_of` gives it): the
-    module's character.  Lowering closures of this module are kept per
-    root subset, so each one is computed once.
+    closure's character.
     """
 
     space: TensorSpace
@@ -190,27 +202,43 @@ class ExplicitModule:
     basis: tuple[SparseVector, ...]
     profile: tuple[int, ...]
     weights: dict[tuple[int, ...], int] = field(compare=False, repr=False)
-    _subsets: dict[tuple[Root, ...], "ExplicitModule"] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def span(self) -> IntSpan:
-        """A new row space of the basis, which the caller may extend."""
-        span = IntSpan(self.space.dimension)
-        for row in self.basis:
-            span.add(row)
-        return span
+
+@dataclass(frozen=True)
+class IrreducibleModule:
+    """The irreducible module V(lambda) in its tensor space, with no basis.
+
+    The generator is the highest vector, index 0, and `weights` is the Weyl
+    character: the multiplicity of each weight (content vector, as
+    `TensorSpace.weight_of` gives it) of the copy of V(lambda) that the
+    generator spans under the lowerings (module docstring).  Lowering
+    closures of this module are kept per root subset, so each one is
+    computed once.
+    """
+
+    space: TensorSpace
+    weight: DominantWeight
+    generator: SparseVector
+    weights: dict[tuple[int, ...], int] = field(compare=False, repr=False)
+    _subsets: dict[tuple[Root, ...], ExplicitModule] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def dimension(self) -> int:
+        return sum(self.weights.values())
 
 
 def _closure(
     space: TensorSpace,
     start: SparseVector,
     ops: Sequence[tuple[int, int]],
+    *,
+    what: str,
     cap: Optional[int] = None,
-    what: str = "module",
     budget: Optional[Mapping[tuple[int, ...], int]] = None,
 ) -> tuple[tuple[SparseVector, ...], tuple[int, ...], dict[tuple[int, ...], int]]:
     """Smallest span containing the start vector and closed under the
@@ -266,34 +294,27 @@ def _closure(
     return span.rows, tuple(profile), counts
 
 
-def build_highest_weight_module(lam: DominantWeight, cap: int = 400) -> ExplicitModule:
-    """Irreducible module generated from the highest vector by simple lowerings.
+def build_highest_weight_module(lam: DominantWeight, cap: int = 400) -> IrreducibleModule:
+    """The irreducible module of highest weight lambda, with no closure formed.
 
-    The closure of the highest vector of the ambient tensor space under the
-    simple lowering operators; its dimension always comes out equal to the
-    Weyl dimension formula, which is checked.  The closure lies in the
-    irreducible module, so its budget is the Weyl character (the Demazure
-    character of the longest element).  The dimension check certifies the
-    budget: one short at some weight leaves the closure short of the Weyl
-    dimension, which raises.
+    Returns the tensor space, the highest vector (index 0) and the Weyl
+    character, the Demazure character of the longest element, as the
+    weights; the dimension is the Weyl dimension, checked against the cap
+    first.  Index 0 is killed by every E_{i,i+1} and has weight lambda, so
+    it generates a copy of V(lambda) holding every vector a stage forms
+    (module docstring); the Weyl character bounds each weight space of
+    those stages.  A character short at some weight only leaves a closure
+    or scan short, which the checks report.
     """
-    n = len(lam.coeffs)
     expected = weyl_dimension(lam)
     if expected > cap:
         raise DimensionCapError(expected, cap)
     space = TensorSpace.from_weight(lam)
-    character = demazure_character_oracle(Permutation.longest(n), lam)
-    top = space.highest_vector()
-    basis, profile, weights = _closure(space, top, [(i + 1, i) for i in range(1, n + 1)],
-                                       cap=cap, budget=character.terms)
-    if len(basis) != expected:
-        raise ArithmeticError(
-            f"highest weight closure has dimension {len(basis)}, expected {expected}"
-        )
-    return ExplicitModule(space, lam, top, basis, profile, weights)
+    character = demazure_character_oracle(Permutation.longest(len(lam.coeffs)), lam)
+    return IrreducibleModule(space, lam, space.highest_vector(), character.terms)
 
 
-def extremal_vector(module: ExplicitModule, w: Permutation) -> SparseVector:
+def extremal_vector(module: IrreducibleModule, w: Permutation) -> SparseVector:
     """The weight vector of extremal weight w(lambda), up to a scalar.
 
     Built by lowering along a reduced word: reading the word right to left,
@@ -334,12 +355,12 @@ def extremal_vector(module: ExplicitModule, w: Permutation) -> SparseVector:
     return vec
 
 
-def demazure_submodule(module: ExplicitModule, w: Permutation) -> ExplicitModule:
+def demazure_submodule(module: IrreducibleModule, w: Permutation) -> ExplicitModule:
     """Span generated from the extremal vector by the Borel subalgebra.
 
     Closure of the extremal vector of weight w(lambda) under the simple
     raising operators, which generate every raising operator (module
-    docstring), with the module's row weights as its budget.  The Cartan
+    docstring), with the Weyl character as its budget.  The Cartan
     subalgebra acts diagonally on every vector this produces (they are
     weight vectors), so no extra closure step is needed.  The profile
     counts products of simple raisings.
@@ -365,11 +386,11 @@ def lowering_weights(borel: ExplicitModule, w: Permutation) -> dict[tuple[int, .
     return {tuple([c[k] for k in reads]): m for c, m in borel.weights.items()}
 
 
-def subset_submodule(module: ExplicitModule, A: RootSubset) -> ExplicitModule:
+def subset_submodule(module: IrreducibleModule, A: RootSubset) -> ExplicitModule:
     """Span generated from the highest vector by the lowerings in A.
 
     The closure is defined for every subset A, triangular or not, and the
-    module's row weights are its budget.  It is computed once per module
+    Weyl character is its budget.  It is computed once per module
     and subset; later calls return the same object.
     """
     space = module.space
@@ -391,7 +412,7 @@ def _check_rank(n: int, space: TensorSpace) -> None:
 
 
 def _ordered_images(
-    module: ExplicitModule,
+    module: IrreducibleModule,
     listing: Sequence[Root],
     scan: Iterable[tuple[int, ...]],
     wanted: Optional[Callable[[tuple[int, ...]], bool]] = None,
@@ -451,7 +472,7 @@ class MonomialBasisReport:
 
 
 def verify_monomial_basis(
-    module: ExplicitModule, points: PointSet, dimension: Optional[int] = None
+    module: IrreducibleModule, points: PointSet, dimension: Optional[int] = None
 ) -> MonomialBasisReport:
     """Check that the ordered monomials over the lattice points form a basis.
 
@@ -486,7 +507,7 @@ def verify_monomial_basis(
     )
 
 
-def pbw_filtration_profile(module: ExplicitModule, A: RootSubset) -> list[int]:
+def pbw_filtration_profile(module: IrreducibleModule, A: RootSubset) -> list[int]:
     """Dimensions of the filtration by number of lowering factors.
 
     Entry d is the dimension of the span of all products of at most d
@@ -515,7 +536,7 @@ def _degree_compositions(total: int, parts: int, lex: bool) -> Iterator[tuple[in
 
 
 def essential_monomials(
-    module: ExplicitModule,
+    module: IrreducibleModule,
     A: RootSubset,
     order: str = "revlex",
     weights: Optional[Mapping[tuple[int, ...], int]] = None,
@@ -557,7 +578,7 @@ def essential_monomials(
 
 
 def _scan(
-    module: ExplicitModule,
+    module: IrreducibleModule,
     listing: Sequence[Root],
     lex: bool,
     dimension: int,

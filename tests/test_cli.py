@@ -358,6 +358,44 @@ def test_points_export_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "--w-oneline", "4 3 2 5 1", "--lambda", "1,1,1,1", "--no-rep"),
+     "c6a6cf8a71962231ba6fcc5c5f376282508240e1d9c652caed25a8af0af50e77"),
+    (("verify", "--w-oneline", "4 5 1 2 3", "--lambda", "1,1,1,1", "--no-rep"),
+     "4ae5bd08130367f9ce88940e8451a1ff0f158aecbd41c8ab8a65e2a66222208d"),
+    (("verify", "--A", "1.2,1.4,2.2,2.4,3.4,4.4", "--lambda", "1,1,1,1", "--no-rep"),
+     "b1fe876191142a9503912e78bc602f6dbc96b3054cd4304c9b40298fb04ce49a"),
+    (("verify", "--w", "s1 s2 s3 s1 s2", "--lambda", "2,2,1", "--no-rep"),
+     "b9caaf9619b163bf9b621083be76195b02fa512eafdf7ec8209cdc0e0a3b3299"),
+    (("verify", "--w-oneline", "4 3 2 1", "--lambda", "2,1,1", "--no-rep"),
+     "4b780b4c523208e49206495053f6cd30a981e005a629f7798f27e87955ed6747"),
+    (("char-compare", "--w-oneline", "5 4 3 2 1", "--lambda", "2,1,1,2", "--format", "json"),
+     "39e2d8a31e7439836d3204a915c56dbd7d750e8880a373229d381f9d3d990200"),
+    (("char-compare", "--w-oneline", "3 5 4 2 1", "--lambda", "1,2,1,1", "--format", "text"),
+     "4702ce6c234b3868fc83aa4ae20e532645422adf9c8833c835cecc45a1697a02"),
+    (("char-compare", "--w", "s2 s1 s3 s2 s4", "--lambda", "2,1,1,2", "--format", "json"),
+     "8ead05660071c407402eee7d232e70570a0ec67b4fb8a693878bb7d9b5b81cfa"),
+    (("verify", "--w-oneline", "4 3 2 1", "--lambda", "1,2,1"),
+     "2c62093106aa348f30f3cc15288adc879be13d0cff067e67de5ba7898469d16d"),
+    (("verify", "--w-oneline", "3 4 2 1", "--lambda", "2,1,1"),
+     "c678fabd8a4b9badbded653d08c63bab6030c0dde535d37114b38b90efa12944"),
+    (("verify", "--A", "1.3,2.2,2.3,3.3", "--lambda", "2,1,1"),
+     "a0836899362e199dae2749573042c01ed7b7fdb0699cd075901ce3c25e7da1eb"),
+    (("verify", "--w", "s2 s1 s3 s2 s4", "--lambda", "1,1,1,1", "--max-dim", "2000"),
+     "89cc2602892011ecf4fb2cc65bdbd723becab30a012b499783889303efe75830"),
+    (("verify", "--w-oneline", "5 4 3 2 1", "--lambda", "1,1,1,1", "--max-dim", "2000"),
+     "10d215a04be4936056ffcac34b7f76cc9374fd35fd99978e0b65f7e786993d08"),
+])
+def test_verify_bytes_are_pinned(capsys, argv, digest):
+    """The `polytope` and `module` cases of the benchmark and the rank-4
+    longest element with modules, pinned by the sha256 of their stdout as
+    the module stages produced it with a closure of the irreducible module
+    in front."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_points_out_of_memory_exits_2(capsys, monkeypatch):
     def exhausted(A, lam, k):
         raise MemoryError

@@ -9,7 +9,7 @@ import fflv
 # are not public names: `__all__` lists what the package imports from them.
 PUBLIC = [
     "Character", "DimensionCapError", "DominantWeight", "ExplicitModule",
-    "Inequality", "IntSpan", "MonomialBasisReport",
+    "Inequality", "IntSpan", "IrreducibleModule", "MonomialBasisReport",
     "Permutation", "PointSet", "Root", "RootSubset", "TensorSpace",
     "UnboundedFaceError", "all_permutations", "all_positive_roots", "base_root",
     "build_highest_weight_module", "build_inequalities",

@@ -18,6 +18,7 @@ from fflv.characters import (
     weyl_dimension,
 )
 from fflv.cli import main
+from fflv.linalg import IntSpan
 from fflv.polytope import PointSet, degree_histogram, enumerate_lattice_points
 from fflv.rep import (
     DimensionCapError,
@@ -40,6 +41,44 @@ from fflv.weyl import (
     inversion_roots,
     is_triangular_element,
 )
+
+
+@lru_cache(maxsize=None)
+def _reference_closure(lam):
+    """The unbudgeted closure of the highest vector under the simple
+    lowerings: the rows, profile and row weights of V(lambda), which
+    `build_highest_weight_module` does not form."""
+    space = TensorSpace.from_weight(lam)
+    simple = [(i + 1, i) for i in range(1, lam.n + 1)]
+    return fflv.rep._closure(space, space.highest_vector(), simple, what="reference module")
+
+
+def _span(space, rows):
+    """A new row space of the rows."""
+    span = IntSpan(space.dimension)
+    for row in rows:
+        span.add(row)
+    return span
+
+
+@pytest.mark.parametrize("lam", [lam for n in (1, 2, 3)
+                                 for lam in map(DominantWeight, product((0, 1, 2), repeat=n))]
+                         + [rho(4)])
+def test_reference_closure_is_the_weyl_character(lam):
+    """The highest vector's closure under the simple lowerings has the Weyl
+    dimension, and its rows have the weights of the Weyl character (the
+    Demazure character of the longest element), which the module takes as
+    its weights; every simple raising kills the highest vector.  For every
+    weight in {0,1,2}^n at ranks 1-3, and at rho(4)."""
+    rows, profile, weights = _reference_closure(lam)
+    module = build_highest_weight_module(lam, cap=2000)
+    assert len(rows) == profile[-1] == weyl_dimension(lam) == module.dimension
+    assert weights == module.weights == demazure_character_oracle(
+        Permutation.longest(lam.n), lam).terms
+    space = module.space
+    assert module.generator == space.highest_vector() == ((0, 1),)
+    for i in range(1, lam.n + 1):
+        assert space.apply(space.table(i, i + 1), module.generator) == ()
 
 
 def test_tensor_space_shape():
@@ -68,7 +107,7 @@ def test_sl2_lowering_string():
 def test_module_dimensions_match_weyl_formula():
     for lam in (DominantWeight((1, 1)), DominantWeight((2, 1)), rho(3)):
         module = build_highest_weight_module(lam)
-        assert module.dimension == weyl_dimension(lam)
+        assert module.dimension == weyl_dimension(lam) == len(_reference_closure(lam)[0])
 
 
 def test_dimension_cap_is_enforced():
@@ -171,7 +210,7 @@ def test_non_triangular_example_still_has_a_monomial_basis():
     assert demazure_submodule(module, w).dimension == 13
     sub = subset_submodule(module, A)
     borel = demazure_submodule(module, w)
-    sub_span = sub.span()
+    sub_span = _span(module.space, sub.basis)
     assert any(row not in sub_span for row in borel.basis)
 
 
@@ -186,7 +225,7 @@ def test_pbw_profile_matches_degree_histogram():
     increments = [dims[0]] + [b - a for a, b in zip(dims, dims[1:])]
     assert increments == [histogram[d] for d in sorted(histogram)]
     assert subset_submodule(module, A).profile == (1, 4, 8)
-    assert module.profile[-1] == module.dimension == 8
+    assert _reference_closure(lam)[1][-1] == module.dimension == 8
 
 
 def test_essential_monomials_recover_lattice_points():
@@ -375,30 +414,34 @@ def test_digit_ops_match_full_row_tables(space_and_vectors):
 
 
 def test_rank3_verify_runs_three_closures(capsys, monkeypatch):
-    """`verify` forms three kinds of closure.  An element forms the module
-    and its Borel closure, which gives the target's dimension and weights,
-    and no lowering closure; a subset forms the module and its lowering
-    closure."""
-    whats = []
+    """`verify` forms one closure, and none of the irreducible module.  An
+    element forms its Borel closure, which gives the target's dimension
+    and weights, and no lowering closure; a subset forms its lowering
+    closure.  So does the rank-4 longest element under `--max-dim 2000`."""
+    formed = []
     closure = fflv.rep._closure
 
-    def counted(space, start, ops, cap=None, what="module", budget=None):
-        whats.append(what)
-        return closure(space, start, ops, cap=cap, what=what, budget=budget)
+    def counted(space, start, ops, *, what, cap=None, budget=None):
+        formed.append(what)
+        return closure(space, start, ops, what=what, cap=cap, budget=budget)
 
     monkeypatch.setattr(fflv.rep, "_closure", counted)
-    assert main(["verify", "--w-oneline", "4 3 2 1", "--lambda", "1,1,1"]) == 0
-    assert whats == ["module", "Borel closure"]
-    whats.clear()
-    assert main(["verify", "--A", "1.1,1.2,1.3,2.2,2.3,3.3", "--lambda", "1,1,1"]) == 0
-    capsys.readouterr()
-    assert whats == ["module", "lowering closure"]
+    for argv, whats in [
+        (("--w-oneline", "4 3 2 1", "--lambda", "1,1,1"), ["Borel closure"]),
+        (("--A", "1.1,1.2,1.3,2.2,2.3,3.3", "--lambda", "1,1,1"), ["lowering closure"]),
+        (("--w-oneline", "5 4 3 2 1", "--lambda", "1,1,1,1", "--max-dim", "2000"),
+         ["Borel closure"]),
+    ]:
+        formed.clear()
+        assert main(["verify", *argv]) == 0
+        capsys.readouterr()
+        assert formed == whats, argv
 
 
 def test_rank4_closures_match_weyl_and_demazure_dimensions():
     lam = rho(4)
     module = build_highest_weight_module(lam, cap=2000)
-    assert module.dimension == weyl_dimension(lam) == 1024
+    assert module.dimension == weyl_dimension(lam) == len(_reference_closure(lam)[0]) == 1024
     for w in all_permutations(4):
         assert demazure_submodule(module, w).dimension == demazure_dimension_oracle(w, lam)
     full = RootSubset.full(4)
@@ -568,27 +611,26 @@ def test_element_and_its_inversion_set_give_one_rep_block(
               Permutation.from_word((1, 3, 2), 4)]),
 ])
 def test_budgets_change_no_row_profile_or_kept_set(lam, elements):
-    """Budgeted closures (the module, Borel closures, lowering closures of
-    inversion sets) give the rows, profile and weights of the unbudgeted
-    ones, and the budgeted essential scan keeps the tuples of the
-    unbudgeted one, in the same order: for every element at ranks 2-3,
-    and at rho(4) for the longest element, a triangular non-Kempf one and
-    a non-triangular one."""
+    """Budgeted closures (Borel closures and lowering closures of
+    inversion sets, on the Weyl character) give the rows, profile and
+    weights of the unbudgeted ones, and the budgeted essential scan keeps
+    the tuples of the unbudgeted one, in the same order: for every element
+    at ranks 2-3, and at rho(4) for the longest element, a triangular
+    non-Kempf one and a non-triangular one.  The Weyl character is the
+    row weights of the unbudgeted closure of the module."""
     module = _module(lam)
     space, n = module.space, lam.n
-    simple = [(i + 1, i) for i in range(1, n + 1)]
     closure = fflv.rep._closure
-    assert closure(space, module.generator, simple) == (
-        module.basis, module.profile, module.weights)
+    assert module.weights == _reference_closure(lam)[2]
     for w in elements:
         A = inversion_roots(w)
         borel = demazure_submodule(module, w)
         raising = [(i, i + 1) for i in range(1, n + 1)]
-        assert closure(space, borel.generator, raising) == (
+        assert closure(space, borel.generator, raising, what="Borel closure") == (
             borel.basis, borel.profile, borel.weights)
         sub = subset_submodule(module, A)
         lowering = [(r.j + 1, r.i) for r in A.sorted_roots()]
-        assert closure(space, module.generator, lowering) == (
+        assert closure(space, module.generator, lowering, what="lowering closure") == (
             sub.basis, sub.profile, sub.weights)
         listing = fflv.rep._tall_first(A.members)
         for lex in (False, True):
@@ -602,25 +644,43 @@ def _one_short(weights, at):
     return short
 
 
-@pytest.mark.parametrize("lam", [DominantWeight((1, 1)), DominantWeight((2, 1)), rho(3)])
-def test_a_short_build_budget_raises(monkeypatch, lam):
-    """A Weyl character one short at any weight below the highest leaves
-    the module short of the Weyl dimension, which raises.  At the highest
-    weight, whose row is the start vector and no image, it changes
-    nothing.  So a short budget never builds another module."""
+@pytest.mark.parametrize("lam,elements", [
+    (DominantWeight((1, 1)), [Permutation.longest(2), Permutation.from_word((1,), 2)]),
+    (DominantWeight((2, 1)), [Permutation.longest(2), Permutation.from_word((1, 2), 2)]),
+    (rho(3), [Permutation.longest(3), Permutation((3, 4, 2, 1))]),
+])
+def test_a_short_weyl_character_never_passes_another_bundle(capsys, monkeypatch, lam, elements):
+    """A Weyl character one short at any one weight, as the module's
+    weights, leaves `verify --w` and `verify --A` byte-identical where the
+    closures never fill that weight, and fails the `rep` block where they
+    do; it never gives another passing bundle.  For the longest element the
+    Borel closure is the whole module, so every short weight fails it but
+    the lowest, whose row is the closure's start vector and no image."""
     character = demazure_character_oracle(Permutation.longest(lam.n), lam)
-    module = build_highest_weight_module(lam)
-    top = fflv.rep.to_partition(lam)
+    lowest = fflv.rep.to_partition(lam)[::-1]
+    coeffs = ",".join(map(str, lam.coeffs))
+    runs = []
+    for w in elements:
+        labels = ",".join(f"{r.i}.{r.j}" for r in inversion_roots(w).sorted_roots())
+        runs += [("--w-oneline", " ".join(map(str, w.images)), "--lambda", coeffs),
+                 ("--A", labels, "--lambda", coeffs)]
+    honest = []
+    for argv in runs:
+        code = main(["verify", *argv])
+        honest.append((code, capsys.readouterr().out))
+        assert code == 0
     for at in character.terms:
         short = Character(lam.n, _one_short(character.terms, at))
         monkeypatch.setattr(fflv.rep, "demazure_character_oracle", lambda w, lam: short)
-        if at == top:
-            built = build_highest_weight_module(lam)
-            assert (built.basis, built.profile, built.weights) == (
-                module.basis, module.profile, module.weights)
-            continue
-        with pytest.raises(ArithmeticError, match="highest weight closure has dimension"):
-            build_highest_weight_module(lam)
+        failed = []
+        for argv, (want_code, want) in zip(runs, honest):
+            code = main(["verify", *argv])
+            out = capsys.readouterr().out
+            if (code, out) != (want_code, want):
+                assert code == 1, (at, argv)
+                assert json.loads(out)["checks"]["rep"]["status"] == "fail", (at, argv)
+                failed.append(argv)
+        assert (runs[0] in failed) == (at != lowest), at
 
 
 @pytest.mark.parametrize("lam,w", [
