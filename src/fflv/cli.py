@@ -114,15 +114,17 @@ def cmd_weyl_scan(args: argparse.Namespace) -> int:
         # Keys in `json.dumps(sort_keys=True)` order: counts, elements, rank;
         # is_kempf, is_triangular, length, w inside an element.
         literal = ("false", "true")
-        row = '{"is_kempf":%s,"is_triangular":%s,"length":%d,"w":"%s"}'
-        elements = ",".join([row % (literal[kempf], literal[tri], length, w)
+        elements = ",".join([f'{{"is_kempf":{literal[kempf]},"is_triangular":'
+                             f'{literal[tri]},"length":{length},"w":"{w}"}}'
                              for w, length, kempf, tri in rows])
         out.write('{"counts":%s,"elements":[%s],"rank":%d}\n' % (
             _compact(counts), elements, n))
     elif args.format == "csv":
+        # Only the letters hold spaces, so one replace over the joined rows
+        # drops them.
         out.write("w,length,is_kempf,is_triangular\n")
-        out.writelines([f"{w.replace(' ', '')},{length},{kempf},{tri}\n"
-                        for w, length, kempf, tri in rows])
+        out.write("".join([f"{w},{length},{kempf},{tri}\n"
+                           for w, length, kempf, tri in rows]).replace(" ", ""))
     else:
         out.writelines([f"[{w}]  length={length}  "
                         f"{'K' if kempf else '-'}{'T' if tri else '-'}\n"

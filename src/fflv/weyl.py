@@ -8,9 +8,13 @@ One walk over one-line prefixes classifies elements.  A prefix state
 carries the Lehmer code c_i = #{k > i : w(k) < w(i)} of its letters, summed
 to the length and checked by the Kempf test as it grows, and the values that
 would complete a pattern 2413 or 4231 (the triangular test) if placed later.
-`classify_permutations` takes every prefix of S_{n+1} once, in lexicographic
-order; `Permutation.length`, `is_kempf`, `is_triangular_element` and
-`kempf_factorization` fold the same step over one element's letters.
+`classify_permutations` takes every prefix of S_{n+1} with at most n - 1
+letters once, in lexicographic order, and reads the two elements that
+complete a prefix of n - 1 letters off its state in one pass, with no
+further step.  `Permutation.length`, `is_kempf`, `is_triangular_element`
+and `kempf_factorization` fold the same step over one element's letters.
+A state holds its letters as a `str` of code points, which the cyclic
+garbage collector does not track.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from dataclasses import dataclass, field
 from .roots import Root, all_positive_roots
 
 
-def _completions(prefix: list[int], x: int) -> int:
-    """Bit mask of the values that, placed anywhere after prefix + [x],
+def _completions(prefix: str, x: int) -> int:
+    """Bit mask of the values that, placed anywhere after the letters of
+    prefix (code points, as `_step` stores them) and then x,
     complete a 2413 or 4231 whose third letter is x.
 
     A 2413 with x as its "1" needs positions i < k in the prefix with
@@ -38,7 +43,7 @@ def _completions(prefix: list[int], x: int) -> int:
     """
     bits = top = 0
     low = None
-    for v in prefix:
+    for v in map(ord, prefix):
         if v < x:
             if low is not None and v > top:
                 top = v
@@ -62,10 +67,14 @@ def _step(state: tuple, x: int) -> tuple:
       later position (`_completions` of every letter so far), or -1 once the
       prefix holds such a pattern; -1 has every bit set, so it stays -1.
       Only the bits of values not yet placed are ever read;
-    - prefix: the letters so far, as a list that is never changed.  A
-      tuple would do, but CPython keeps up to 2000 freed tuples of each
-      size for reuse, and the prefixes the walk frees would hold about
-      0.5 MB there while a scan formats its rows.
+    - prefix: the letters so far as a `str`, letter v stored as chr(v)
+      and read back with `map(ord, prefix)`.  The cyclic garbage collector
+      does not track a `str`, and it untracks a tuple of untracked values
+      the first time it meets one, so the states a walk keeps are not
+      walked again by every later collection.  A list prefix would keep
+      itself and its state tracked.  `bytes` would be a little faster
+      but cannot hold a letter above 255, and the folds take a
+      permutation of any size.
     The values below x that stand to its left are the set bits of
     seen & (2^x - 2); the other x - 1 - that many stand to its right, so
     that is c.  Every occurrence of a pattern is found when its fourth
@@ -79,11 +88,11 @@ def _step(state: tuple, x: int) -> tuple:
     else:
         forbidden |= _completions(prefix, x)
     return (seen | bit, f"{text}{x} ", length + c, c, kempf and prev <= c + 1,
-            forbidden, prefix + [x])
+            forbidden, prefix + chr(x))
 
 
 # The state of the empty prefix.
-_ROOT = (0, "", 0, 0, True, 0, [])
+_ROOT = (0, "", 0, 0, True, 0, "")
 
 
 def _fold(images: tuple[int, ...]) -> tuple:
@@ -337,15 +346,26 @@ def classify_permutations(n: int) -> list[tuple[str, int, bool, bool]]:
     S_{n+1}, in lexicographic one-line order, as `str(w)`, `w.length()`,
     `is_kempf(w)` and `is_triangular_element(w)` give them.
 
-    One walk over the one-line prefixes, level by level, each prefix
-    extended once by `_step`.  Every level is in lexicographic order: the
-    one before it is, and each prefix is extended by its free values in
-    increasing order.  The last letter is forced, and its step needs no new
-    state: its code value is 0, so the length stands and the Kempf test
-    c_n <= c_{n+1} + 1 = 1 holds (two values are left at position n), and
-    the element is triangular when that letter is not forbidden.  So each
-    prefix of n - 1 letters is extended in one pass to its two rows, and
-    the states of n letters are never stored.
+    One walk over the one-line prefixes of at most n - 1 letters, level by
+    level, each prefix extended once by `_step`.  Every level is in
+    lexicographic order: the one before it is, and each prefix is extended
+    by its free values in increasing order.  A prefix of n - 1 letters
+    leaves two free values a < b and is completed by ...a b and then ...b a;
+    both rows are read off its state (length L, code value `prev` of its
+    last letter, Kempf flag K, forbidden mask F) with no further step.
+    - Length and Kempf flag: in ...a b both code values are 0, so the
+      length is L and the Kempf test adds prev <= 1.  In ...b a they are 1
+      and 0, so the length is L + 1 and the test adds prev <= 2.
+    - Triangular: the prefix must hold no pattern and must not forbid a or
+      b, that is, F has neither bit set (F = -1 has both).  Let M be the
+      values strictly between a and b and H the values above b; both lie
+      in the prefix.  A pattern whose last letter is the final one of
+      ...a b has a as its third letter and b as its fourth; b > a rules out
+      4231, and a 2413 needs letters a < w(i) < b < w(k) at i < k, some
+      value of M standing before some value of H.  In ...b a the pattern
+      has b third and a fourth; 2413 is ruled out, and a 4231 needs
+      w(k) < b < w(i) at i < k with a below w(k), some value of H standing
+      before some value of M.  One pass over the prefix settles both.
     """
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
@@ -355,7 +375,21 @@ def classify_permutations(n: int) -> list[tuple[str, int, bool, bool]]:
     level = [_ROOT]
     for _ in range(n - 1):
         level = [_step(state, x) for state in level for x in free[state[0]]]
-    return [(f"{text}{y}", length, kempf, not forbidden >> y & 1)
-            for state in level for x in free[state[0]]
-            for seen, text, length, _, kempf, forbidden, _ in [_step(state, x)]
-            for y in free[seen]]
+    rows = []
+    for seen, text, length, prev, kempf, forbidden, prefix in level:
+        a, b = free[seen]
+        ab = ba = not forbidden & (1 << a | 1 << b)
+        if ab:
+            middle = high = False
+            for v in map(ord, prefix):
+                if v > b:
+                    high = True
+                    if middle:
+                        ab = False
+                elif v > a:
+                    middle = True
+                    if high:
+                        ba = False
+        rows.append((f"{text}{a} {b}", length, kempf and prev <= 1, ab))
+        rows.append((f"{text}{b} {a}", length + 1, kempf and prev <= 2, ba))
+    return rows

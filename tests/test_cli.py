@@ -166,6 +166,32 @@ def test_scan_leaves_no_cyclic_garbage(capsys):
     assert capsys.readouterr().out.count("total=720 ") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("points", "--A", "1.1,1.2,2.2", "--lambda", "1,1", "--dilate", "2", "--format", "text"),
+    ("points", "--A", "1.1,1.2,2.2", "--lambda", "1,1", "--dilate", "2", "--format", "csv"),
+    ("points", "--A", "1.1,1.2,2.2", "--lambda", "1,1", "--dilate", "2", "--format", "json"),
+    ("char-compare", "--w-oneline", "3 2 1", "--lambda", "1,1"),
+    ("verify", "--w-oneline", "3 2 1", "--lambda", "1,1"),
+    ("verify", "--w-oneline", "3 2 1", "--lambda", "1,1", "--no-rep"),
+    ("verify", "--A", "1.1,1.2,2.2", "--lambda", "2,1"),
+])
+def test_commands_leave_no_cyclic_garbage(capsys, argv):
+    """Every command frees what it builds when it returns.  `main` builds
+    an argument parser that holds cycles of its own, so with the collector
+    off a call leaves exactly the cyclic objects of one parser and nothing
+    else."""
+    gc.collect()
+    gc.disable()
+    try:
+        fflv.cli.build_parser()
+        parser_garbage = gc.collect()
+        assert main(list(argv)) == 0
+        assert gc.collect() == parser_garbage
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out
+
+
 def test_scan_is_one_call_into_the_weyl_layer(capsys, monkeypatch):
     """The benchmark's tracer wraps every public function of `fflv.weyl`
     wherever an fflv module holds it; a scan makes one such call, so the

@@ -1,9 +1,11 @@
 """Permutations, inversion sets, triangular and Kempf elements."""
 
+import gc
 import itertools
 
 import pytest
 
+import fflv.weyl
 from fflv.roots import Root, all_positive_roots
 from fflv.weyl import (
     Permutation,
@@ -297,3 +299,41 @@ def test_walk_rows_are_the_per_element_classification_on_s2_to_s8():
 def test_walk_rejects_rank_below_one():
     with pytest.raises(ValueError, match="rank must be >= 1"):
         classify_permutations(0)
+
+
+@pytest.mark.slow
+def test_walk_rows_are_the_per_element_classification_on_s9():
+    """The prefix walk against the per-element functions on all 362,880
+    elements of S_9, one rank past the tier-1 comparison."""
+    rows = classify_permutations(8)
+    assert len(rows) == 362_880
+    for row, images in zip(rows, itertools.permutations(range(1, 10))):
+        w = Permutation(images)
+        assert row == (str(w), w.length(), is_kempf(w), is_triangular_element(w)), w
+
+
+def test_folds_on_three_hundred_letters():
+    """The folds take letters of any size: a prefix stored one byte per
+    letter could not hold 256 .. 300."""
+    w0 = Permutation.longest(299)
+    assert is_triangular_element(w0)
+    assert is_kempf(w0)
+    assert w0.length() == 300 * 299 // 2 == 44_850
+    assert kempf_factorization(w0) == (299,) * 299
+    w = Permutation((2, 4, 1, 3) + tuple(range(5, 301)))
+    assert not is_triangular_element(w)
+    assert not is_kempf(w)
+    assert w.length() == 3
+    assert kempf_factorization(w) == (1, 3) + tuple(range(2, 299))
+
+
+def test_walk_states_are_not_tracked_by_the_cyclic_collector():
+    """A state's prefix is never tracked, and the collector untracks a
+    state the first time it meets one, so the states a walk keeps are not
+    walked again by every later collection."""
+    states = [fflv.weyl._ROOT]
+    for x in (3, 1, 4, 2, 5):
+        states.append(fflv.weyl._step(states[-1], x))
+    assert not any(gc.is_tracked(state[6]) for state in states)
+    gc.collect()
+    assert not any(gc.is_tracked(state) for state in states)
