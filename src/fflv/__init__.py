@@ -36,7 +36,6 @@ from .marked_poset import (
 from .paths import (
     base_root,
     connected_blocks,
-    enumerate_dyck_paths,
     enumerate_dyck_paths_for,
     is_dyck_path_for,
 )
@@ -47,7 +46,9 @@ from .polytope import (
     build_inequalities,
     compose_points,
     count_integer_points,
+    count_lattice_points,
     count_points_by_weight,
+    count_sum_points,
     degree_histogram,
     dilate,
     embed_face,

@@ -54,14 +54,6 @@ def _restrictions(A: RootSubset) -> set[tuple[Root, ...]]:
     return found
 
 
-def enumerate_dyck_paths(n: int) -> list[tuple[Root, ...]]:
-    """All full paths for rank n, sorted by their root sequences: the
-    restrictions to the full triangle."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    return sorted(_restrictions(RootSubset.full(n)))
-
-
 def connected_blocks(p: Sequence[Root]) -> list[tuple[Root, ...]]:
     """Split a restricted path at support gaps.
 

@@ -17,9 +17,10 @@ per-coordinate cells into value tuples, text rows or packed sums
 (`packed_fields`).  A face is an order ideal of N^m, so the Minkowski sum
 of faces, and of a face with itself k times, is the ideal generated by
 sums of maximal points, listed over a state graph of generator suffixes
-(`_sum_graph`) without forming a pairwise sum; `minkowski_sum` and
-`dilate` sum arbitrary point sets.  The module also embeds points into
-the full-triangle polytope.  Everything is integer arithmetic.
+(`_sum_graph`) without forming a pairwise sum, or counted on it
+(`count_sum_points`); `minkowski_sum` and `dilate` sum arbitrary point
+sets.  The module also embeds points into the full-triangle polytope.
+Everything is integer arithmetic.
 
 A point is a tuple of values aligned with its set's root tuple, and a point
 set is one tuple of such tuples in strictly increasing lexicographic order.
@@ -170,6 +171,18 @@ def _slack_graph(m: int, rows: list[tuple[int, int]]) -> Iterator[list[list[int]
         supports, states = after, list(ids)
 
 
+def _completion_counts(levels: list[list[list[int]]]) -> list[list[int]]:
+    """Per depth of a state graph, per state, its number of completions:
+    one backward pass from depth m, whose one state completes once.  The
+    root's count, at depth 0, is the number of points."""
+    completions = [[1]]
+    for level in reversed(levels):
+        below = completions[-1]
+        completions.append([sum([below[k] for k in kids]) for kids in level])
+    completions.reverse()
+    return completions
+
+
 def compose_points(levels: list[list[list[int]]], cells: Sequence[Sequence], unit) -> list:
     """Per point of a state graph, in lexicographic order of the points, the
     composition `unit + cells[0][v_0] + ... + cells[m-1][v_{m-1}]` of its
@@ -211,11 +224,7 @@ def compose_points(levels: list[list[list[int]]], cells: Sequence[Sequence], uni
     its larger suffix lists raised the peak memory of a `points` export.
     """
     m = len(levels)
-    completions = [[1]]
-    for level in reversed(levels):
-        below = completions[-1]
-        completions.append([sum([below[k] for k in kids]) for kids in level])
-    completions.reverse()
+    completions = _completion_counts(levels)
     total = completions[0][0]
     split = next((c for c in range(m + 1) if 16 * sum(completions[c]) <= total), m)
     suffixes: list[list] = [[unit]]
@@ -360,6 +369,20 @@ def ideal_sum(S1: PointSet, S2: PointSet) -> PointSet:
     return PointSet(S1.n, S1.roots, tuple(compose_points(levels, _value_cells(levels), ())))
 
 
+def count_sum_points(first: PointSet, *rest: PointSet) -> int:
+    """The number of points of the Minkowski sum of faces, or of any finite
+    order ideals of N^m on one root order, counted as the paths of the
+    state graph of `_sum_graph` without listing a point.  Raises
+    ValueError as `ideal_sum` does."""
+    summands = (first, *rest)
+    if any(S.n != first.n or S.roots != first.roots for S in rest):
+        raise ValueError("Minkowski sum needs matching rank and root order")
+    if not all([S.tuples for S in summands]):
+        return 0
+    levels = _sum_graph(len(first.roots), [S.tuples for S in summands])
+    return _completion_counts(levels)[0][0]
+
+
 def lattice_point_graph(A: RootSubset, lam: DominantWeight, k: int = 1) -> list[list[list[int]]]:
     """The state graph of the k-fold Minkowski sum of the face of A at the
     given weight (k >= 1), over the coordinates of `A.sorted_roots()`, for
@@ -500,6 +523,14 @@ def enumerate_lattice_points(A: RootSubset, lam: DominantWeight) -> PointSet:
         raise ValueError(f"weight rank {lam.n} != subset rank {A.n}")
     ineqs = build_inequalities(A, lam)
     return enumerate_integer_points(A.n, A.sorted_roots(), ineqs)
+
+
+def count_lattice_points(A: RootSubset, lam: DominantWeight) -> int:
+    """The number of integer points of the face polytope of A at the given
+    weight, counted without listing one (`count_integer_points`)."""
+    if lam.n != A.n:
+        raise ValueError(f"weight rank {lam.n} != subset rank {A.n}")
+    return count_integer_points(A.n, A.sorted_roots(), build_inequalities(A, lam))
 
 
 def _outside(S: PointSet, ineqs: list[Inequality]) -> Optional[str]:

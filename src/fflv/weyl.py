@@ -8,13 +8,13 @@ One walk over one-line prefixes classifies elements.  A prefix state
 carries the Lehmer code c_i = #{k > i : w(k) < w(i)} of its letters, summed
 to the length and checked by the Kempf test as it grows, and the values that
 would complete a pattern 2413 or 4231 (the triangular test) if placed later.
-`classify_permutations` takes every prefix of S_{n+1} with at most n - 1
-letters once, in lexicographic order, and reads the two elements that
-complete a prefix of n - 1 letters off its state in one pass, with no
-further step.  `Permutation.length`, `is_kempf`, `is_triangular_element`
-and `kempf_factorization` fold the same step over one element's letters.
-A state holds its letters as a `str` of code points, which the cyclic
-garbage collector does not track.
+`classify_permutations` takes every prefix of S_{n+1} with at most n - 2
+letters once, in lexicographic order, and reads the six elements that
+complete a prefix of n - 2 letters off its state and one pass over its
+letters, with no further step.  `Permutation.length`, `is_kempf`,
+`is_triangular_element` and `kempf_factorization` fold the same step over
+one element's letters.  A state holds its letters as a `str` of code
+points, which the cyclic garbage collector does not track.
 """
 
 from __future__ import annotations
@@ -346,50 +346,90 @@ def classify_permutations(n: int) -> list[tuple[str, int, bool, bool]]:
     S_{n+1}, in lexicographic one-line order, as `str(w)`, `w.length()`,
     `is_kempf(w)` and `is_triangular_element(w)` give them.
 
-    One walk over the one-line prefixes of at most n - 1 letters, level by
+    One walk over the one-line prefixes of at most n - 2 letters, level by
     level, each prefix extended once by `_step`.  Every level is in
     lexicographic order: the one before it is, and each prefix is extended
-    by its free values in increasing order.  A prefix of n - 1 letters
-    leaves two free values a < b and is completed by ...a b and then ...b a;
-    both rows are read off its state (length L, code value `prev` of its
-    last letter, Kempf flag K, forbidden mask F) with no further step.
-    - Length and Kempf flag: in ...a b both code values are 0, so the
-      length is L and the Kempf test adds prev <= 1.  In ...b a they are 1
-      and 0, so the length is L + 1 and the test adds prev <= 2.
-    - Triangular: the prefix must hold no pattern and must not forbid a or
-      b, that is, F has neither bit set (F = -1 has both).  Let M be the
-      values strictly between a and b and H the values above b; both lie
-      in the prefix.  A pattern whose last letter is the final one of
-      ...a b has a as its third letter and b as its fourth; b > a rules out
-      4231, and a 2413 needs letters a < w(i) < b < w(k) at i < k, some
-      value of M standing before some value of H.  In ...b a the pattern
-      has b third and a fourth; 2413 is ruled out, and a 4231 needs
-      w(k) < b < w(i) at i < k with a below w(k), some value of H standing
-      before some value of M.  One pass over the prefix settles both.
+    by its free values in increasing order.  A prefix of n - 2 letters
+    leaves three free values a < b < c, and its six completions, in the
+    order abc, acb, bac, bca, cab, cba, are read off its state (length L,
+    code value `prev` of its last letter, Kempf flag K, forbidden mask F)
+    with no further step.  S_2 has no such prefix; its two rows are
+    literal.
+    - Length and Kempf flag: the code values of the last three letters are
+      (0,0,0), (0,1,0), (1,0,0), (1,1,0), (2,0,0) and (2,1,0), so the
+      lengths are L, L+1, L+1, L+2, L+2 and L+3.  The Kempf test adds prev
+      <= (the first code value) + 1, and c_i <= c_{i+1} + 1 inside the
+      three fails only for cab (2 > 0 + 1), which is never Kempf.
+    - Triangular: a pattern 2413 or 4231 is found at its fourth letter, so
+      an occurrence either lies in the prefix (F = -1), or has its third
+      letter in the prefix and its fourth among a, b, c (F has that bit),
+      or has its last two letters u ... v among the completion.  In the
+      last case its first letter is in the prefix, and its second is in
+      the prefix or is the completion's first letter.
+      Two letters in the prefix at i < k: for u < v the pattern is a 2413
+      with u < w(i) < v < w(k), a letter in (u, v) standing before one
+      above v; for u > v it is a 4231 with v < w(k) < u < w(i), a letter
+      above u standing before one in (v, u).  Every value other than a, b
+      and c is in the prefix, so with I1 = (a, b), I2 = (b, c) and
+      I3 = (c, oo) these are unions of Ij-before-Ik relations: (a, b) is
+      blocked by I1 before I2 or I3, (a, c) by I1 or I2 before I3, (b, c)
+      by I2 before I3, and (b, a), (c, a) and (c, b) by the mirror
+      relations.  An order is blocked by the relations of its three pairs,
+      and one pass over the prefix finds the six relations.
+      One letter in the prefix: the completion is then the pattern's last
+      three letters, 413 (c a b, with a prefix letter in I1 as the "2")
+      or 231 (b c a, with a prefix letter in I3 as the "4").
     """
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
+    if n == 1:
+        return [("1 2", 0, True, True), ("2 1", 1, True, True)]
     values = range(1, n + 2)
     # The free values under each mask of used ones, in increasing order.
     free = [[x for x in values if not seen >> x & 1] for seen in range(2 << (n + 1))]
+    # Per mask of a prefix of n - 2 letters: its free values a < b < c,
+    # their bits and the texts of the six orders.
+    everything = (2 << (n + 1)) - 2
+    ends = {everything ^ (1 << a | 1 << b | 1 << c):
+            (a, b, c, 1 << a | 1 << b | 1 << c,
+             (f"{a} {b} {c}", f"{a} {c} {b}", f"{b} {a} {c}",
+              f"{b} {c} {a}", f"{c} {a} {b}", f"{c} {b} {a}"))
+            for a, b, c in itertools.combinations(values, 3)}
+    # Bit 3(k-1) + (j-1) of `blocked` is set when a letter of Ij stands
+    # before a letter of Ik, and these relations block each order:
+    r12, r13, r23, r21, r31, r32 = 1 << 3, 1 << 6, 1 << 7, 1 << 1, 1 << 2, 1 << 5
+    abc, acb, bac = r12 | r13 | r23, r12 | r13 | r23 | r32, r21 | r31 | r23 | r13
+    bca, cab, cba = r23 | r21 | r31 | r32, r31 | r32 | r12 | r13, r32 | r31 | r21
     level = [_ROOT]
-    for _ in range(n - 1):
+    for _ in range(n - 2):
         level = [_step(state, x) for state in level for x in free[state[0]]]
     rows = []
     for seen, text, length, prev, kempf, forbidden, prefix in level:
-        a, b = free[seen]
-        ab = ba = not forbidden & (1 << a | 1 << b)
-        if ab:
-            middle = high = False
+        a, b, c, bits, (t1, t2, t3, t4, t5, t6) = ends[seen]
+        if forbidden & bits:
+            blocked = met = -1
+        else:
+            # Bit j-1 of `met` is set once a letter of Ij has been seen.
+            blocked = met = 0
             for v in map(ord, prefix):
-                if v > b:
-                    high = True
-                    if middle:
-                        ab = False
-                elif v > a:
-                    middle = True
-                    if high:
-                        ba = False
-        rows.append((f"{text}{a} {b}", length, kempf and prev <= 1, ab))
-        rows.append((f"{text}{b} {a}", length + 1, kempf and prev <= 2, ba))
+                if v > a:
+                    if v < b:
+                        blocked |= met
+                        met |= 1
+                    elif v < c:
+                        blocked |= met << 3
+                        met |= 2
+                    else:
+                        blocked |= met << 6
+                        met |= 4
+        k1 = kempf and prev <= 1
+        k2 = kempf and prev <= 2
+        rows += (
+            (text + t1, length, k1, not blocked & abc),
+            (text + t2, length + 1, k1, not blocked & acb),
+            (text + t3, length + 1, k2, not blocked & bac),
+            (text + t4, length + 2, k2, not (blocked & bca or met & 4)),
+            (text + t5, length + 2, False, not (blocked & cab or met & 1)),
+            (text + t6, length + 3, kempf and prev <= 3, not blocked & cba),
+        )
     return rows

@@ -576,26 +576,28 @@ def test_verify_with_separate_mu(capsys):
 
 
 def _record_polytope_calls(monkeypatch):
-    """Wrap the CLI's enumerator and Minkowski sum; return the call logs."""
+    """Wrap the CLI's enumerator and Minkowski sum counter; return the call
+    logs."""
     weights, sums = [], []
-    enumerate_, minkowski = fflv.cli.enumerate_lattice_points, fflv.cli.ideal_sum
+    enumerate_, minkowski = fflv.cli.enumerate_lattice_points, fflv.cli.count_sum_points
 
     def enumerate_recorded(A, lam):
         weights.append(lam.coeffs)
         return enumerate_(A, lam)
 
-    def minkowski_recorded(S1, S2):
-        sums.append((len(S1), len(S2)))
-        return minkowski(S1, S2)
+    def minkowski_recorded(*summands):
+        sums.append(tuple(map(len, summands)))
+        return minkowski(*summands)
 
     monkeypatch.setattr(fflv.cli, "enumerate_lattice_points", enumerate_recorded)
-    monkeypatch.setattr(fflv.cli, "ideal_sum", minkowski_recorded)
+    monkeypatch.setattr(fflv.cli, "count_sum_points", minkowski_recorded)
     return weights, sums
 
 
 def test_verify_separate_mu_enumerates_its_own_faces(capsys, monkeypatch):
-    """With mu != lambda the Minkowski check forms S + S(mu) against
-    S(lambda + mu); normality passes by certificate, with no sum."""
+    """With mu != lambda the Minkowski check counts S + S(mu) against the
+    count of S(lambda + mu), which is not listed; normality passes by
+    certificate, with no sum."""
     weights, sums = _record_polytope_calls(monkeypatch)
     code, out, _ = run(capsys, "verify", "--w-oneline", "4 3 2 1", "--lambda", "1,2,1",
                        "--mu", "2,0,1", "--no-rep")
@@ -603,8 +605,9 @@ def test_verify_separate_mu_enumerates_its_own_faces(capsys, monkeypatch):
     A = inversion_roots(Permutation((4, 3, 2, 1)))
     lam, mu = DominantWeight((1, 2, 1)), DominantWeight((2, 0, 1))
     left, right, total = (len(enumerate_lattice_points(A, nu)) for nu in (lam, mu, lam + mu))
-    assert weights == [(1, 2, 1), (2, 0, 1), (3, 2, 2)]
+    assert weights == [(1, 2, 1), (2, 0, 1)]
     assert sums == [(left, right)]
+    assert not hasattr(fflv.cli, "ideal_sum")
     mink = json.loads(out)["checks"]["minkowski"]
     assert mink == {"status": "pass", "left": left, "right": right, "total": total}
     assert (left, right, total) == (175, 36, 1260)
@@ -702,13 +705,18 @@ def test_verify_rank5_longest_element_with_modules(capsys):
 
 def test_verify_forms_the_sums_where_the_identity_fails(capsys, monkeypatch):
     """The face of 1.2, 2.3 is not its marked chain polytope (9 points
-    against 8 at rho(3)), so the sums are formed and `total` is the face
-    count at 2 lambda, not the chain count."""
+    against 8 at rho(3)), so the sums are formed, as counts: the two- and
+    three-fold sums of S are counted against the faces at 2 lambda and
+    3 lambda, whose path systems are built but whose points are not
+    listed, and `total` is the face count at 2 lambda, not the chain
+    count."""
+    systems = _record_path_systems(monkeypatch)
     weights, sums = _record_polytope_calls(monkeypatch)
     code, out, _ = run(capsys, "verify", "--A", "1.2,2.3", "--lambda", "1,1,1", "--no-rep")
     assert code == 0
-    assert weights == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
-    assert sums == [(9, 9), (25, 9)]
+    assert weights == [(1, 1, 1)]
+    assert systems == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
+    assert sums == [(9, 9), (9, 9, 9)]
     checks = json.loads(out)["checks"]
     assert checks["minkowski"]["total"] == 25
     assert checks["marked_poset"]["ehrhart"][1] == [22, 22]

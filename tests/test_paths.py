@@ -6,14 +6,20 @@ from itertools import combinations
 import pytest
 
 from fflv.paths import (
+    _restrictions,
     base_root,
     connected_blocks,
-    enumerate_dyck_paths,
     enumerate_dyck_paths_for,
     is_dyck_path_for,
 )
 from fflv.roots import Root, all_positive_roots
 from fflv.weyl import Permutation, RootSubset, inversion_roots
+
+
+def enumerate_dyck_paths(n):
+    """All full paths for rank n, sorted by their root sequences: the
+    restrictions to the full triangle.  Raises ValueError for n < 1."""
+    return sorted(_restrictions(RootSubset.full(n)))
 
 
 def _full_paths_reference(n):

@@ -18,7 +18,7 @@ from fflv.marked_poset import (
     marked_chain_points,
     marked_order_points,
 )
-from fflv.paths import enumerate_dyck_paths
+from fflv.paths import _restrictions
 from fflv.polytope import (
     _search_plan,
     _slack_graph,
@@ -30,7 +30,9 @@ from fflv.polytope import (
     build_inequalities,
     compose_points,
     count_integer_points,
+    count_lattice_points,
     count_points_by_weight,
+    count_sum_points,
     degree_histogram,
     dilate,
     embed_face,
@@ -155,7 +157,7 @@ def test_searches_leave_no_cyclic_garbage():
                 lambda: ideal_sum(enumerate_lattice_points(full(3), lam),
                                   enumerate_lattice_points(full(3), lam)),
                 lambda: _chain_supports(full(3)),
-                lambda: enumerate_dyck_paths(3)]
+                lambda: _restrictions(full(3))]
     gc.collect()
     gc.disable()
     try:
@@ -644,13 +646,15 @@ def _sample(cases, size):
 @pytest.mark.parametrize("size", [2000, pytest.param(None, marks=pytest.mark.slow)])
 def test_ideal_sum_matches_the_pairwise_sums_on_small_faces(size):
     """S(lambda) + S(mu) as the ideal generated by sums of maximal points
-    is the set of pairwise sums, on every bounded face at ranks 1-3 for
-    lambda, mu in {0,1,2}^n: all 44,406 pairs under `-m slow` (about 20 s),
-    a seeded sample otherwise."""
+    is the set of pairwise sums, and `count_sum_points` counts it, on
+    every bounded face at ranks 1-3 for lambda, mu in {0,1,2}^n: all 44,406
+    pairs under `-m slow` (about 20 s), a seeded sample otherwise."""
     pairs = [(S[lam], S[mu]) for _, S in _bounded_faces((1, 2, 3)) for lam in S for mu in S]
     assert len(pairs) == 44406
     for S1, S2 in _sample(pairs, size):
-        assert ideal_sum(S1, S2) == minkowski_sum(S1, S2)
+        want = minkowski_sum(S1, S2)
+        assert ideal_sum(S1, S2) == want
+        assert count_sum_points(S1, S2) == len(want)
 
 
 @pytest.mark.parametrize("size", [500, pytest.param(None, marks=pytest.mark.slow)])
@@ -668,11 +672,13 @@ def test_dilated_graph_matches_the_pairwise_sums_on_small_faces(size):
 @pytest.mark.parametrize("k", [2, 3])
 def test_sums_of_a_non_triangular_face(k):
     """The rank-4 face the benchmark dilates, at rho(4): the graph of its
-    k-fold sum and the iterated `ideal_sum` both give `dilate`'s points."""
+    k-fold sum and the iterated `ideal_sum` both give `dilate`'s points,
+    and `count_sum_points` their number."""
     S = enumerate_lattice_points(NON_TRIANGULAR_4, rho(4))
     assert len(S) == 208
     want = dilate(S, k)
     assert graph_points(4, S.roots, lattice_point_graph(NON_TRIANGULAR_4, rho(4), k)) == want
+    assert count_sum_points(*[S] * k) == len(want)
     got = S
     for _ in range(k - 1):
         got = ideal_sum(got, S)
@@ -717,6 +723,27 @@ def test_ideal_sum_edge_sets():
             ideal_sum(S, bad)
     with pytest.raises(ValueError):
         ideal_sum(S, enumerate_lattice_points(full(2), rho(2)))
+
+
+def test_count_sum_points_edge_sets():
+    S = point_set((0, 0), (1, 0), (0, 1), (0, 2))
+    assert count_sum_points(S) == 4
+    assert count_sum_points(S, point_set((0, 0))) == 4
+    assert count_sum_points(S, S, S) == len(minkowski_sum(minkowski_sum(S, S), S))
+    assert count_sum_points(S, PointSet(3, S.roots, ())) == 0
+    assert count_sum_points(point_set(()), point_set(())) == 1
+    for bad in (point_set((1, 0)), point_set((0, 0), (1, 1)), point_set((-1, 0), (0, 0)),
+                enumerate_lattice_points(full(2), rho(2))):
+        with pytest.raises(ValueError):
+            count_sum_points(S, bad)
+
+
+def test_count_lattice_points_is_the_number_listed():
+    for A, lam in ((full(3), rho(3)), (NON_TRIANGULAR_4, rho(4)),
+                   (RootSubset.of(3, [Root(1, 2), Root(2, 3)]), DominantWeight((2, 1, 1)))):
+        assert count_lattice_points(A, lam) == len(enumerate_lattice_points(A, lam))
+    with pytest.raises(ValueError):
+        count_lattice_points(full(3), rho(2))
 
 
 def test_lattice_point_graph_rejects_bad_input():

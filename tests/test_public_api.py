@@ -16,9 +16,10 @@ PUBLIC = [
     "cartan_component_dimension", "character_from_lattice_points", "classify_permutations",
     "compose_points",
     "connected_blocks", "count_chain_points", "count_integer_points",
-    "count_order_points", "count_points_by_weight", "degree_histogram", "demazure_character_oracle",
+    "count_lattice_points", "count_order_points", "count_points_by_weight",
+    "count_sum_points", "degree_histogram", "demazure_character_oracle",
     "demazure_dimension_oracle", "demazure_operator", "demazure_operator_division",
-    "demazure_submodule", "dilate", "dominates", "embed_face", "enumerate_dyck_paths",
+    "demazure_submodule", "dilate", "dominates", "embed_face",
     "enumerate_dyck_paths_for", "enumerate_integer_points", "enumerate_lattice_points",
     "essential_monomials", "extremal_vector", "face_character", "fundamental_weight",
     "ideal_sum", "in_polytope",

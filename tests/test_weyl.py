@@ -301,6 +301,83 @@ def test_walk_rejects_rank_below_one():
         classify_permutations(0)
 
 
+def test_walk_steps_only_prefixes_of_at_most_n_minus_2_letters(monkeypatch):
+    """S_8 is walked over its prefixes of at most 5 letters, 8 + 8*7 + ...
+    + 8*7*6*5*4 = 8,800 steps; the last three letters take none."""
+    steps = []
+    step = fflv.weyl._step
+
+    def counted(state, x):
+        steps.append(x)
+        return step(state, x)
+
+    monkeypatch.setattr(fflv.weyl, "_step", counted)
+    rows = classify_permutations(7)
+    assert len(rows) == 40_320
+    assert len(steps) == 8_800
+
+
+# Words of S_5 whose prefix of two letters holds no pattern and forbids no
+# free value a < b < c, so their triangularity is decided by the completion
+# alone.  Ij before Ik means a prefix letter of Ij stands before one of Ik,
+# for I1 = (a, b), I2 = (b, c) and I3 = (c, oo).  Each word of the first
+# eight fails through exactly one of the eight conditions of
+# `classify_permutations`; the last six pass, one per order.
+COMPLETIONS = [
+    ("2 4 1 3 5", "abc", "I1 before I2", False),
+    ("2 5 1 3 4", "abc", "I1 before I3", False),
+    ("3 5 1 2 4", "abc", "I2 before I3", False),
+    ("4 2 3 1 5", "bac", "I2 before I1", False),
+    ("5 2 4 3 1", "cba", "I3 before I1", False),
+    ("5 3 4 2 1", "cba", "I3 before I2", False),
+    ("1 3 5 2 4", "cab", "a prefix letter in I1", False),
+    ("1 5 3 4 2", "bca", "a prefix letter in I3", False),
+    ("4 2 1 3 5", "abc", "I2 before I1 only", True),
+    ("4 2 1 5 3", "acb", "I2 before I1 only", True),
+    ("2 4 3 1 5", "bac", "I1 before I2 only", True),
+    ("2 4 3 5 1", "bca", "I1 before I2 only", True),
+    ("4 3 5 1 2", "cab", "two letters of I2", True),
+    ("2 4 5 3 1", "cba", "I1 before I2 only", True),
+]
+
+
+def completion_conditions(images):
+    """The conditions on the last three letters that hold for a word, from
+    their definitions: a pair u ... v of them with u < v is blocked by a
+    prefix letter in (u, v) standing before one above v, and with u > v by
+    a prefix letter above u standing before one in (v, u)."""
+    prefix, tail = images[:-3], images[-3:]
+    a, b, c = sorted(tail)
+    ends = (a, b, c, len(images) + 1)
+    interval = {v: j for j in (1, 2, 3) for v in range(ends[j - 1] + 1, ends[j])}
+    before = {(interval[x], interval[y]) for i, x in enumerate(prefix) for y in prefix[i + 1:]
+              if x in interval and y in interval and interval[x] != interval[y]}
+    found = set()
+    for i, u in enumerate(tail):
+        for v in tail[i + 1:]:
+            for j, k in before:
+                if (u < v and u <= ends[j - 1] and ends[j] <= v and ends[k - 1] >= v
+                        or u > v and ends[j - 1] >= u and v <= ends[k - 1] and ends[k] <= u):
+                    found.add(f"I{j} before I{k}")
+    if tail == (c, a, b) and any(a < x < b for x in prefix):
+        found.add("a prefix letter in I1")
+    if tail == (b, c, a) and any(x > c for x in prefix):
+        found.add("a prefix letter in I3")
+    return found
+
+
+@pytest.mark.parametrize("word, order, reason, triangular", COMPLETIONS)
+def test_completion_conditions_one_at_a_time(word, order, reason, triangular):
+    images = tuple(map(int, word.split()))
+    a, b, c = sorted(images[2:])
+    assert images[2:] == tuple({"a": a, "b": b, "c": c}[k] for k in order)
+    assert completion_conditions(images) == (set() if triangular else {reason})
+    w = Permutation(images)
+    assert is_triangular_element(w) == triangular, reason
+    row = next(row for row in classify_permutations(4) if row[0] == word)
+    assert row == (word, w.length(), is_kempf(w), triangular), reason
+
+
 @pytest.mark.slow
 def test_walk_rows_are_the_per_element_classification_on_s9():
     """The prefix walk against the per-element functions on all 362,880
