@@ -14,6 +14,7 @@ results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -39,7 +40,6 @@ from .polytope import (
 from .rep import (
     DimensionCapError,
     build_highest_weight_module,
-    demazure_submodule,
     essential_monomials,
     lowering_weights,
     pbw_filtration_profile,
@@ -118,25 +118,32 @@ def cmd_weyl_scan(args: argparse.Namespace) -> int:
         "triangular": triangular_count,
         "kempf_non_triangular": bad,
     }
+    # A row is its letters and a tail, or a head, looked up by the code
+    # 4 * length + 2 * is_kempf + is_triangular.
+    codes = [(length, kempf, tri) for length in range(n * (n + 1) // 2 + 1)
+             for kempf in (False, True) for tri in (False, True)]
     out = sys.stdout
     if args.format == "json":
         # Keys in `json.dumps(sort_keys=True)` order: counts, elements, rank;
         # is_kempf, is_triangular, length, w inside an element.
         literal = ("false", "true")
-        elements = ",".join([f'{{"is_kempf":{literal[kempf]},"is_triangular":'
-                             f'{literal[tri]},"length":{length},"w":"{w}"}}'
+        heads = [f'{{"is_kempf":{literal[kempf]},"is_triangular":{literal[tri]},'
+                 f'"length":{length},"w":"' for length, kempf, tri in codes]
+        elements = ",".join([heads[4 * length + 2 * kempf + tri] + w + '"}'
                              for w, length, kempf, tri in rows])
         out.write('{"counts":%s,"elements":[%s],"rank":%d}\n' % (
             _compact(counts), elements, n))
     elif args.format == "csv":
         # Only the letters hold spaces, so one replace over the joined rows
         # drops them.
+        tails = [f",{length},{kempf},{tri}\n" for length, kempf, tri in codes]
         out.write("w,length,is_kempf,is_triangular\n")
-        out.write("".join([f"{w},{length},{kempf},{tri}\n"
+        out.write("".join([w + tails[4 * length + 2 * kempf + tri]
                            for w, length, kempf, tri in rows]).replace(" ", ""))
     else:
-        out.write("".join([f"[{w}]  length={length}  "
-                           f"{'K' if kempf else '-'}{'T' if tri else '-'}\n"
+        tails = [f"]  length={length}  {'K' if kempf else '-'}{'T' if tri else '-'}\n"
+                 for length, kempf, tri in codes]
+        out.write("".join(["[" + w + tails[4 * length + 2 * kempf + tri]
                            for w, length, kempf, tri in rows]))
         out.write(f"total={counts['total']} kempf={counts['kempf']} "
                   f"triangular={counts['triangular']} "
@@ -376,24 +383,21 @@ def _verify_checks(args: argparse.Namespace) -> dict:
         record("rep", "skipped", reason="unbounded face")
     else:
         try:
-            # The module is its tensor space, highest vector and Weyl
-            # character; no closure of it is formed.  The target is U(n-_A)
-            # applied to the highest vector.  For an element its dimension
-            # and weights come from the Borel closure and its profile from
-            # the essential scan (`fflv.rep`); a subset forms its lowering
-            # closure.
+            # The module is its tensor space and highest vector.  The target
+            # is U(n-_A) applied to the highest vector.  For an element its
+            # dimension and weights are the Demazure character at w, its
+            # profile comes from the essential scan (`fflv.rep`), and no
+            # closure is formed; a subset forms its lowering closure.
             module = build_highest_weight_module(lam, cap=args.max_dim)
             if w is None:
                 target = subset_submodule(module, A)
-                weights = target.weights
+                dimension, weights = target.dimension, target.weights
             else:
-                target = demazure_submodule(module, w)
-                weights = lowering_weights(target, w)
-            report = verify_monomial_basis(module, S, target.dimension)
+                dimension, weights = oracle.mass, lowering_weights(oracle.terms, w)
+            report = verify_monomial_basis(module, S, dimension)
             dims = {"subset": report.submodule_dimension, "lattice": len(S)}
             if w is not None:
-                dims["demazure"] = target.dimension
-                dims["oracle"] = oracle.mass
+                dims["demazure"] = dims["oracle"] = oracle.mass
             essential = essential_monomials(module, A, weights=weights)
             if w is None:
                 profile = pbw_filtration_profile(module, A)
@@ -434,6 +438,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new argument parser for the four commands; `main` builds one per
+    process, on its first call (`_parser`)."""
     parser = argparse.ArgumentParser(
         prog="fflv",
         description="Exact combinatorics of triangular Weyl group elements, "
@@ -479,6 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  Parsing leaves it as it was, and a
+    parser holds a few hundred objects in reference cycles, so building
+    one per call would leave them to the collector each time."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse, validate every input here, then run the command.
 
@@ -488,8 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     exits 2, and a broken internal invariant (an `ArithmeticError`) exits
     3, each with one `error:` line on stderr.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "weyl-scan":
             if args.n < 1:

@@ -32,38 +32,45 @@ No stage does work whose result is already known:
   closure of an extremal vector is taken over the e_i alone.
 - PBW and the twist by w.  For A = N(w), the inversion set of w, the
   lowerings in A span n- intersected with w^-1 n+ w, so U(n-_A) v_lambda is
-  w^-1 V_w(lambda) for a lift of w: it has the dimension of the Borel
-  closure V_w(lambda), and the weights of its rows mapped by w^-1
-  (`lowering_weights`).  N(w) is closed under root addition, so by PBW the
-  ordered monomials of degree at most d span the degree-d piece of the
-  filtration, and the essential scan's rank after each degree is the
-  graded profile.  No lowering closure is formed for an element; a subset
-  that is not closed (say {alpha11, alpha22}) keeps it.
+  w^-1 V_w(lambda) for a lift of w: it has the dimension of V_w(lambda),
+  and the weights of V_w(lambda) mapped by w^-1 (`lowering_weights`).  By
+  Demazure's character formula those are the mass and the terms of the
+  Demazure character at w (`demazure_character_oracle`), so no closure is
+  formed for an element: neither V_w(lambda) nor a lowering closure.
+  N(w) is closed under root addition, so by PBW the ordered monomials of
+  degree at most d span the degree-d piece of the filtration, and the
+  essential scan's rank after each degree is the graded profile.  A subset
+  that is not closed (say {alpha11, alpha22}) keeps its lowering closure.
+  The Borel closure of the extremal vector (`demazure_submodule`) stays as
+  the tests' reference for that character.
 - The irreducible module.  No closure of V(lambda) is formed
   (`IrreducibleModule`).  Index 0 of the tensor space is killed by every
   E_{i,i+1} and is a weight vector of weight lambda in a
   finite-dimensional module, so it generates a copy of V(lambda).  The
   weights of V(lambda), with multiplicity, are the Weyl character, which
   is Demazure's formula at the longest element
-  (`demazure_character_oracle`).  Every vector a stage forms lies in that
-  copy: the extremal vector and every ordered monomial image are
-  lowerings of the highest vector, and the closures are spans of images
-  of those.  So the Weyl character is a sound budget for the Borel
-  closure, the lowering closures and the scan's target.
+  (`demazure_character_oracle`), computed on first read.  Every vector a
+  stage forms lies in that copy: the extremal vector and every ordered
+  monomial image are lowerings of the highest vector, and the closures
+  are spans of images of those.  So the Weyl character is a sound budget
+  for the Borel closure, the lowering closures and the scan's target.
 - Weight budgets.  A closure or scan knows each image's weight before it
   computes it, and skips the image when the span's weight space there is
   already full (`_closure`, `_scan`): full against the Weyl character for
-  the Borel and lowering closures, and against the target's row weights
-  for the essential scan.  A skipped image lies in the span, so rows,
-  ranks, profiles and kept sets do not change.  No check reads a budget:
-  a short one leaves a result short, and then the Borel or lowering
-  dimension, the oracle mass and the lattice count disagree, which the
-  checks report.
+  the Borel and lowering closures, and against the target's weights for
+  the essential scan, which are the Demazure character mapped by w^-1 for
+  an element and the lowering closure's row weights for a subset.  A
+  skipped image lies in the span, so rows, ranks, profiles and kept sets
+  do not change.  A short budget can only leave a result short: a short
+  Weyl character, which no check reads, a lowering dimension that
+  disagrees with the oracle mass and the lattice count; a short Demazure
+  character, also the character check's oracle, a failed character check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, combinations
 from math import gcd, prod
 from operator import mul, sub
@@ -212,24 +219,28 @@ class ExplicitModule:
 class IrreducibleModule:
     """The irreducible module V(lambda) in its tensor space, with no basis.
 
-    The generator is the highest vector, index 0, and `weights` is the Weyl
-    character: the multiplicity of each weight (content vector, as
-    `TensorSpace.weight_of` gives it) of the copy of V(lambda) that the
-    generator spans under the lowerings (module docstring).  Lowering
-    closures of this module are kept per root subset, so each one is
-    computed once.
+    The generator is the highest vector, index 0; the dimension is the
+    Weyl dimension, and `weights` is the Weyl character: the multiplicity
+    of each weight (content vector, as `TensorSpace.weight_of` gives it)
+    of the copy of V(lambda) that the generator spans under the lowerings
+    (module docstring).  The character is computed on first read, so only
+    a stage that budgets a closure with it pays for it.  Lowering closures
+    of this module are kept per root subset, so each one is computed once.
     """
 
     space: TensorSpace
     weight: DominantWeight
     generator: SparseVector
-    weights: dict[tuple[int, ...], int] = field(compare=False, repr=False)
     _subsets: dict[tuple[Root, ...], ExplicitModule] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
-        return sum(self.weights.values())
+        return weyl_dimension(self.weight)
+
+    @cached_property
+    def weights(self) -> dict[tuple[int, ...], int]:
+        return demazure_character_oracle(Permutation.longest(self.weight.n), self.weight).terms
 
 
 def _closure(
@@ -297,12 +308,11 @@ def _closure(
 def build_highest_weight_module(lam: DominantWeight, cap: int = 400) -> IrreducibleModule:
     """The irreducible module of highest weight lambda, with no closure formed.
 
-    Returns the tensor space, the highest vector (index 0) and the Weyl
-    character, the Demazure character of the longest element, as the
-    weights; the dimension is the Weyl dimension, checked against the cap
-    first.  Index 0 is killed by every E_{i,i+1} and has weight lambda, so
-    it generates a copy of V(lambda) holding every vector a stage forms
-    (module docstring); the Weyl character bounds each weight space of
+    Returns the tensor space and the highest vector (index 0), with the
+    Weyl dimension checked against the cap first.  Index 0 is killed by
+    every E_{i,i+1} and has weight lambda, so it generates a copy of
+    V(lambda) holding every vector a stage forms (module docstring); the
+    module's weights, the Weyl character, bound each weight space of
     those stages.  A character short at some weight only leaves a closure
     or scan short, which the checks report.
     """
@@ -310,8 +320,7 @@ def build_highest_weight_module(lam: DominantWeight, cap: int = 400) -> Irreduci
     if expected > cap:
         raise DimensionCapError(expected, cap)
     space = TensorSpace.from_weight(lam)
-    character = demazure_character_oracle(Permutation.longest(len(lam.coeffs)), lam)
-    return IrreducibleModule(space, lam, space.highest_vector(), character.terms)
+    return IrreducibleModule(space, lam, space.highest_vector())
 
 
 def extremal_vector(module: IrreducibleModule, w: Permutation) -> SparseVector:
@@ -363,7 +372,9 @@ def demazure_submodule(module: IrreducibleModule, w: Permutation) -> ExplicitMod
     docstring), with the Weyl character as its budget.  The Cartan
     subalgebra acts diagonally on every vector this produces (they are
     weight vectors), so no extra closure step is needed.  The profile
-    counts products of simple raisings.
+    counts products of simple raisings.  `verify` takes V_w(lambda)'s
+    dimension and weights from its Demazure character instead; this
+    closure is the tests' reference for that character.
     """
     space = module.space
     gen = extremal_vector(module, w)
@@ -373,9 +384,12 @@ def demazure_submodule(module: IrreducibleModule, w: Permutation) -> ExplicitMod
     return ExplicitModule(space, module.weight, gen, basis, profile, weights)
 
 
-def lowering_weights(borel: ExplicitModule, w: Permutation) -> dict[tuple[int, ...], int]:
+def lowering_weights(
+    weights: Mapping[tuple[int, ...], int], w: Permutation
+) -> dict[tuple[int, ...], int]:
     """The weights of U(n-_A) v_lambda for A = N(w), with multiplicity,
-    read off the Borel closure `demazure_submodule(module, w)`.
+    from the weights of V_w(lambda): the terms of the Demazure character
+    at w, or the row weights of the Borel closure `demazure_submodule`.
 
     A lift of w^-1 maps V_w(lambda) onto U(n-_A) v_lambda (module
     docstring) and the weight space of content c onto that of the content
@@ -383,7 +397,7 @@ def lowering_weights(borel: ExplicitModule, w: Permutation) -> dict[tuple[int, .
     weights, so the multiplicities carry over.
     """
     reads = [w(i) - 1 for i in range(1, w.n + 2)]
-    return {tuple([c[k] for k in reads]): m for c, m in borel.weights.items()}
+    return {tuple([c[k] for k in reads]): m for c, m in weights.items()}
 
 
 def subset_submodule(module: IrreducibleModule, A: RootSubset) -> ExplicitModule:
@@ -482,8 +496,8 @@ def verify_monomial_basis(
     those vectors are linearly independent and whether they span U(n-_A)
     applied to the highest vector, which holds them all.  `dimension` is
     the dimension of that submodule where it is known (for A = N(w), the
-    Borel closure's, by the module docstring); without it the lowering
-    closure of A is formed.  Points are walked in colex order (lex on the
+    mass of the Demazure character at w, by the module docstring); without
+    it the lowering closure of A is formed.  Points are walked in colex order (lex on the
     reversed tuple).  The face is downward closed, so a point's
     predecessor is the point less one at its first nonzero exponent, and
     each image costs one apply.
@@ -552,8 +566,8 @@ def essential_monomials(
 
     The scan runs until the span is U(n-_A) applied to the highest vector,
     which holds every monomial vector.  `weights` are that submodule's
-    weights with multiplicity where they are known (for A = N(w),
-    `lowering_weights`); without them the lowering closure of A is formed
+    weights with multiplicity where they are known (for A = N(w), the
+    Demazure character at w mapped by `lowering_weights`); without them the lowering closure of A is formed
     and its rows' weights are taken.  Their total is the rank the scan
     stops at, and each is the budget of its weight (`_scan`).
 

@@ -177,19 +177,30 @@ def test_scan_leaves_no_cyclic_garbage(capsys):
 ])
 def test_commands_leave_no_cyclic_garbage(capsys, argv):
     """Every command frees what it builds when it returns.  `main` builds
-    an argument parser that holds cycles of its own, so with the collector
-    off a call leaves exactly the cyclic objects of one parser and nothing
-    else."""
+    its argument parser, which holds cycles of its own, once per process,
+    so once the parser exists a call leaves no cyclic object at all, with
+    the collector off."""
+    fflv.cli._parser()
     gc.collect()
     gc.disable()
     try:
-        fflv.cli.build_parser()
-        parser_garbage = gc.collect()
         assert main(list(argv)) == 0
-        assert gc.collect() == parser_garbage
+        assert gc.collect() == 0
     finally:
         gc.enable()
     assert capsys.readouterr().out
+
+
+def test_the_parser_is_built_on_the_first_call_and_kept():
+    """Importing the command line builds no parser; the first `main` call
+    builds the one the process keeps."""
+    script = ("import fflv.cli as c; n = c._parser.cache_info().currsize; "
+              "c.main(['weyl-scan', '--n', '1']); p = c._parser(); "
+              "c.main(['weyl-scan', '--n', '2']); "
+              "print(n, c._parser.cache_info().currsize, c._parser() is p)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "0 1 True"
 
 
 def test_scan_is_one_call_into_the_weyl_layer(capsys, monkeypatch):
@@ -694,7 +705,7 @@ def test_verify_builds_the_face_system_once_for_every_check(capsys, monkeypatch)
 @pytest.mark.slow
 def test_verify_rank5_longest_element_with_modules(capsys):
     """The whole bundle of the rank-5 longest element at rho(5), module
-    checks included: a module of dimension 32,768, about a minute."""
+    checks included: a module of dimension 32,768, about 20 s."""
     code, out, _ = run(capsys, "verify", "--w-oneline", "6 5 4 3 2 1",
                        "--lambda", "1,1,1,1,1", "--max-dim", "40000")
     assert code == 0

@@ -414,10 +414,10 @@ def test_digit_ops_match_full_row_tables(space_and_vectors):
 
 
 def test_rank3_verify_runs_three_closures(capsys, monkeypatch):
-    """`verify` forms one closure, and none of the irreducible module.  An
-    element forms its Borel closure, which gives the target's dimension
-    and weights, and no lowering closure; a subset forms its lowering
-    closure.  So does the rank-4 longest element under `--max-dim 2000`."""
+    """`verify` forms no closure of the irreducible module.  An element
+    forms no closure at all: the Demazure character gives the target's
+    dimension and weights.  A subset forms its lowering closure, and only
+    that.  So does the rank-4 longest element under `--max-dim 2000`."""
     formed = []
     closure = fflv.rep._closure
 
@@ -427,15 +427,44 @@ def test_rank3_verify_runs_three_closures(capsys, monkeypatch):
 
     monkeypatch.setattr(fflv.rep, "_closure", counted)
     for argv, whats in [
-        (("--w-oneline", "4 3 2 1", "--lambda", "1,1,1"), ["Borel closure"]),
+        (("--w-oneline", "4 3 2 1", "--lambda", "1,1,1"), []),
         (("--A", "1.1,1.2,1.3,2.2,2.3,3.3", "--lambda", "1,1,1"), ["lowering closure"]),
-        (("--w-oneline", "5 4 3 2 1", "--lambda", "1,1,1,1", "--max-dim", "2000"),
-         ["Borel closure"]),
+        (("--w-oneline", "5 4 3 2 1", "--lambda", "1,1,1,1", "--max-dim", "2000"), []),
     ]:
         formed.clear()
         assert main(["verify", *argv]) == 0
         capsys.readouterr()
         assert formed == whats, argv
+
+
+@pytest.mark.parametrize("argv,oracles,reads", [
+    (("--w-oneline", "4 3 2 1", "--lambda", "1,1,1"), [(4, 3, 2, 1)], 0),
+    (("--w-oneline", "3 4 2 1", "--lambda", "2,1,1"), [(3, 4, 2, 1)], 0),
+    (("--w-oneline", "3 4 1 5 2", "--lambda", "1,1,1,1", "--max-dim", "2000"),
+     [(3, 4, 1, 5, 2)], 0),
+    (("--A", "1.3,2.2,2.3,3.3", "--lambda", "2,1,1"), [(4, 3, 2, 1)], 1),
+])
+def test_verify_of_an_element_reads_one_demazure_character(capsys, monkeypatch, argv, oracles, reads):
+    """`verify --w` computes the Demazure character once, at w, for the
+    character check and the module target alike, and never reads the Weyl
+    character (`IrreducibleModule.weights`), so no oracle runs at the
+    longest element.  `verify --A` reads the Weyl character once, as the
+    budget of its lowering closure, and computes it once, at w0."""
+    calls, read = [], []
+    oracle = fflv.characters.demazure_character_oracle
+
+    def counted(w, lam):
+        calls.append(w.images)
+        return oracle(w, lam)
+
+    for module in (fflv.cli, fflv.rep, fflv.characters):
+        monkeypatch.setattr(module, "demazure_character_oracle", counted)
+    weights = fflv.rep.IrreducibleModule.weights
+    monkeypatch.setattr(fflv.rep.IrreducibleModule, "weights",
+                        property(lambda self: read.append(1) or weights.__get__(self)))
+    assert main(["verify", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["rep"]["status"] == "pass"
+    assert (calls, len(read)) == (oracles, reads)
 
 
 def test_rank4_closures_match_weyl_and_demazure_dimensions():
@@ -569,8 +598,10 @@ def _element_and_subset_blocks(capsys, monkeypatch, n, weights):
                 continue
             sub = subset_submodule(module, A)
             borel = demazure_submodule(module, w)
-            assert lowering_weights(borel, w) == sub.weights, (lam, w)
-            assert borel.dimension == sub.dimension
+            oracle = demazure_character_oracle(w, lam)
+            assert (lowering_weights(borel.weights, w) == lowering_weights(oracle.terms, w)
+                    == sub.weights), (lam, w)
+            assert borel.dimension == oracle.mass == sub.dimension
             element = _rep_block(capsys, "--w-oneline", " ".join(map(str, w.images)),
                                  "--lambda", coeffs, "--max-dim", "2000")
             labels = ",".join(f"{r.i}.{r.j}" for r in A.sorted_roots())
@@ -593,10 +624,11 @@ def _element_and_subset_blocks(capsys, monkeypatch, n, weights):
 def test_element_and_its_inversion_set_give_one_rep_block(
         capsys, monkeypatch, n, weights, statuses):
     """For every element of S_2..S_4 at every weight in {0,1,2}^n, and of
-    S_5 at rho(4), the `rep` block of `verify --w` (target from the Borel
-    closure, profile from the essential scan) equals that of `verify --A`
-    on the inversion set (the lowering closure), and the Borel closure's
-    weights mapped by w^-1 are the lowering closure's row weights.  The
+    S_5 at rho(4), the `rep` block of `verify --w` (target from the
+    Demazure character, profile from the essential scan) equals that of
+    `verify --A` on the inversion set (the lowering closure), and the
+    Borel closure's weights and the Demazure character's, each mapped by
+    w^-1, are the lowering closure's row weights.  The
     blocks pass, or, for some non-triangular elements, are skipped on an
     unbounded face or fail alike at rank 4."""
     assert _element_and_subset_blocks(capsys, monkeypatch, n, weights) == statuses
@@ -644,20 +676,27 @@ def _one_short(weights, at):
     return short
 
 
-@pytest.mark.parametrize("lam,elements", [
+# Weights and elements whose every `verify --w` and `verify --A` bundle
+# passes, for the short-character tests.
+_SHORT_CHARACTER_CASES = [
     (DominantWeight((1, 1)), [Permutation.longest(2), Permutation.from_word((1,), 2)]),
     (DominantWeight((2, 1)), [Permutation.longest(2), Permutation.from_word((1, 2), 2)]),
     (rho(3), [Permutation.longest(3), Permutation((3, 4, 2, 1))]),
-])
+]
+
+
+@pytest.mark.parametrize("lam,elements", _SHORT_CHARACTER_CASES)
 def test_a_short_weyl_character_never_passes_another_bundle(capsys, monkeypatch, lam, elements):
     """A Weyl character one short at any one weight, as the module's
-    weights, leaves `verify --w` and `verify --A` byte-identical where the
-    closures never fill that weight, and fails the `rep` block where they
-    do; it never gives another passing bundle.  For the longest element the
-    Borel closure is the whole module, so every short weight fails it but
-    the lowest, whose row is the closure's start vector and no image."""
+    weights, leaves `verify --w` byte-identical, since an element reads
+    no Weyl character, and `verify --A` byte-identical where its lowering
+    closure never fills that weight; where it does, it fails the `rep`
+    block.  It never gives another passing bundle.  For the longest
+    element the lowering closure is the whole module, so every short
+    weight fails it but the highest, whose row is the closure's start
+    vector and no image."""
     character = demazure_character_oracle(Permutation.longest(lam.n), lam)
-    lowest = fflv.rep.to_partition(lam)[::-1]
+    highest = fflv.rep.to_partition(lam)
     coeffs = ",".join(map(str, lam.coeffs))
     runs = []
     for w in elements:
@@ -680,7 +719,32 @@ def test_a_short_weyl_character_never_passes_another_bundle(capsys, monkeypatch,
                 assert code == 1, (at, argv)
                 assert json.loads(out)["checks"]["rep"]["status"] == "fail", (at, argv)
                 failed.append(argv)
-        assert (runs[0] in failed) == (at != lowest), at
+        assert not [argv for argv in failed if argv[0] == "--w-oneline"], at
+        assert (runs[1] in failed) == (at != highest), at
+
+
+@pytest.mark.parametrize("lam,elements", _SHORT_CHARACTER_CASES)
+def test_a_short_demazure_character_never_passes_another_bundle(capsys, monkeypatch, lam, elements):
+    """A Demazure character one short at any one weight, as `verify --w`'s
+    oracle, fails both checks that read it: the character check against
+    the face, and the `rep` block, whose monomials span more than the
+    short target, or whose scan does not stabilize when the highest
+    weight is the short one.  It never gives another passing bundle."""
+    coeffs = ",".join(map(str, lam.coeffs))
+    for w in elements:
+        argv = ["verify", "--w-oneline", " ".join(map(str, w.images)), "--lambda", coeffs]
+        assert main(argv) == 0
+        capsys.readouterr()
+        character = demazure_character_oracle(w, lam)
+        for at in character.terms:
+            short = Character(lam.n, _one_short(character.terms, at))
+            monkeypatch.setattr(fflv.cli, "demazure_character_oracle", lambda w, lam: short)
+            assert main(argv) == 1, (w, at)
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert checks["character"]["status"] == "fail", (w, at)
+            assert checks["rep"]["status"] == "fail", (w, at)
+            assert checks["rep"].get("basis_ok") is not True, (w, at)
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("lam,w", [
@@ -696,17 +760,17 @@ def test_a_short_scan_budget_can_only_fail(capsys, monkeypatch, lam, w):
     module = _module(lam)
     A = inversion_roots(w)
     S = enumerate_lattice_points(A, lam)
-    borel = demazure_submodule(module, w)
-    weights = lowering_weights(borel, w)
+    oracle = demazure_character_oracle(w, lam)
+    weights = lowering_weights(oracle.terms, w)
     listing = fflv.rep._tall_first(A.members)
     for at in weights:
         short = _one_short(weights, at)
         with pytest.raises(ArithmeticError, match="did not stabilize"):
-            fflv.rep._scan(module, listing, False, borel.dimension, short)
+            fflv.rep._scan(module, listing, False, oracle.mass, short)
         kept = essential_monomials(module, A, weights=short)
         assert len(kept) == len(S) - 1
     at = next(iter(weights))
-    monkeypatch.setattr(fflv.cli, "lowering_weights", lambda b, w: _one_short(weights, at))
+    monkeypatch.setattr(fflv.cli, "lowering_weights", lambda terms, w: _one_short(weights, at))
     rep = _rep_block(capsys, "--w-oneline", " ".join(map(str, w.images)),
                      "--lambda", ",".join(map(str, lam.coeffs)))
     assert rep["status"] == "fail"
