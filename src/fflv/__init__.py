@@ -18,7 +18,6 @@ from .characters import (
     Character,
     character_from_lattice_points,
     demazure_character_oracle,
-    demazure_dimension_oracle,
     demazure_operator,
     demazure_operator_division,
     face_character,
@@ -50,16 +49,13 @@ from .polytope import (
     count_points_by_weight,
     count_sum_points,
     degree_histogram,
-    dilate,
     embed_face,
     enumerate_integer_points,
     enumerate_lattice_points,
-    ideal_sum,
     in_polytope,
     lattice_point_graph,
     minkowski_sum,
     packed_fields,
-    points_to_csv,
     support_inequalities,
     weight_columns,
 )

@@ -212,7 +212,3 @@ def weyl_dimension(lam: DominantWeight) -> int:
         raise ArithmeticError("dimension product is not an integer")
     return num // den
 
-
-def demazure_dimension_oracle(w: Permutation, lam: DominantWeight) -> int:
-    """Mass of the operator-built character: the submodule dimension."""
-    return demazure_character_oracle(w, lam).mass

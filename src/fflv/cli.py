@@ -254,12 +254,12 @@ def cmd_char_compare(args: argparse.Namespace) -> int:
 def _verify_checks(args: argparse.Namespace) -> dict:
     """Run the check battery for one case; every check reports independently.
 
-    Normality, and Minkowski additivity when mu = lambda, pass by
-    certificate when the face of A is its marked chain polytope at every
-    weight (`is_marked_chain_face`), and no sum is formed.  Write O(nu) and
-    C(nu) for the integer points of the marked order and chain polytopes of
-    A at nu; the face at nu is then C(nu).  Adding points adds bounds, so
-    C(lambda) + ... + C(lambda), k times, lies in C(k lambda).  Conversely:
+    Minkowski additivity, for every mu, and normality pass by certificate
+    when the face of A is its marked chain polytope at every weight
+    (`is_marked_chain_face`), and no sum is formed.  Write O(nu) and C(nu)
+    for the integer points of the marked order and chain polytopes of A at
+    nu; the face at nu is then C(nu).  Adding points adds bounds, so
+    C(lambda) + C(mu) lies in C(lambda + mu).  Conversely:
 
     - The transfer map phi(x)_p = x_p - max over the lower covers q of p
       of x_q (a marker q reads its marking) is a bijection O(nu) -> C(nu).
@@ -270,30 +270,32 @@ def _verify_checks(args: argparse.Namespace) -> dict:
       x_q, and x_p is marking(b) plus the sum of u down some saturated
       path from p to a marker b; a marker a covering p tops it to a chain
       of C, so x_p <= marking(a).  Both maps keep integer points integer.
-    - For x in O(k lambda), the Hermite pieces x^(j) = floor((x + j) / k),
-      j = 0 .. k-1, sum to x (Hermite's identity), are order-preserving,
-      and send the marking k m of a marker to m, so each lies in
-      O(lambda).
-    - t -> floor((t + j) / k) is nondecreasing, so the pieces are
-      comonotone with x: the lower cover q* attaining the max for x
-      attains it for every piece, and phi(x)_p = sum over j of
-      (x^(j)_p - x^(j)_{q*}) = sum over j of phi(x^(j))_p.
+    - For x in O(lambda + mu), the level sets F_k = {p : x_p >= k}, k >= 1,
+      are nested order filters, and x is the sum of their indicators.  On
+      the markers F_k is {a_1, ..., a_c(k)}: the counts c(k) form the
+      conjugate of the markings of lambda + mu, which is the union of the
+      conjugates for lambda and for mu.
+    - Dealing the filters out by c-value splits x = y + z with y in
+      O(lambda) and z in O(mu), each a sum of nested order filters with its
+      own weight's marker counts.  The split is comonotone: x_q >= x_q'
+      implies y_q >= y_q' and z_q >= z_q', so the lower cover attaining the
+      max for x attains it for y and z, and phi(x) = phi(y) + phi(z).
 
-    So u in C(k lambda) is phi(x) for x = phi^-1(u) in O(k lambda), and
-    u = sum of the phi(x^(j)), each in C(lambda): the k-fold sum of the face
-    is the face at k lambda, for k = 2 (which is also the mu = lambda
-    Minkowski check) and k = 3.  The count of S(2 lambda) is then the chain
-    count at 2 lambda, which the Ehrhart table holds.
+    So u = phi(phi^-1(u)) in C(lambda + mu) is a point of C(lambda) plus
+    one of C(mu), and normality at every k is the case mu = (k-1) lambda,
+    by induction.  `right` and `total` are the face counts at mu and
+    lambda + mu: at mu = lambda, len(S) and the Ehrhart table's chain count
+    at 2 lambda.
 
-    Everything else (mu != lambda, and faces where the identity fails)
-    compares counts.  S(lambda) + S(mu) always lies in S(lambda + mu):
-    the supports of the path inequalities are free of the weight, and the
-    bound of each is linear in it, so the sum of two points meets the
-    summed bounds.  The sum is therefore the face at lambda + mu exactly
-    when it has as many points, and likewise the k-fold sum of S(lambda)
-    and S(k lambda).  A sum is counted as the paths of its order-ideal
-    graph (`count_sum_points`), a face at a weight over its slack graph
-    (`count_lattice_points`), and neither lists its points.
+    Faces where the identity fails compare counts.  S(lambda) + S(mu)
+    always lies in S(lambda + mu): the supports of the path inequalities
+    are free of the weight, and the bound of each is linear in it, so the
+    sum of two points meets the summed bounds.  The sum is therefore the
+    face at lambda + mu exactly when it has as many points, and likewise
+    the k-fold sum of S(lambda) and S(k lambda).  A sum is counted as the
+    paths of its order-ideal graph (`count_sum_points`), a face at a
+    weight over its slack graph (`count_lattice_points`), and neither
+    lists its points.
     """
     A, w, lam, mu = args.A, args.w, args.lam, args.mu
     checks: dict[str, dict] = {}
@@ -303,15 +305,16 @@ def _verify_checks(args: argparse.Namespace) -> dict:
         checks[name] = {"status": status, **detail}
 
     # Every face is listed once, keyed by its weight, and every point count
-    # of a sum of faces is formed once, keyed by the weights of its
-    # summands: with mu = lambda, S + S(mu) is the first normality sum.  A
-    # single weight counts its face without listing it.
+    # of a face or a sum of faces is formed once, keyed by the weights of
+    # its summands: with mu = lambda, S + S(mu) is the first normality sum.
+    # A weight not listed counts its face without listing it.
     faces: dict[DominantWeight, PointSet] = {}
     counts: dict[tuple[DominantWeight, ...], int] = {}
 
     def face(nu: DominantWeight) -> PointSet:
         if nu not in faces:
             faces[nu] = enumerate_lattice_points(A, nu)
+            counts[(nu,)] = len(faces[nu])
         return faces[nu]
 
     def count(*weights: DominantWeight) -> int:
@@ -356,12 +359,12 @@ def _verify_checks(args: argparse.Namespace) -> dict:
         # from the path supports of A alone, before it reads a bound, so
         # once S(lambda) exists no other weight can raise it.
         certified = is_marked_chain_face(A)
-        if certified and mu == lam and ehrhart is not None:
-            record("minkowski", "pass", left=len(S), right=len(S), total=ehrhart[1][0])
-        else:
-            ok = count(lam, mu) == count(lam + mu)
-            record("minkowski", "pass" if ok else "fail",
-                   left=len(S), right=len(face(mu)), total=count(lam + mu))
+        if certified and ehrhart is not None:
+            # The face at 2 lambda is its chain polytope.
+            counts[(lam.scale(2),)] = ehrhart[1][0]
+        ok = certified or count(lam, mu) == count(lam + mu)
+        record("minkowski", "pass" if ok else "fail",
+               left=len(S), right=count(mu), total=count(lam + mu))
         ok = certified or (count(lam, lam) == count(lam.scale(2))
                            and count(lam, lam, lam) == count(lam.scale(3)))
         record("normality", "pass" if ok else "fail", checked_dilations=[2, 3])

@@ -30,7 +30,7 @@ Each takes a subset and a weight of the same rank, as
 `is_marked_chain_face` compares the face system of a subset with its chain
 system, free of the weight.  Where they agree, the face is the marked chain
 polytope at every weight, which is what lets `verify` certify normality
-through the transfer map instead of forming sums.
+and Minkowski sums through the transfer map instead of forming sums.
 """
 
 from __future__ import annotations

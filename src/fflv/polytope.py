@@ -16,10 +16,11 @@ over one state graph that merges prefixes with equal completions
 per-coordinate cells into value tuples, text rows or packed sums
 (`packed_fields`).  A face is an order ideal of N^m, so the Minkowski sum
 of faces, and of a face with itself k times, is the ideal generated by
-sums of maximal points, listed over a state graph of generator suffixes
-(`_sum_graph`) without forming a pairwise sum, or counted on it
-(`count_sum_points`); `minkowski_sum` and `dilate` sum arbitrary point
-sets.  The module also embeds points into the full-triangle polytope.
+sums of maximal points, whose state graph of generator suffixes
+(`_sum_graph`) lists the k-fold sum (`lattice_point_graph`) and counts
+any sum (`count_sum_points`) without forming a pairwise sum;
+`minkowski_sum`, the pairwise sum of arbitrary point sets, is the
+reference.  The module also embeds points into the full-triangle polytope.
 Everything is integer arithmetic.
 
 A point is a tuple of values aligned with its set's root tuple, and a point
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, lshift
+from operator import add, mul
 from typing import Iterator, Optional, Sequence
 
 from .paths import base_root, enumerate_dyck_paths_for
@@ -322,24 +323,22 @@ def _sum_graph(m: int, summands: Sequence[Sequence[tuple[int, ...]]]) -> list[li
     of the summand) sums, and pairwise sums form (points so far) x (points
     of the summand).
 
-    Packing: coordinate c gets a field of (1 + sum over the summands of
-    their largest value at c).bit_length() bits.  A sum of generators, and
-    a summand's point plus 1 at one coordinate, then never carries, so
-    packed ints add as vectors, and a point p is maximal in its summand
-    exactly when no p + e_c is packed among the summand's points.  A point
-    p with p_c > 0 whose p - e_c is not among them shows a summand that is
-    no order ideal.
+    Packing: `packed_fields` gives each coordinate its own field, capped
+    at 1 + the sum over the summands of their largest value at c.  A sum
+    of generators, and a summand's point plus 1 at one coordinate, stay
+    within the caps, so packed ints add as vectors, and a point p is
+    maximal in its summand exactly when no p + e_c is packed among the
+    summand's points.  A point p with p_c > 0 whose p - e_c is not among
+    them shows a summand that is no order ideal.
     """
     columns = [list(zip(*points)) for points in summands]
-    shifts = [0] * m
-    for c in reversed(range(m - 1)):
-        shifts[c] = shifts[c + 1] + (1 + sum([max(cols[c + 1]) for cols in columns])).bit_length()
-    units = [1 << s for s in shifts]
+    units, fields = packed_fields([(c,) for c in range(m)],
+                                  [1 + sum([max(cols[c]) for cols in columns]) for c in range(m)])
     generators = {0}
     for points, cols in zip(summands, columns):
         packed = [0] * len(points)
-        for col, s in zip(cols, shifts):
-            packed = list(map(add, packed, map(lshift, col, repeat(s))))
+        for col, u in zip(cols, units):
+            packed = list(map(add, packed, map(mul, col, repeat(u))))
         present = set(packed)
         if any(min(col) < 0 or not present.issuperset(map(u.__rsub__, compress(packed, col)))
                for col, u in zip(cols, units)):
@@ -352,28 +351,15 @@ def _sum_graph(m: int, summands: Sequence[Sequence[tuple[int, ...]]]) -> list[li
         for g in generators:
             sums.update(map(g.__add__, maximal))
         generators = sums
-    return list(_ideal_graph(shifts, generators))
-
-
-def ideal_sum(S1: PointSet, S2: PointSet) -> PointSet:
-    """The Minkowski sum of two faces, or of any two finite order ideals of
-    N^m, composed over the state graph of `_sum_graph` without forming the
-    pairwise sums; `minkowski_sum` takes arbitrary point sets.  Raises
-    ValueError for mismatched coordinates or a summand that is not an
-    order ideal."""
-    if S1.n != S2.n or S1.roots != S2.roots:
-        raise ValueError("Minkowski sum needs matching rank and root order")
-    if not S1.tuples or not S2.tuples:
-        return PointSet(S1.n, S1.roots, ())
-    levels = _sum_graph(len(S1.roots), [S1.tuples, S2.tuples])
-    return PointSet(S1.n, S1.roots, tuple(compose_points(levels, _value_cells(levels), ())))
+    return list(_ideal_graph([shift for shift, _ in fields], generators))
 
 
 def count_sum_points(first: PointSet, *rest: PointSet) -> int:
     """The number of points of the Minkowski sum of faces, or of any finite
     order ideals of N^m on one root order, counted as the paths of the
     state graph of `_sum_graph` without listing a point.  Raises
-    ValueError as `ideal_sum` does."""
+    ValueError for mismatched coordinates or a summand that is not an
+    order ideal."""
     summands = (first, *rest)
     if any(S.n != first.n or S.roots != first.roots for S in rest):
         raise ValueError("Minkowski sum needs matching rank and root order")
@@ -572,20 +558,16 @@ def in_polytope(S: PointSet, lam: DominantWeight) -> bool:
 
 
 def minkowski_sum(S1: PointSet, S2: PointSet) -> PointSet:
-    """Pairwise sums {s + t}, deduplicated, in lexicographic order.
+    """Pairwise sums {s + t}, deduplicated, in lexicographic order: the
+    reference that the sums of faces, listed over `lattice_point_graph`
+    and counted by `count_sum_points`, are tested against, for arbitrary
+    point sets.
 
-    Each point is packed into one int in mixed radix: coordinate c occupies
-    a field of w_c = (max_c S1 + max_c S2).bit_length() bits, the fields laid
-    out from the last coordinate (lowest bits) to the first (highest bits).
-    Coordinates must be nonnegative (ValueError otherwise), so every
-    coordinate of s + t lies in 0 .. max_c S1 + max_c S2 < 2**w_c and fits
-    its field.  No field sum carries into the next, hence pack(s) + pack(t)
-    = pack(s + t) and distinct sums have distinct packed values:
-    deduplicating the packed ints and unpacking the survivors gives exactly
-    the set of tuple sums.  Every field holds its coordinate whole, so the
-    first field where two packed sums differ, the highest, is their first
-    differing coordinate, and the packed ints sort in lexicographic order
-    of the tuples.
+    Each point is packed into one int by `packed_fields`, one field per
+    coordinate, capped at max_c S1 + max_c S2.  Coordinates must be
+    nonnegative (ValueError otherwise), so every coordinate of s + t is
+    within its cap: pack(s) + pack(t) = pack(s + t), and unpacking the
+    sorted distinct sums gives the tuple sums in lexicographic order.
     """
     if S1.n != S2.n or S1.roots != S2.roots:
         raise ValueError("Minkowski sum needs matching rank and root order")
@@ -594,33 +576,15 @@ def minkowski_sum(S1: PointSet, S2: PointSet) -> PointSet:
     cols1, cols2 = list(zip(*S1.tuples)), list(zip(*S2.tuples))
     if any(min(col) < 0 for col in cols1 + cols2):
         raise ValueError("lattice points have nonnegative coordinates")
-    fields = []
-    shift = 0
-    for c1, c2 in zip(reversed(cols1), reversed(cols2)):
-        width = (max(c1) + max(c2)).bit_length()
-        fields.append((shift, (1 << width) - 1))
-        shift += width
-    fields.reverse()
-
-    def pack(points: tuple[tuple[int, ...], ...]) -> list[int]:
-        return [sum(v << s for v, (s, _) in zip(p, fields)) for p in points]
-
-    outer, inner = sorted((pack(S1.tuples), pack(S2.tuples)), key=len)
+    steps, fields = packed_fields([(c,) for c in range(len(S1.roots))],
+                                  list(map(add, map(max, cols1), map(max, cols2))))
+    packed = [[sum(map(mul, p, steps)) for p in S.tuples] for S in (S1, S2)]
+    outer, inner = sorted(packed, key=len)
     sums: set[int] = set()
     for a in outer:
         sums.update(map(a.__add__, inner))
     return PointSet(S1.n, S1.roots, tuple(
         [tuple([x >> s & mask for s, mask in fields]) for x in sorted(sums)]))
-
-
-def dilate(S: PointSet, k: int) -> PointSet:
-    """k-fold Minkowski sum of S with itself (k >= 1)."""
-    if k < 1:
-        raise ValueError("dilation factor must be >= 1")
-    out = S
-    for _ in range(k - 1):
-        out = minkowski_sum(out, S)
-    return out
 
 
 def weight_columns(n: int, roots: tuple[Root, ...]) -> tuple[tuple[int, ...], ...]:
@@ -638,13 +602,3 @@ def degree_histogram(S: PointSet) -> dict[int, int]:
         d = sum(vals)
         hist[d] = hist.get(d, 0) + 1
     return dict(sorted(hist.items()))
-
-
-def points_to_csv(S: PointSet) -> str:
-    """CSV with one column per root in canonical order, one row per point.
-
-    Labels and integers never need quoting, so each row is one `%d`
-    template filled from a point's tuple, in the set's lexicographic order."""
-    row = ",".join(["%d"] * len(S.roots)) + "\n"
-    header = ",".join(r.label for r in S.roots) + "\n"
-    return header + "".join(map(row.__mod__, S.tuples))

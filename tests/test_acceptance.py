@@ -7,6 +7,7 @@ after checking the facts, so they flip to green automatically if either
 clause ever starts to hold.
 """
 
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 from time import perf_counter
 
@@ -25,9 +26,7 @@ from fflv import (
     count_integer_points,
     degree_histogram,
     demazure_character_oracle,
-    demazure_dimension_oracle,
     demazure_submodule,
-    dilate,
     enumerate_lattice_points,
     essential_monomials,
     cartan_component_dimension,
@@ -131,7 +130,8 @@ def test_criterion_4_minkowski_additivity(capsys):
                 problems.append(f"{w}: sum failed at {lam.coeffs}+{mu.coeffs}")
         for lam in weights:
             for k in (2, 3):
-                if dilate(cached[lam], k) != enumerate_lattice_points(A, lam.scale(k)):
+                if (reduce(minkowski_sum, [cached[lam]] * k)
+                        != enumerate_lattice_points(A, lam.scale(k))):
                     problems.append(f"{w}: {k}-fold sum failed at {lam.coeffs}")
     finish(capsys, 4, "Minkowski additivity of faces", problems, t0, budget=60.0)
 
@@ -283,4 +283,4 @@ def test_face_counts_are_demazure_dimensions_at_rank5():
         for w in elements:
             A = inversion_roots(w)
             count = count_integer_points(5, A.sorted_roots(), build_inequalities(A, lam))
-            assert count == demazure_dimension_oracle(w, lam), (w, t)
+            assert count == demazure_character_oracle(w, lam).mass, (w, t)

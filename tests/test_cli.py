@@ -9,6 +9,7 @@ import io
 import json
 import subprocess
 import sys
+from functools import reduce
 
 import pytest
 
@@ -18,7 +19,7 @@ import fflv.marked_poset
 import fflv.polytope
 import fflv.weyl
 from fflv.cli import main
-from fflv.polytope import dilate, enumerate_lattice_points
+from fflv.polytope import enumerate_lattice_points, minkowski_sum
 from fflv.roots import DominantWeight, parse_root
 from fflv.weyl import (
     Permutation,
@@ -365,7 +366,7 @@ FULL_TRIANGLE_5 = ",".join(f"{i}.{j}" for i in range(1, 6) for j in range(i, 6))
 def test_points_output_matches_reference_rendering(capsys, fmt, subset, lam, k):
     weight = DominantWeight(tuple(int(t) for t in lam.split(",")))
     A = RootSubset.of(weight.n, [parse_root(t) for t in subset.split(",") if t])
-    S = dilate(enumerate_lattice_points(A, weight), k)
+    S = reduce(minkowski_sum, [enumerate_lattice_points(A, weight)] * k)
     assert not S.roots or any(0 in vals for vals in S.tuples)  # `values` skips zeros
     code, out, err = run(capsys, "points", "--A", subset, "--lambda", lam,
                          "--dilate", str(k), "--format", fmt)
@@ -606,9 +607,9 @@ def _record_polytope_calls(monkeypatch):
 
 
 def test_verify_separate_mu_enumerates_its_own_faces(capsys, monkeypatch):
-    """With mu != lambda the Minkowski check counts S + S(mu) against the
-    count of S(lambda + mu), which is not listed; normality passes by
-    certificate, with no sum."""
+    """With mu != lambda on a triangular face, the Minkowski check passes
+    by certificate: S(lambda) is the only face listed, the faces at mu and
+    lambda + mu are counted, and no sum is formed."""
     weights, sums = _record_polytope_calls(monkeypatch)
     code, out, _ = run(capsys, "verify", "--w-oneline", "4 3 2 1", "--lambda", "1,2,1",
                        "--mu", "2,0,1", "--no-rep")
@@ -616,9 +617,8 @@ def test_verify_separate_mu_enumerates_its_own_faces(capsys, monkeypatch):
     A = inversion_roots(Permutation((4, 3, 2, 1)))
     lam, mu = DominantWeight((1, 2, 1)), DominantWeight((2, 0, 1))
     left, right, total = (len(enumerate_lattice_points(A, nu)) for nu in (lam, mu, lam + mu))
-    assert weights == [(1, 2, 1), (2, 0, 1)]
-    assert sums == [(left, right)]
-    assert not hasattr(fflv.cli, "ideal_sum")
+    assert weights == [(1, 2, 1)]
+    assert sums == []
     mink = json.loads(out)["checks"]["minkowski"]
     assert mink == {"status": "pass", "left": left, "right": right, "total": total}
     assert (left, right, total) == (175, 36, 1260)
@@ -661,7 +661,8 @@ def test_verify_builds_each_face_system_once(capsys, monkeypatch):
     """A triangular rank-3 `verify` with mu = lambda builds the path system
     once, for lambda, and forms no Minkowski sum: the module checks take
     the face `verify` already holds, and the certificate replaces the sums.
-    With a separate mu, S + S(mu) is the one sum formed."""
+    With a separate mu, the faces at mu and lambda + mu are counted, and
+    still no sum is formed."""
     weights = _record_path_systems(monkeypatch)
     _, sums = _record_polytope_calls(monkeypatch)
     code, _, _ = run(capsys, "verify", "--w-oneline", "4 3 2 1", "--lambda", "1,1,1")
@@ -672,7 +673,7 @@ def test_verify_builds_each_face_system_once(capsys, monkeypatch):
                      "--mu", "1,0,1")
     assert code == 0
     assert weights == [(1, 1, 1), (1, 1, 1), (1, 0, 1), (2, 1, 2)]
-    assert sums == [(64, 15)]
+    assert sums == []
 
 
 def test_verify_builds_the_face_system_once_for_every_check(capsys, monkeypatch):
@@ -740,6 +741,9 @@ def test_verify_forms_the_sums_where_the_identity_fails(capsys, monkeypatch):
     ("--w-oneline", "4 3 2 1", "--lambda", "1,0,1"),
     ("--A", "1.1,2.2", "--lambda", "1,1"),
     ("--A", "1.2,1.3,2.3", "--lambda", "1,1,1"),
+    ("--A", "1.3,2.2,2.3,3.3", "--lambda", "2,1,1", "--mu", "0,1,2"),
+    ("--w-oneline", "3 4 2 1", "--lambda", "2,0,1", "--mu", "1,1,0"),
+    ("--A", NON_TRIANGULAR_4, "--lambda", "1,1,1,1", "--mu", "1,0,0,1", "--no-rep"),
 ])
 def test_certificate_leaves_the_bundle_unchanged(capsys, monkeypatch, argv):
     """The bundle is byte-identical whether the certificate or the packed

@@ -8,7 +8,7 @@ compare the two.
 """
 
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from typing import NamedTuple
 
@@ -30,7 +30,6 @@ from fflv.polytope import (
     UnboundedFaceError,
     build_inequalities,
     count_integer_points,
-    dilate,
     enumerate_lattice_points,
     minkowski_sum,
     support_inequalities,
@@ -386,7 +385,7 @@ def _assert_sums_fill_dilations(cases):
     checked = 0
     for A, lam, S in cases:
         assert minkowski_sum(S, S) == enumerate_lattice_points(A, lam.scale(2))
-        assert dilate(S, 3) == enumerate_lattice_points(A, lam.scale(3))
+        assert reduce(minkowski_sum, [S] * 3) == enumerate_lattice_points(A, lam.scale(3))
         checked += 1
     return checked
 
@@ -423,37 +422,106 @@ def _lower_covers(A):
     return below
 
 
-def _hermite_split(roots, lam, k, u, below):
-    """Split a point u of the chain polytope at k lam into k points of the
-    chain polytope at lam, through the transfer map: lift u to x in the
-    order polytope at k lam (bottom up, x_p = u_p + the largest x of a
-    lower cover of p), take the Hermite pieces floor((x + j) / k), j =
-    0..k-1, and map each piece back."""
+def _top_below(x, r, nu, below):
+    """The largest value of a lower cover of r, a marker reading its
+    marking at nu."""
+    return max(x[q] if isinstance(q, Root) else _marking(nu, q) for q in below[r])
 
-    def top_below(x, r, nu):
-        return max(x[q] if isinstance(q, Root) else _marking(nu, q) for q in below[r])
 
-    x, lam_k = {}, lam.scale(k)
+def _transfer(roots, nu, x, below):
+    """phi(x) for a point x of the order polytope at nu, as a tuple."""
+    return tuple(x[r] - _top_below(x, r, nu, below) for r in roots)
+
+
+def _lift(roots, nu, u, below):
+    """phi^-1(u) for a point u of the chain polytope at nu, bottom up: x_p
+    = u_p + the largest x of a lower cover of p."""
+    x = {}
     for r, v in reversed(list(zip(roots, u))):  # a lower cover of r is later, or a marker
-        x[r] = v + top_below(x, r, lam_k)
-    pieces = [{r: (x[r] + j) // k for r in roots} for j in range(k)]
-    return [tuple(piece[r] - top_below(piece, r, lam) for r in roots)
-            for piece in pieces]
+        x[r] = v + _top_below(x, r, nu, below)
+    return x
 
 
-def test_hermite_split_writes_dilated_points_as_sums():
+def _level_filter_split(roots, lam, mu, x):
+    """Split x in the order polytope at lam + mu as the certificate of
+    `verify` splits it: the level sets F_k = {x >= k} are dealt out by
+    their marker counts c(k), the first lam_j filters with c(k) = j to y
+    and the other mu_j to z, and each side sums its filters' indicators."""
+    markers = _markers(lam.n)
+    nu = lam + mu
+    y, z = dict.fromkeys(roots, 0), dict.fromkeys(roots, 0)
+    left = list(lam.coeffs)
+    for k in range(1, _marking(nu, markers[0]) + 1):
+        c = sum(_marking(nu, m) >= k for m in markers)
+        side = z if not left[c - 1] else y
+        left[c - 1] -= side is y
+        for r in roots:
+            side[r] += x[r] >= k
+    return y, z
+
+
+def _certified_pairs(n, pairs):
+    """(A, lam, mu) for every subset of rank n whose face is its marked
+    chain polytope and bounded, at each pair of weights."""
+    for A, _, _ in _certified_cases(n, [rho(n)]):
+        for lam, mu in pairs:
+            yield A, DominantWeight(lam), DominantWeight(mu)
+
+
+def test_level_filter_split_is_a_comonotone_sum():
+    """Every point x of O(lambda + mu) splits as y + z with y in O(lambda)
+    and z in O(mu), comonotone with x on roots and markers alike, and phi
+    adds over the split, so phi(x) is a sum of points of S(lambda) and
+    S(mu): on every subset at ranks 1-3 where the identity holds, at pairs
+    lambda != mu, zero coefficients included."""
+    pairs = {1: [((1,), (2,))], 2: [((1, 0), (0, 1)), ((2, 0), (1, 1))],
+             3: [((1, 0, 2), (0, 1, 1)), ((1, 1, 1), (2, 0, 0))]}
+    checked = 0
+    for n, weights in pairs.items():
+        for A, lam, mu in _certified_pairs(n, weights):
+            roots, below, nu = A.sorted_roots(), _lower_covers(A), lam + mu
+            order = {lam: set(marked_order_points(A, lam).tuples),
+                     mu: set(marked_order_points(A, mu).tuples)}
+            face = {lam: set(enumerate_lattice_points(A, lam).tuples),
+                    mu: set(enumerate_lattice_points(A, mu).tuples)}
+            for u in marked_chain_points(A, nu).tuples:
+                x = _lift(roots, nu, u, below)
+                y, z = _level_filter_split(roots, lam, mu, x)
+                assert tuple(y[r] for r in roots) in order[lam]
+                assert tuple(z[r] for r in roots) in order[mu]
+                assert all(y[r] + z[r] == x[r] for r in roots)
+                values = [(x[e], y[e], z[e]) if isinstance(e, Root)
+                          else (_marking(nu, e), _marking(lam, e), _marking(mu, e))
+                          for e in _elements(A)]
+                assert all(b[1] <= a[1] and b[2] <= a[2]
+                           for a in values for b in values if b[0] <= a[0])
+                phi_y, phi_z = _transfer(roots, lam, y, below), _transfer(roots, mu, z, below)
+                assert phi_y in face[lam] and phi_z in face[mu]
+                assert tuple(map(sum, zip(phi_y, phi_z))) == u == _transfer(roots, nu, x, below)
+                checked += 1
+    assert checked == 4216
+
+
+def test_level_filter_split_writes_dilated_points_as_sums():
     """Every point of C(2 lambda) and C(3 lambda) is a sum of points of
-    S(lambda), split as the certificate of `verify` splits it, on every
-    subset at ranks 1-3 where the identity holds, at rho and at one weight
-    with a zero coefficient."""
+    S(lambda), split as the certificate of `verify` splits it, the case
+    mu = (k-1) lambda applied down to k = 2, on every subset at ranks 1-3
+    where the identity holds, at rho and at one weight with a zero
+    coefficient."""
     checked = 0
     for n, other in ((1, (2,)), (2, (2, 0)), (3, (1, 0, 2))):
         for A, lam, S in _certified_cases(n, [rho(n), DominantWeight(other)]):
             face = set(S.tuples)
-            below = _lower_covers(A)
+            roots, below = S.roots, _lower_covers(A)
             for k in (2, 3):
                 for u in marked_chain_points(A, lam.scale(k)).tuples:
-                    pieces = _hermite_split(S.roots, lam, k, u, below)
+                    pieces, rest = [], u
+                    for j in range(k, 1, -1):
+                        x = _lift(roots, lam.scale(j), rest, below)
+                        y, z = _level_filter_split(roots, lam, lam.scale(j - 1), x)
+                        pieces.append(_transfer(roots, lam, y, below))
+                        rest = _transfer(roots, lam.scale(j - 1), z, below)
+                    pieces.append(rest)
                     assert all(piece in face for piece in pieces)
                     assert tuple(map(sum, zip(*pieces))) == u
                     checked += 1

@@ -6,12 +6,14 @@ import io
 import itertools
 import random
 from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fflv.polytope
 from fflv.characters import weyl_dimension
+from fflv.cli import main
 from fflv.marked_poset import (
     _chain_supports,
     count_order_points,
@@ -34,15 +36,12 @@ from fflv.polytope import (
     count_points_by_weight,
     count_sum_points,
     degree_histogram,
-    dilate,
     embed_face,
     enumerate_integer_points,
     enumerate_lattice_points,
-    ideal_sum,
     in_polytope,
     lattice_point_graph,
     minkowski_sum,
-    points_to_csv,
     weight_columns,
 )
 from fflv.rep import build_highest_weight_module, essential_monomials
@@ -154,8 +153,8 @@ def test_searches_leave_no_cyclic_garbage():
                 lambda: marked_order_points(full(3), lam),
                 lambda: count_order_points(full(3), lam),
                 lambda: lattice_point_graph(full(3), lam, 3),
-                lambda: ideal_sum(enumerate_lattice_points(full(3), lam),
-                                  enumerate_lattice_points(full(3), lam)),
+                lambda: sum_points(enumerate_lattice_points(full(3), lam),
+                                   enumerate_lattice_points(full(3), lam)),
                 lambda: _chain_supports(full(3)),
                 lambda: _restrictions(full(3))]
     gc.collect()
@@ -176,14 +175,15 @@ def test_minkowski_sum_matches_weight_addition():
         minkowski_sum(S1, enumerate_lattice_points(RootSubset.of(2, [Root(1, 1)]), lam))
 
 
-def test_dilate_is_k_fold_sum():
+def test_lattice_point_graph_is_the_k_fold_sum():
     lam = fundamental_weight(1, 2)
     S = enumerate_lattice_points(full(2), lam)
-    assert dilate(S, 1) == S
-    assert dilate(S, 2) == minkowski_sum(S, S)
-    assert dilate(S, 3) == enumerate_lattice_points(full(2), lam.scale(3))
+    assert graph_points(2, S.roots, lattice_point_graph(full(2), lam, 1)) == S
+    assert graph_points(2, S.roots, lattice_point_graph(full(2), lam, 2)) == minkowski_sum(S, S)
+    assert (graph_points(2, S.roots, lattice_point_graph(full(2), lam, 3))
+            == enumerate_lattice_points(full(2), lam.scale(3)))
     with pytest.raises(ValueError):
-        dilate(S, 0)
+        lattice_point_graph(full(2), lam, 0)
 
 
 def weight_and_degree(values, n, roots):
@@ -225,9 +225,19 @@ def test_degree_histogram_adjoint():
     assert sum(degree_histogram(S).values()) == len(S) == 8
 
 
-def test_csv_export_header():
-    S = enumerate_lattice_points(full(2), fundamental_weight(1, 2))
-    lines = points_to_csv(S).splitlines()
+def points_csv(capsys, A, lam, k=1):
+    """The stdout of `points --format csv` for the face of A at lam, or with
+    `--dilate k` for its k-fold sum."""
+    code = main(["points", "--A", ",".join(f"{r.i}.{r.j}" for r in A.sorted_roots()),
+                 "--lambda", ",".join(map(str, lam.coeffs)), "--dilate", str(k),
+                 "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_csv_export_header(capsys):
+    lines = points_csv(capsys, full(2), fundamental_weight(1, 2)).splitlines()
     assert lines[0] == "a1.1,a1.2,a2.2"
     assert len(lines) == 4
 
@@ -242,13 +252,12 @@ def csv_writer_export(S):
     return buf.getvalue()
 
 
-def test_csv_export_matches_the_csv_writer():
+def test_csv_export_matches_the_csv_writer(capsys):
     lam = DominantWeight((2, 1, 1))
     faces = [full(3), RootSubset.of(3, [Root(1, 2), Root(2, 3)]), RootSubset.of(3, [])]
-    sets = [enumerate_lattice_points(A, lam) for A in faces]
-    sets.append(dilate(sets[1], 2))                  # built by minkowski_sum
-    for S in sets:
-        assert points_to_csv(S) == csv_writer_export(S)
+    for A, k in [(A, 1) for A in faces] + [(faces[1], 2)]:
+        S = reduce(minkowski_sum, [enumerate_lattice_points(A, lam)] * k)
+        assert points_csv(capsys, A, lam, k) == csv_writer_export(S)
 
 
 def test_sum_and_dilated_face_are_equal_and_hash_equal():
@@ -275,8 +284,8 @@ def test_every_producer_emits_strictly_increasing_tuples():
     for A in faces:
         S = enumerate_lattice_points(A, lam)
         T = enumerate_lattice_points(A, DominantWeight((0, 1, 2)))
-        produced = [S, minkowski_sum(S, T), minkowski_sum(T, S), dilate(S, 3),
-                    ideal_sum(S, T), ideal_sum(T, S),
+        produced = [S, minkowski_sum(S, T), minkowski_sum(T, S), reduce(minkowski_sum, [S] * 3),
+                    sum_points(S, T), sum_points(T, S),
                     graph_points(3, S.roots, lattice_point_graph(A, lam, 3)),
                     marked_chain_points(A, lam), marked_order_points(A, lam)]
         for P in produced:
@@ -626,6 +635,12 @@ def graph_points(n, roots, levels):
     return PointSet(n, roots, tuple(compose_points(levels, _value_cells(levels), ())))
 
 
+def sum_points(S1, S2):
+    """The Minkowski sum of two order ideals on one root order, listed over
+    the state graph of `_sum_graph`."""
+    return graph_points(S1.n, S1.roots, _sum_graph(len(S1.roots), [S1.tuples, S2.tuples]))
+
+
 def _bounded_faces(ranks):
     """Per bounded face at the given ranks, the subset and its point set at
     each weight in {0,1,2}^n."""
@@ -644,7 +659,7 @@ def _sample(cases, size):
 
 
 @pytest.mark.parametrize("size", [2000, pytest.param(None, marks=pytest.mark.slow)])
-def test_ideal_sum_matches_the_pairwise_sums_on_small_faces(size):
+def test_sum_graph_matches_the_pairwise_sums_on_small_faces(size):
     """S(lambda) + S(mu) as the ideal generated by sums of maximal points
     is the set of pairwise sums, and `count_sum_points` counts it, on
     every bounded face at ranks 1-3 for lambda, mu in {0,1,2}^n: all 44,406
@@ -653,35 +668,36 @@ def test_ideal_sum_matches_the_pairwise_sums_on_small_faces(size):
     assert len(pairs) == 44406
     for S1, S2 in _sample(pairs, size):
         want = minkowski_sum(S1, S2)
-        assert ideal_sum(S1, S2) == want
+        assert sum_points(S1, S2) == want
         assert count_sum_points(S1, S2) == len(want)
 
 
 @pytest.mark.parametrize("size", [500, pytest.param(None, marks=pytest.mark.slow)])
 def test_dilated_graph_matches_the_pairwise_sums_on_small_faces(size):
-    """The graph of the k-fold sum, k = 2, 3, lists `dilate`'s points on
+    """The graph of the k-fold sum, k = 2, 3, lists the pairwise sums on
     every bounded face at ranks 1-3 for lambda in {0,1,2}^n: all 3,396
     cases under `-m slow` (about 10 s), a seeded sample otherwise."""
     cases = [(A, lam, S, k) for A, faces in _bounded_faces((1, 2, 3))
              for lam, S in faces.items() for k in (2, 3)]
     assert len(cases) == 3396
     for A, lam, S, k in _sample(cases, size):
-        assert graph_points(A.n, S.roots, lattice_point_graph(A, lam, k)) == dilate(S, k)
+        want = reduce(minkowski_sum, [S] * k)
+        assert graph_points(A.n, S.roots, lattice_point_graph(A, lam, k)) == want
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_sums_of_a_non_triangular_face(k):
     """The rank-4 face the benchmark dilates, at rho(4): the graph of its
-    k-fold sum and the iterated `ideal_sum` both give `dilate`'s points,
-    and `count_sum_points` their number."""
+    k-fold sum and the iterated sums over `_sum_graph` both give the
+    pairwise sums, and `count_sum_points` their number."""
     S = enumerate_lattice_points(NON_TRIANGULAR_4, rho(4))
     assert len(S) == 208
-    want = dilate(S, k)
+    want = reduce(minkowski_sum, [S] * k)
     assert graph_points(4, S.roots, lattice_point_graph(NON_TRIANGULAR_4, rho(4), k)) == want
     assert count_sum_points(*[S] * k) == len(want)
     got = S
     for _ in range(k - 1):
-        got = ideal_sum(got, S)
+        got = sum_points(got, S)
     assert got == want
 
 
@@ -700,7 +716,7 @@ def test_ideal_graph_states_are_the_completion_sets(A, coeffs, k):
     levels = _sum_graph(m, [S.tuples] * k)
     for c in range(m + 1):
         completions = {}
-        for p in dilate(S, k).tuples:
+        for p in reduce(minkowski_sum, [S] * k).tuples:
             state = 0
             for d in range(c):
                 state = levels[d][state][p[d]]
@@ -712,17 +728,14 @@ def test_ideal_graph_states_are_the_completion_sets(A, coeffs, k):
         assert len(by_state) == (len(levels[c]) if c < m else 1)
 
 
-def test_ideal_sum_edge_sets():
+def test_sum_graph_edge_sets():
     S = point_set((0, 0), (1, 0), (0, 1), (0, 2))
-    assert ideal_sum(S, point_set((0, 0))) == S
-    assert ideal_sum(S, S) == minkowski_sum(S, S)
-    assert ideal_sum(S, PointSet(3, S.roots, ())).tuples == ()
-    assert ideal_sum(point_set(()), point_set(())) == point_set(())
+    assert sum_points(S, point_set((0, 0))) == S
+    assert sum_points(S, S) == minkowski_sum(S, S)
+    assert sum_points(point_set(()), point_set(())) == point_set(())
     for bad in (point_set((1, 0)), point_set((0, 0), (1, 1)), point_set((-1, 0), (0, 0))):
         with pytest.raises(ValueError):
-            ideal_sum(S, bad)
-    with pytest.raises(ValueError):
-        ideal_sum(S, enumerate_lattice_points(full(2), rho(2)))
+            sum_points(S, bad)
 
 
 def test_count_sum_points_edge_sets():
