@@ -49,10 +49,8 @@ from .polytope import (
     count_points_by_weight,
     count_sum_points,
     degree_histogram,
-    embed_face,
     enumerate_integer_points,
     enumerate_lattice_points,
-    in_polytope,
     lattice_point_graph,
     minkowski_sum,
     packed_fields,
@@ -66,7 +64,6 @@ from .rep import (
     MonomialBasisReport,
     TensorSpace,
     build_highest_weight_module,
-    cartan_component_dimension,
     demazure_submodule,
     essential_monomials,
     extremal_vector,
@@ -95,9 +92,7 @@ from .weyl import (
     is_kempf,
     is_triangular_element,
     is_triangular_subset,
-    kempf_factorization,
     parse_permutation,
-    permutation_from_segments,
     reduced_word,
 )
 

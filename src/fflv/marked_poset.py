@@ -38,6 +38,7 @@ from __future__ import annotations
 from .characters import to_partition
 from .paths import base_root, enumerate_dyck_paths_for
 from .polytope import (
+    _check_rank,
     Inequality,
     PointSet,
     count_integer_points,
@@ -126,11 +127,6 @@ def is_marked_chain_face(A: RootSubset) -> bool:
     chains = _chain_supports(A)
     return (all(any(_dominated(p, c) for c in chains) for p in paths)
             and all(any(_dominated(c, p) for p in paths) for c in chains))
-
-
-def _check_rank(A: RootSubset, lam: DominantWeight) -> None:
-    if lam.n != A.n:
-        raise ValueError(f"weight rank {lam.n} != subset rank {A.n}")
 
 
 def marked_chain_points(A: RootSubset, lam: DominantWeight) -> PointSet:

@@ -20,8 +20,7 @@ sums of maximal points, whose state graph of generator suffixes
 (`_sum_graph`) lists the k-fold sum (`lattice_point_graph`) and counts
 any sum (`count_sum_points`) without forming a pairwise sum;
 `minkowski_sum`, the pairwise sum of arbitrary point sets, is the
-reference.  The module also embeds points into the full-triangle polytope.
-Everything is integer arithmetic.
+reference.  Everything is integer arithmetic.
 
 A point is a tuple of values aligned with its set's root tuple, and a point
 set is one tuple of such tuples in strictly increasing lexicographic order.
@@ -38,7 +37,7 @@ from operator import add, mul
 from typing import Iterator, Optional, Sequence
 
 from .paths import base_root, enumerate_dyck_paths_for
-from .roots import DominantWeight, Root, all_positive_roots, pairing
+from .roots import DominantWeight, Root, pairing
 from .weyl import RootSubset
 
 
@@ -220,9 +219,7 @@ def compose_points(levels: list[list[list[int]]], cells: Sequence[Sequence], uni
     alive at any time, those of depth c + 1 while depth c is built, so
     hold at most an eighth as many entries as there are points; the lists
     of depth c + 1 are dropped once depth c is built.  The prefix list of
-    each depth holds at most one entry per point.  A quarter in place of a
-    sixteenth was slower on the full triangle at rho(5) and 3 rho(4), and
-    its larger suffix lists raised the peak memory of a `points` export.
+    each depth holds at most one entry per point.
     """
     m = len(levels)
     completions = _completion_counts(levels)
@@ -369,6 +366,11 @@ def count_sum_points(first: PointSet, *rest: PointSet) -> int:
     return _completion_counts(levels)[0][0]
 
 
+def _check_rank(A: RootSubset, lam: DominantWeight) -> None:
+    if lam.n != A.n:
+        raise ValueError(f"weight rank {lam.n} != subset rank {A.n}")
+
+
 def lattice_point_graph(A: RootSubset, lam: DominantWeight, k: int = 1) -> list[list[list[int]]]:
     """The state graph of the k-fold Minkowski sum of the face of A at the
     given weight (k >= 1), over the coordinates of `A.sorted_roots()`, for
@@ -377,8 +379,7 @@ def lattice_point_graph(A: RootSubset, lam: DominantWeight, k: int = 1) -> list[
     composed on it.  A dominant weight bounds every support by a
     nonnegative number, so the origin is a point and the graph is never
     empty.  Raises UnboundedFaceError as the enumerator does."""
-    if lam.n != A.n:
-        raise ValueError(f"weight rank {lam.n} != subset rank {A.n}")
+    _check_rank(A, lam)
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
     roots = A.sorted_roots()
@@ -505,8 +506,7 @@ def count_points_by_weight(
 
 def enumerate_lattice_points(A: RootSubset, lam: DominantWeight) -> PointSet:
     """All integer points of the face polytope of A at the given weight."""
-    if lam.n != A.n:
-        raise ValueError(f"weight rank {lam.n} != subset rank {A.n}")
+    _check_rank(A, lam)
     ineqs = build_inequalities(A, lam)
     return enumerate_integer_points(A.n, A.sorted_roots(), ineqs)
 
@@ -514,47 +514,8 @@ def enumerate_lattice_points(A: RootSubset, lam: DominantWeight) -> PointSet:
 def count_lattice_points(A: RootSubset, lam: DominantWeight) -> int:
     """The number of integer points of the face polytope of A at the given
     weight, counted without listing one (`count_integer_points`)."""
-    if lam.n != A.n:
-        raise ValueError(f"weight rank {lam.n} != subset rank {A.n}")
+    _check_rank(A, lam)
     return count_integer_points(A.n, A.sorted_roots(), build_inequalities(A, lam))
-
-
-def _outside(S: PointSet, ineqs: list[Inequality]) -> Optional[str]:
-    """Why some point of S lies outside the nonnegative solutions of the
-    inequalities, or None.  A root that S has no coordinate for counts as
-    zero."""
-    if any(v < 0 for p in S.tuples for v in p):
-        return "a point has a negative coordinate"
-    index = {r: c for c, r in enumerate(S.roots)}
-    for q in ineqs:
-        cols = [index[r] for r in q.support if r in index]
-        if any(sum([p[c] for c in cols]) > q.bound for p in S.tuples):
-            return f"a point violates {q}"
-    return None
-
-
-def embed_face(S: PointSet, lam: DominantWeight) -> PointSet:
-    """Zero-pad every point of a face to a point indexed by all positive roots.
-
-    Validates the points against the face inequalities of their own root set
-    first, building that system once; membership of the image in the full
-    polytope is a theorem for triangular A and is what the tests check.
-    """
-    why = _outside(S, build_inequalities(RootSubset.of(S.n, S.roots), lam))
-    if why is not None:
-        raise ValueError(f"{why}; not a face point set")
-    full = all_positive_roots(S.n)
-    index = {r: c for c, r in enumerate(S.roots)}
-    cols = [index.get(r) for r in full]
-    return PointSet(S.n, full, tuple(sorted(
-        [tuple([0 if c is None else p[c] for c in cols]) for p in S.tuples])))
-
-
-def in_polytope(S: PointSet, lam: DominantWeight) -> bool:
-    """Whether every point of S lies in the full-triangle polytope, a root
-    that S has no coordinate for counting as zero.  The system is built
-    once."""
-    return _outside(S, build_inequalities(RootSubset.full(S.n), lam)) is None
 
 
 def minkowski_sum(S1: PointSet, S2: PointSet) -> PointSet:

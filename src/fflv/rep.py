@@ -13,12 +13,11 @@ All coordinates are integers and every rank is computed exactly.
 
 Vectors are sparse throughout (`fflv.linalg.SparseVector`): the generator,
 every closure row and every monomial image is a weight vector, whose support
-lies in one weight space (at rho(4), at most 110 of the 2,500 ambient
-coordinates), and applying an operator or eliminating against a span costs
-time in that support, not in the ambient dimension.  Lattice points arrive
-as the value tuples of a `PointSet` and are reported as such.  Ordered
-lowering monomials share a stack of suffix images; bases walk colex, one
-apply a point.
+lies in one weight space, and applying an operator or eliminating against a
+span costs time in that support, not in the ambient dimension.  Lattice
+points arrive as the value tuples of a `PointSet` and are reported as such.
+Ordered lowering monomials share a stack of suffix images; bases walk colex,
+one apply a point.
 
 Lowering and raising follow the convention that the lowering operator for the
 positive root built on rows i..j is E_{j+1,i} and the raising operator is
@@ -537,29 +536,29 @@ def _tall_first(roots: Iterable[Root]) -> list[Root]:
     return sorted(roots, key=lambda r: (-(r.j - r.i), r.i))
 
 
-def _degree_compositions(total: int, parts: int, lex: bool) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples of one degree, increasing in lex order or else in
-    revlex order (lex on the reversed tuples, descending)."""
+def _degree_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Exponent tuples of one degree, increasing in revlex order (lex on
+    the reversed tuples, descending)."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for x in range(total + 1) if lex else range(total, -1, -1):
-        for rest in _degree_compositions(total - x, parts - 1, lex):
-            yield (x,) + rest if lex else rest + (x,)
+    for x in range(total, -1, -1):
+        for rest in _degree_compositions(total - x, parts - 1):
+            yield rest + (x,)
 
 
 def essential_monomials(
     module: IrreducibleModule,
     A: RootSubset,
-    order: str = "revlex",
     weights: Optional[Mapping[tuple[int, ...], int]] = None,
 ) -> PointSet:
     """Exponents whose ordered monomial escapes the span of all smaller ones.
 
-    Monomials are compared degree first; within a degree, "revlex" compares
-    exponent tuples (taller roots first) by reverse lexicographic order and
-    "lex" by lexicographic order.  Exponents are scanned in increasing
+    Monomials are compared degree first, and within a degree by reverse
+    lexicographic order of their exponent tuples (taller roots first): one
+    fixed homogeneous order, as in the essential-monomial results of
+    Feigin, Fourier and Littelmann.  Exponents are scanned in increasing
     order and kept exactly when their monomial vector enlarges the span, so
     the result does not depend on any basis choice.  Each degree is
     generated in scan order, not sorted, and walked by `_ordered_images`.
@@ -577,13 +576,11 @@ def essential_monomials(
     ordered monomial of degree d, so every later degree vanishes too;
     lowering operators are nilpotent, so that degree always comes.
     """
-    if order not in ("revlex", "lex"):
-        raise ValueError(f"order must be 'revlex' or 'lex', got {order!r}")
     _check_rank(A.n, module.space)
     if weights is None:
         weights = subset_submodule(module, A).weights
     listing = _tall_first(A.members)
-    kept = _scan(module, listing, order == "lex", sum(weights.values()), weights)
+    kept = _scan(module, listing, sum(weights.values()), weights)
     roots = A.sorted_roots()
     at = [listing.index(r) for r in roots]
     # Each exponent tuple is scanned once, so the sorted tuples are distinct.
@@ -594,7 +591,6 @@ def essential_monomials(
 def _scan(
     module: IrreducibleModule,
     listing: Sequence[Root],
-    lex: bool,
     dimension: int,
     budget: Optional[Mapping[tuple[int, ...], int]],
 ) -> list[tuple[int, ...]]:
@@ -646,7 +642,7 @@ def _scan(
     degree = 0
     while span.rank < dimension:
         live = False
-        walk = _ordered_images(module, listing, _degree_compositions(degree, len(listing), lex),
+        walk = _ordered_images(module, listing, _degree_compositions(degree, len(listing)),
                                None if budget is None else wanted)
         for s, image in walk:
             if image:
@@ -658,32 +654,10 @@ def _scan(
                     if span.rank == dimension:
                         break
         if not live and budget is not None:
-            again = _degree_compositions(degree, len(listing), lex)
+            again = _degree_compositions(degree, len(listing))
             live = any(image for _, image in _ordered_images(module, listing, again, targeted))
         if not live:
             raise ArithmeticError("essential monomial scan did not stabilize")
         degree += 1
     return kept
 
-
-def cartan_component_dimension(
-    lam: DominantWeight, mu: DominantWeight, A: RootSubset, cap: int = 400
-) -> int:
-    """Dimension of the diagonal lowering closure of the top tensor vector.
-
-    Inside the tensor product of the modules for the two weights, the
-    vector (highest) x (highest) is closed under the diagonal action of the
-    lowerings in A; the dimension of that span is returned.
-    """
-    n = len(lam.coeffs)
-    if len(mu.coeffs) != n or A.n != n:
-        raise ValueError("weights and subset must share one rank")
-    left = TensorSpace.from_weight(lam)
-    right = TensorSpace.from_weight(mu)
-    # Over the concatenated factors the lexicographic basis index of a pair
-    # is i1 * d2 + i2, and E_ab summed over all factors is the diagonal action.
-    space = TensorSpace(n, left.factors + right.factors)
-    ops = [(r.j + 1, r.i) for r in A.sorted_roots()]
-    basis, _, _ = _closure(space, space.highest_vector(), ops, cap=cap,
-                           what="diagonal closure")
-    return len(basis)

@@ -11,10 +11,10 @@ would complete a pattern 2413 or 4231 (the triangular test) if placed later.
 `classify_permutations` takes every prefix of S_{n+1} with at most n - 2
 letters once, in lexicographic order, and reads the six elements that
 complete a prefix of n - 2 letters off its state and one pass over its
-letters, with no further step.  `Permutation.length`, `is_kempf`,
-`is_triangular_element` and `kempf_factorization` fold the same step over
-one element's letters.  A state holds its letters as a `str` of code
-points, which the cyclic garbage collector does not track.
+letters, with no further step.  `Permutation.length`, `is_kempf` and
+`is_triangular_element` fold the same step over one element's letters.  A
+state holds its letters as a `str` of code points, which the cyclic garbage
+collector does not track.
 """
 
 from __future__ import annotations
@@ -68,13 +68,10 @@ def _step(state: tuple, x: int) -> tuple:
       prefix holds such a pattern; -1 has every bit set, so it stays -1.
       Only the bits of values not yet placed are ever read;
     - prefix: the letters so far as a `str`, letter v stored as chr(v)
-      and read back with `map(ord, prefix)`.  The cyclic garbage collector
-      does not track a `str`, and it untracks a tuple of untracked values
-      the first time it meets one, so the states a walk keeps are not
-      walked again by every later collection.  A list prefix would keep
-      itself and its state tracked.  `bytes` would be a little faster
-      but cannot hold a letter above 255, and the folds take a
-      permutation of any size.
+      and read back with `map(ord, prefix)`, so a letter of any size fits.
+      The cyclic garbage collector does not track a `str`, and it untracks
+      a tuple of untracked values the first time it meets one, so the
+      states a walk keeps are not walked again by every later collection.
     The values below x that stand to its left are the set bits of
     seen & (2^x - 2); the other x - 1 - that many stand to its right, so
     that is c.  Every occurrence of a pattern is found when its fourth
@@ -262,23 +259,11 @@ def is_triangular_subset(A: RootSubset) -> bool:
     return True
 
 
-def _segment(n: int, i: int, ell: int) -> Permutation:
-    """The right-end segment s_ell s_{ell-1} ... s_i as a permutation.
-
-    ell = i - 1 encodes the empty segment.  As a map it is the cycle sending
-    i to ell+1 and m to m-1 for i < m <= ell+1.
-    """
-    im = list(range(1, n + 2))
-    if ell >= i:
-        im[i - 1] = ell + 1
-        for m in range(i + 1, ell + 2):
-            im[m - 1] = m - 1
-    return Permutation(tuple(im))
-
-
-def kempf_factorization(w: Permutation) -> tuple[int, ...]:
-    """Segment tops (ell_1, ..., ell_n) of the unique factorization
-    w = w_1 w_2 ... w_n with w_i = s_{ell_i} ... s_i (ell_i = i-1: empty).
+def is_kempf(w: Permutation) -> bool:
+    """Segment lengths may grow by at most one at each step, except below a
+    full segment: len(w_i) <= len(w_{i+1}) + 1 whenever ell_{i+1} < n, for
+    the unique factorization w = w_1 w_2 ... w_n with w_i = s_{ell_i} ...
+    s_i (ell_i = i - 1: empty).
 
     ell_i = i - 1 + c_i with c the Lehmer code.  Peeling off w_i means
     applying its inverse to the values, which sends ell_i + 1 to i, raises
@@ -286,41 +271,14 @@ def kempf_factorization(w: Permutation) -> tuple[int, ...]:
     all other values.  Once w_1 ... w_{i-1} are peeled off, positions
     1..i-1 hold 1..i-1 and positions i..n+1 hold i..n+1 in the relative
     order of w(i), ..., w(n+1).  So position i holds i + c_i = ell_i + 1.
-    The code values are read off the walk's states after i letters.
-    """
-    states = itertools.accumulate(w.images[:-1], _step, initial=_ROOT)
-    return tuple(i - 1 + state[3] for i, state in enumerate(states) if i)
-
-
-def is_kempf(w: Permutation) -> bool:
-    """Segment lengths may grow by at most one at each step, except below a
-    full segment: len(w_i) <= len(w_{i+1}) + 1 whenever ell_{i+1} < n.
-
-    The segment w_i has length ell_i - i + 1 = c_i (Lehmer code), so the
-    test is c_i <= c_{i+1} + 1, that is ell_i <= ell_{i+1}.  The exception
+    The segment w_i then has length ell_i - i + 1 = c_i, so the test is
+    c_i <= c_{i+1} + 1, that is ell_i <= ell_{i+1}.  The exception
     adds nothing: c_i <= n + 1 - i always, and ell_{i+1} = n means
     c_{i+1} = n - i.  The last pair (c_n <= 1, c_{n+1} = 0) always passes,
     so the test runs over the whole code: the walk's Kempf flag, folded
     over the one-line word.
     """
     return _fold(w.images)[4]
-
-
-def permutation_from_segments(ells) -> Permutation:
-    """Rebuild w = w_1 w_2 ... w_n from segment tops, w_i = s_{ell_i} ... s_i.
-
-    Inverse of kempf_factorization: any tops with i-1 <= ell_i <= n determine
-    a unique permutation (ell_i = i-1 encodes the empty segment).
-    """
-    ells = tuple(ells)
-    n = len(ells)
-    for i, ell in enumerate(ells, start=1):
-        if not i - 1 <= ell <= n:
-            raise ValueError(f"segment top ell_{i}={ell} outside {i - 1}..{n}")
-    w = Permutation.identity(n)
-    for i in range(n, 0, -1):
-        w = _segment(n, i, ells[i - 1]) * w
-    return w
 
 
 def reduced_word(w: Permutation) -> tuple[int, ...]:

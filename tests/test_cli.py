@@ -20,7 +20,7 @@ import fflv.polytope
 import fflv.weyl
 from fflv.cli import main
 from fflv.polytope import enumerate_lattice_points, minkowski_sum
-from fflv.roots import DominantWeight, parse_root
+from fflv.roots import DominantWeight, parse_root, rho
 from fflv.weyl import (
     Permutation,
     RootSubset,
@@ -701,6 +701,21 @@ def test_verify_builds_the_face_system_once_for_every_check(capsys, monkeypatch)
     assert built == [(1, 1, 1)]
     assert len(paths) == 2
     assert tallies == []
+
+
+def test_verify_rank5_triangular_elements_up_to_mass_500(capsys):
+    """The whole bundle, module checks included, at rho(5) for every
+    triangular element of S_6 whose Demazure mass there is at most 500:
+    232 of the 366, about 3 s."""
+    lam = rho(5)
+    elements = [w for w in all_permutations(5) if is_triangular_element(w)
+                and fflv.characters.demazure_character_oracle(w, lam).mass <= 500]
+    assert len(elements) == 232
+    for w in elements:
+        code, out, _ = run(capsys, "verify", "--w-oneline", str(w),
+                           "--lambda", "1,1,1,1,1", "--max-dim", "40000")
+        data = json.loads(out)
+        assert (code, data["ok"], data["checks"]["rep"]["status"]) == (0, True, "pass"), w
 
 
 @pytest.mark.slow

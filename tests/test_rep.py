@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fflv.rep
+from cartan_component import cartan_component_dimension
 from fflv.characters import (
     Character,
     demazure_character_oracle,
@@ -23,7 +24,6 @@ from fflv.rep import (
     DimensionCapError,
     TensorSpace,
     build_highest_weight_module,
-    cartan_component_dimension,
     demazure_submodule,
     essential_monomials,
     extremal_vector,
@@ -233,12 +233,9 @@ def test_essential_monomials_recover_lattice_points():
     for w in all_permutations(2):
         A = inversion_roots(w)
         pts = enumerate_lattice_points(A, lam)
-        for order in ("revlex", "lex"):
-            ess = essential_monomials(module, A, order=order)
-            assert ess.roots == pts.roots
-            assert set(ess.tuples) == set(pts.tuples)
-    with pytest.raises(ValueError):
-        essential_monomials(module, RootSubset.full(2), order="grlex")
+        ess = essential_monomials(module, A)
+        assert ess.roots == pts.roots
+        assert set(ess.tuples) == set(pts.tuples)
 
 
 def test_cartan_component_dimensions():
@@ -555,17 +552,13 @@ def test_monomial_basis_costs_one_apply_per_point(monkeypatch):
     assert len(calls) == 1023
 
 
-@pytest.mark.parametrize("lex,key", [
-    (True, None),
-    (False, lambda s: tuple(-x for x in reversed(s))),
-])
-def test_degree_compositions_come_in_scan_order(lex, key):
-    """Each degree is generated in the order a sort by the scan key gives."""
+def test_degree_compositions_come_in_scan_order():
+    """Each degree is generated in the order a sort by the revlex key gives."""
     for parts in range(5):
         for total in range(6):
             want = sorted((s for s in product(range(total + 1), repeat=parts)
-                           if sum(s) == total), key=key)
-            assert list(fflv.rep._degree_compositions(total, parts, lex)) == want, (total, parts)
+                           if sum(s) == total), key=lambda s: tuple(-x for x in reversed(s)))
+            assert list(fflv.rep._degree_compositions(total, parts)) == want, (total, parts)
 
 
 def _weights(n, values):
@@ -664,9 +657,8 @@ def test_budgets_change_no_row_profile_or_kept_set(lam, elements):
         assert closure(space, module.generator, lowering, what="lowering closure") == (
             sub.basis, sub.profile, sub.weights)
         listing = fflv.rep._tall_first(A.members)
-        for lex in (False, True):
-            kept = fflv.rep._scan(module, listing, lex, sub.dimension, sub.weights)
-            assert kept == fflv.rep._scan(module, listing, lex, sub.dimension, None), (w, lex)
+        kept = fflv.rep._scan(module, listing, sub.dimension, sub.weights)
+        assert kept == fflv.rep._scan(module, listing, sub.dimension, None), w
 
 
 def _one_short(weights, at):
@@ -765,7 +757,7 @@ def test_a_short_scan_budget_can_only_fail(capsys, monkeypatch, lam, w):
     for at in weights:
         short = _one_short(weights, at)
         with pytest.raises(ArithmeticError, match="did not stabilize"):
-            fflv.rep._scan(module, listing, False, oracle.mass, short)
+            fflv.rep._scan(module, listing, oracle.mass, short)
         kept = essential_monomials(module, A, weights=short)
         assert len(kept) == len(S) - 1
     at = next(iter(weights))
@@ -786,4 +778,4 @@ def test_non_closed_subset_still_does_not_stabilize():
     listing = fflv.rep._tall_first(A.members)
     for budget in (sub.weights, None):
         with pytest.raises(ArithmeticError, match="did not stabilize"):
-            fflv.rep._scan(module, listing, False, sub.dimension, budget)
+            fflv.rep._scan(module, listing, sub.dimension, budget)

@@ -16,9 +16,7 @@ from fflv.weyl import (
     is_kempf,
     is_triangular_element,
     is_triangular_subset,
-    kempf_factorization,
     parse_permutation,
-    permutation_from_segments,
     reduced_word,
 )
 
@@ -111,7 +109,7 @@ def test_factorization_round_trip():
     """Segment tops rebuild the permutation, Kempf or not."""
     for n in (2, 3, 4, 5):
         for w in all_permutations(n):
-            ells = kempf_factorization(w)
+            ells = reference_kempf_factorization(w)
             assert len(ells) == n
             assert all(i - 1 <= ell <= n for i, ell in enumerate(ells, start=1))
             assert permutation_from_segments(ells) == w
@@ -119,9 +117,40 @@ def test_factorization_round_trip():
 
 def test_factorization_tops_weakly_increasing_iff_kempf():
     for w in all_permutations(3):
-        ells = kempf_factorization(w)
+        ells = reference_kempf_factorization(w)
         increasing = all(ells[i] <= ells[i + 1] for i in range(len(ells) - 1))
         assert increasing == is_kempf(w)
+
+
+def _segment(n, i, ell):
+    """The right-end segment s_ell s_{ell-1} ... s_i as a permutation.
+
+    ell = i - 1 encodes the empty segment.  As a map it is the cycle sending
+    i to ell+1 and m to m-1 for i < m <= ell+1.
+    """
+    im = list(range(1, n + 2))
+    if ell >= i:
+        im[i - 1] = ell + 1
+        for m in range(i + 1, ell + 2):
+            im[m - 1] = m - 1
+    return Permutation(tuple(im))
+
+
+def permutation_from_segments(ells):
+    """Rebuild w = w_1 w_2 ... w_n from segment tops, w_i = s_{ell_i} ... s_i.
+
+    Inverse of the segment factorization: any tops with i-1 <= ell_i <= n
+    determine a unique permutation (ell_i = i-1 encodes the empty segment).
+    """
+    ells = tuple(ells)
+    n = len(ells)
+    for i, ell in enumerate(ells, start=1):
+        if not i - 1 <= ell <= n:
+            raise ValueError(f"segment top ell_{i}={ell} outside {i - 1}..{n}")
+    w = Permutation.identity(n)
+    for i in range(n, 0, -1):
+        w = _segment(n, i, ells[i - 1]) * w
+    return w
 
 
 def kempf_complement(n, ells):
@@ -152,7 +181,7 @@ def test_kempf_complement_is_true_complement():
         for w in all_permutations(n):
             if not is_kempf(w):
                 continue
-            ells = kempf_factorization(w)
+            ells = reference_kempf_factorization(w)
             comp = kempf_complement(n, ells)
             expected = set(all_positive_roots(n)) - inversion_roots(w).members
             assert comp.members == expected
@@ -254,7 +283,10 @@ def test_lehmer_kernel_matches_the_definitions_on_s2_to_s8():
     for n in range(1, 8):
         for w in all_permutations(n):
             assert w.length() == reference_length(w), w
-            assert kempf_factorization(w) == reference_kempf_factorization(w), w
+            # is_kempf reads the segment tops off the Lehmer code: ell_i = i - 1 + c_i.
+            im = w.images
+            assert reference_kempf_factorization(w) == tuple(
+                k + sum(1 for v in im[k + 1:] if v < im[k]) for k in range(n)), w
             assert is_kempf(w) == reference_is_kempf(w), w
             assert is_triangular_element(w) == reference_is_triangular_element(w), w
 
@@ -396,12 +428,10 @@ def test_folds_on_three_hundred_letters():
     assert is_triangular_element(w0)
     assert is_kempf(w0)
     assert w0.length() == 300 * 299 // 2 == 44_850
-    assert kempf_factorization(w0) == (299,) * 299
     w = Permutation((2, 4, 1, 3) + tuple(range(5, 301)))
     assert not is_triangular_element(w)
     assert not is_kempf(w)
     assert w.length() == 3
-    assert kempf_factorization(w) == (1, 3) + tuple(range(2, 299))
 
 
 def test_walk_states_are_not_tracked_by_the_cyclic_collector():
