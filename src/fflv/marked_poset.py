@@ -201,33 +201,36 @@ def count_order_points(A: RootSubset, lam: DominantWeight) -> int:
     A dynamic programme over `marked_order_points`' own order.  Once roots
     0..c-1 are fixed, the choices left depend only on the values of those
     that a later root still reads as an upper cover, so the prefixes are
-    merged by that root index and those values: one dict per index maps the
-    values to the number of prefixes that reach them.  A root that no later
-    root reads adds its number of values as a factor, with no new state.
+    merged by those values, packed into one int with root c in the field
+    at bit `width` * c, to the number of prefixes that reach them.  A field
+    is cleared once its root's last reader is placed.  A root that a later
+    root reads adds its values lo..hi as the run of keys lo..hi times its
+    unit over the packed prefix; one that none reads adds its number of
+    values as a factor, with no new state.  Every value is at most the
+    largest marking, which fits the width, so no field carries.
     """
     roots, lower_bound, upper_bound, above = _order_constraints(A, lam)
     last_read = [-1] * len(roots)
     for c, qs in enumerate(above):
         for q in qs:
             last_read[q] = c
-    kept: tuple[int, ...] = ()
-    states: dict[tuple[int, ...], int] = {(): 1}
-    for c in range(len(roots)):
-        reads = [kept.index(q) for q in above[c]]
-        keep = [i for i, q in enumerate(kept + (c,)) if last_read[q] > c]
-        merged: dict[tuple[int, ...], int] = {}
-        for values, ways in states.items():
-            lo, hi = lower_bound[c], min([upper_bound[c]] + [values[i] for i in reads])
+    width = max(upper_bound, default=0).bit_length()
+    mask = (1 << width) - 1
+    states = {0: 1}
+    for c, lo in enumerate(lower_bound):
+        reads = [width * q for q in above[c]]
+        keep = ~sum([mask << width * q for q in range(c) if last_read[q] == c])
+        unit = 1 << width * c
+        merged: dict[int, int] = {}
+        for key, ways in states.items():
+            hi = min([upper_bound[c]] + [key >> shift & mask for shift in reads])
             if hi < lo:
                 continue
+            key &= keep
             if last_read[c] < 0:
-                key = tuple([values[i] for i in keep])
                 merged[key] = merged.get(key, 0) + ways * (hi - lo + 1)
                 continue
-            for v in range(lo, hi + 1):
-                full = values + (v,)
-                key = tuple([full[i] for i in keep])
-                merged[key] = merged.get(key, 0) + ways
-        kept = tuple([(kept + (c,))[i] for i in keep])
+            for run in range(key + lo * unit, key + hi * unit + 1, unit):
+                merged[run] = merged.get(run, 0) + ways
         states = merged
     return sum(states.values())

@@ -32,6 +32,7 @@ callers read `PointSet.tuples`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import add, mul
 from typing import Iterator, Optional, Sequence
@@ -122,53 +123,81 @@ def _minimal(masks: list[int], among: list[int]) -> tuple[int, ...]:
                   if not any(k != i and masks[k] & masks[i] == masks[k] for k in among)])
 
 
-def _slack_graph(m: int, rows: list[tuple[int, int]]) -> Iterator[list[list[int]]]:
-    """The state graph of the nonnegative integer solutions of `rows` over
-    m coordinates, one depth at a time: for each c < m, per state at depth
-    c, the states at depth c + 1 that coordinate c's values 0, 1, ..., cap
-    lead to.  Depth 0 holds one state, the root, and so does depth m.
+@lru_cache(maxsize=64)
+def _slack_plan(m: int, masks: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The weight-free part of the state graph of a support system over m
+    coordinates, the supports of its rows as bit masks (`_search_plan`):
+    per support at depth 0, the rows whose support contains it, and per
+    depth c < m, the step that `_slack_children` takes from a state at
+    depth c.  A system's supports are free of the weight, so every weight
+    and dilation of one face or chain system shares its plan.
 
     A remaining support at depth c is the nonempty part at c or later of
-    some inequality's support.  The state of a prefix of c values holds,
-    per remaining support in increasing mask order, the least remaining
-    bound of the inequalities whose support contains it: the slacks merged
-    and tightened at once (see `count_integer_points` for why equal states
-    have equal completions).  So a slack is at most that of any larger
-    support, and the least slack over a family of supports is the least
-    over its minimal members (`_minimal`), which are all the loop reads:
-    for the cap of coordinate c, and for each remaining support at depth
-    c + 1 the supports at depth c that contain it, split into those
-    containing c, whose slack drops by the value of c, and the others.
-    Only the current depth's states are kept, so a caller that reads each
-    depth once holds one depth alive.
+    some row's support.  The state of a prefix of c values holds, per
+    remaining support in increasing mask order, the least remaining bound
+    of the rows whose support contains it: the slacks merged and tightened
+    at once (see `count_integer_points` for why equal states have equal
+    completions).  So a slack is at most that of any larger support, and
+    the least slack over a family of supports is the least over its
+    minimal members (`_minimal`), which are all a step reads: for the cap
+    of coordinate c, and for each remaining support at depth c + 1 the
+    supports at depth c that contain it, split into those containing c,
+    whose slack drops by the value of c, and the others.
     """
-    supports = sorted({mask for mask, _ in rows if mask})
-    root = tuple([min([bound for mask, bound in rows if mask & s == s]) for s in supports])
-    states = [root]
+    supports = sorted(set(masks) - {0})
+    start = tuple([tuple([r for r, mask in enumerate(masks) if mask & s == s])
+                   for s in supports])
+    steps = []
     for c in range(m):
         bit = 1 << c
         after = sorted({s & ~bit for s in supports} - {0})
         hit = [i for i, s in enumerate(supports) if s & bit]
         missed = [i for i, s in enumerate(supports) if not s & bit]
-        caps = _minimal(supports, hit)
         take = [_minimal(supports, [i for i in hit if t & ~supports[i] == 0]) for t in after]
         keep = [_minimal(supports, [i for i in missed if t & ~supports[i] == 0]) for t in after]
+        steps.append((_minimal(supports, hit), tuple(zip(take, keep))))
+        supports = after
+    return start, tuple(steps)
+
+
+def _slack_start(m: int, rows: list[tuple[int, int]]) -> tuple[tuple[int, ...], tuple]:
+    """The state at depth 0 of `rows` over m coordinates, per support the
+    least bound of the rows containing it, and the steps of their plan."""
+    start, steps = _slack_plan(m, tuple([mask for mask, _ in rows]))
+    return tuple([min([rows[r][1] for r in idx]) for idx in start]), steps
+
+
+def _slack_children(step: tuple, state: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The states that the values 0, 1, ..., cap of the next coordinate
+    lead to from a state, for one step of `_slack_plan`."""
+    caps, moves = step
+    cap = min([state[i] for i in caps])
+    # The new slack is min(x - v, y); a side with no support gets a
+    # stand-in that never wins for v <= cap.
+    pairs = []
+    for tk, kp in moves:
+        x = min([state[i] for i in tk]) if tk else None
+        y = min([state[i] for i in kp]) if kp else None
+        pairs.append((y + cap if x is None else x, x if y is None else y))
+    return [tuple([x - v if x - v < y else y for x, y in pairs]) for v in range(cap + 1)]
+
+
+def _slack_graph(m: int, rows: list[tuple[int, int]]) -> Iterator[list[list[int]]]:
+    """The state graph of the nonnegative integer solutions of `rows` over
+    m coordinates, one depth at a time: for each c < m, per state at depth
+    c, the states at depth c + 1 that coordinate c's values 0, 1, ..., cap
+    lead to (`_slack_plan`, `_slack_children`).  Depth 0 holds one state,
+    the root, and so does depth m.  Only the current depth's states are
+    kept, so a caller that reads each depth once holds one depth alive.
+    """
+    root, steps = _slack_start(m, rows)
+    states = [root]
+    for step in steps:
         ids: dict[tuple[int, ...], int] = {}
-        level = []
-        for state in states:
-            cap = min([state[i] for i in caps])
-            # The new slack is min(x - v, y); a side with no support gets a
-            # stand-in that never wins for v <= cap.
-            pairs = []
-            for tk, kp in zip(take, keep):
-                x = min([state[i] for i in tk]) if tk else None
-                y = min([state[i] for i in kp]) if kp else None
-                pairs.append((y + cap if x is None else x, x if y is None else y))
-            # A state not seen before at depth c + 1 gets the next id.
-            level.append([ids.setdefault(tuple([x - v if x - v < y else y for x, y in pairs]),
-                                         len(ids)) for v in range(cap + 1)])
-        yield level
-        supports, states = after, list(ids)
+        # A state not seen before at depth c + 1 gets the next id.
+        yield [[ids.setdefault(child, len(ids)) for child in _slack_children(step, state)]
+               for state in states]
+        states = list(ids)
 
 
 def _completion_counts(levels: list[list[list[int]]]) -> list[list[int]]:
@@ -424,8 +453,8 @@ def count_integer_points(
     n: int, roots: tuple[Root, ...], ineqs: list[Inequality]
 ) -> int:
     """The number of points `enumerate_integer_points` returns, counted
-    over the state graph of `_slack_graph` without building a point.
-    Raises the same UnboundedFaceError.
+    over the states of `_slack_graph` (`_slack_plan`, `_slack_children`)
+    without building a point.  Raises the same UnboundedFaceError.
 
     Soundness.  Fix coordinates 0..c-1 of a prefix.  An inequality then
     constrains the rest only through its remaining support R, its support
@@ -445,14 +474,22 @@ def count_integer_points(
     every slack stays nonnegative, so each state has a completion (all
     zeros).
 
-    The count is the number of paths from the root to depth m: it is the
-    pass of `_weight_tally` with every step zero, where each state's tally
-    holds the single key 0.
+    The count is the number of paths from the root to depth m.  One pass
+    down the depths carries, per state, the number of prefixes reaching
+    it, and adds it to each child; depth m holds one state, the empty one.
     """
     rows = _search_plan(n, roots, ineqs)
     if rows is None:
         return 0
-    return _weight_tally(len(roots), rows, [0] * len(roots))[0]
+    root, steps = _slack_start(len(roots), rows)
+    counts = {root: 1}
+    for step in steps:
+        reached: dict[tuple[int, ...], int] = {}
+        for state, ways in counts.items():
+            for child in _slack_children(step, state):
+                reached[child] = reached.get(child, 0) + ways
+        counts = reached
+    return counts[()]
 
 
 def packed_fields(

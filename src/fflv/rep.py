@@ -42,6 +42,22 @@ No stage does work whose result is already known:
   that is not closed (say {alpha11, alpha22}) keeps its lowering closure.
   The Borel closure of the extremal vector (`demazure_submodule`) stays as
   the tests' reference for that character.
+- The essential scan.  For A closed under root addition the associated
+  graded module of the PBW filtration is cyclic over the symmetric
+  algebra S(n-_A), and revlex is invariant under translation, so a tuple
+  that is not kept has no kept tuple above it: the kept tuples form an
+  order ideal, and a tuple with a lower cover that was not kept is never
+  imaged (`_scan`).  Each image is its leftmost factor applied to its
+  predecessor's carried image, one apply.
+- The monomial basis.  The kept tuples of degree d map to a basis of
+  F_d / F_(d-1), in any order of factors, since reordering the factors of
+  a degree-d monomial changes it by terms in F_(d-1).  So for closed A,
+  when the scan, budgeted by the target's own weights, keeps exactly the
+  lattice points, their ordered monomials (in the face's order of roots)
+  are a basis of the target, with rank the number of points: a set whose
+  images form a basis of the associated graded module is a basis.
+  `verify` then runs no `verify_monomial_basis`; for a subset that is not
+  closed, or a kept set that differs from the points, it does.
 - The irreducible module.  No closure of V(lambda) is formed
   (`IrreducibleModule`).  Index 0 of the tensor space is killed by every
   E_{i,i+1} and is a weight vector of weight lambda in a
@@ -72,8 +88,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations
 from math import gcd, prod
-from operator import mul, sub
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from operator import itemgetter, sub
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .characters import demazure_character_oracle, to_partition, weyl_dimension
 from .linalg import IntSpan, SparseVector
@@ -428,7 +444,6 @@ def _ordered_images(
     module: IrreducibleModule,
     listing: Sequence[Root],
     scan: Iterable[tuple[int, ...]],
-    wanted: Optional[Callable[[tuple[int, ...]], bool]] = None,
 ) -> Iterator[tuple[tuple[int, ...], SparseVector]]:
     """Yield (s, image of the highest vector under the ordered monomial s)
     for each exponent tuple s of the scan, in any order.  The rightmost
@@ -436,20 +451,15 @@ def _ordered_images(
     L_k^{s_k} ... L_m^{s_m} v.  The next tuple keeps the levels above the
     highest position p where it differs; level p goes on from its image if
     s_p grew, and every other level from p down is rebuilt from the one
-    above.  A zero level is not applied to.
-
-    A tuple for which `wanted` is false computes no image and is not
-    yielded: the stack stays that of the last wanted tuple, whose levels
-    the next wanted tuple keeps or rebuilds as above, so its image is the
-    one rebuilt from the highest vector.  `wanted` is asked tuple by tuple,
-    after the caller has taken the previous image, so it may read what the
-    caller did with it.
+    above.  A zero level is not applied to.  Walked over a downward closed
+    set in colex order, as `verify_monomial_basis` walks a face, each image
+    costs one apply.
     """
     space = module.space
     tables = [space.lowering_table(r) for r in listing]
     last = (0,) * len(listing)
     levels = [module.generator] * (len(listing) + 1)
-    for s in scan if wanted is None else filter(wanted, scan):
+    for s in scan:
         p = len(s) - 1
         while p >= 0 and s[p] == last[p]:
             p -= 1
@@ -536,18 +546,6 @@ def _tall_first(roots: Iterable[Root]) -> list[Root]:
     return sorted(roots, key=lambda r: (-(r.j - r.i), r.i))
 
 
-def _degree_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Exponent tuples of one degree, increasing in revlex order (lex on
-    the reversed tuples, descending)."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for x in range(total, -1, -1):
-        for rest in _degree_compositions(total - x, parts - 1):
-            yield rest + (x,)
-
-
 def essential_monomials(
     module: IrreducibleModule,
     A: RootSubset,
@@ -558,23 +556,28 @@ def essential_monomials(
     Monomials are compared degree first, and within a degree by reverse
     lexicographic order of their exponent tuples (taller roots first): one
     fixed homogeneous order, as in the essential-monomial results of
-    Feigin, Fourier and Littelmann.  Exponents are scanned in increasing
-    order and kept exactly when their monomial vector enlarges the span, so
-    the result does not depend on any basis choice.  Each degree is
-    generated in scan order, not sorted, and walked by `_ordered_images`.
+    Feigin, Fourier and Littelmann.  A tuple is kept exactly when its
+    monomial vector enlarges the span of the earlier ones, so the result
+    does not depend on any basis choice.  The scan (`_scan`) images only
+    the candidates each degree's carried tuples lead to, one apply each;
+    for A closed under root addition the kept tuples are an order ideal,
+    and a tuple with a lower cover that was not kept is never imaged.
 
     The scan runs until the span is U(n-_A) applied to the highest vector,
     which holds every monomial vector.  `weights` are that submodule's
     weights with multiplicity where they are known (for A = N(w), the
-    Demazure character at w mapped by `lowering_weights`); without them the lowering closure of A is formed
-    and its rows' weights are taken.  Their total is the rank the scan
-    stops at, and each is the budget of its weight (`_scan`).
+    Demazure character at w mapped by `lowering_weights`); without them
+    the lowering closure of A is formed and its rows' weights are taken.
+    Their total is the rank the scan stops at, and each is the budget of
+    its weight.
 
-    When the monomials never span it, ArithmeticError is raised at the
-    first degree whose ordered monomials all kill the highest vector.  An
-    ordered monomial of degree d + 1 is its leftmost factor times an
-    ordered monomial of degree d, so every later degree vanishes too;
-    lowering operators are nilpotent, so that degree always comes.
+    For closed A, the kept tuples equal to the face certify its monomial
+    basis (module docstring), which `verify` reads instead of
+    `verify_monomial_basis`.  When the monomials never span the target,
+    ArithmeticError is raised at the first degree that carries nothing:
+    an ordered monomial of degree d + 1 is its leftmost factor times an
+    ordered monomial of degree d, and lowering operators are nilpotent,
+    so that degree always comes.
     """
     _check_rank(A.n, module.space)
     if weights is None:
@@ -588,6 +591,15 @@ def essential_monomials(
                                                         for s in kept)))
 
 
+def _closed(roots: Iterable[Root]) -> bool:
+    """Whether a set of positive roots is closed under root addition:
+    alpha_{i,j} + alpha_{j+1,k} = alpha_{i,k} lies in it whenever both
+    summands do.  Then n-_A is a subalgebra, the case of PBW that the
+    essential scan and `verify`'s basis certificate rest on."""
+    held = set(roots)
+    return all(Root(r.i, q.j) in held for r in held for q in held if q.i == r.j + 1)
+
+
 def _scan(
     module: IrreducibleModule,
     listing: Sequence[Root],
@@ -598,24 +610,52 @@ def _scan(
     monomial enlarges the span of the earlier ones, until the span has
     rank `dimension` (`essential_monomials`).
 
-    The image of s has the weight lambda - (b_1 alpha_1 + ... + b_n
-    alpha_n), b_k the sum of s over the roots that contain alpha_k; it is
-    keyed by the b_k packed into one int, `width` bits each.  A budget
+    Candidates.  A tuple s of degree d >= 1 is t + e_k for k its first
+    nonzero position and t = s - e_k, whose first nonzero position is at
+    least k.  So the candidates of degree d, the t + e_k over the tuples t
+    carried from degree d - 1 and k up to t's first nonzero position, are
+    reached once each, and the image of s is L_k applied to t's carried
+    image: one apply per image.  A tuple is packed into one int, position
+    k in the field at bit `width` * k, so the last position is highest and
+    descending ints are the revlex scan order of a degree.
+
+    Carrying.  If A is not closed under root addition (`_closed`), every
+    nonzero image is carried.  A tuple whose predecessor's image is zero
+    has a zero image, so every nonzero image is formed and the kept tuples
+    are those of a walk over every tuple.  If A is closed, a tuple is
+    carried when it is kept, and s is a candidate only when every lower
+    cover s - e_j is carried.  By PBW the ordered monomials of degree at
+    most d span F_d, the span of the products of at most d lowerings in
+    A.  So a tuple of degree d is kept exactly when its class in F_d /
+    F_(d-1) escapes those of the earlier tuples of its degree, whatever
+    the order of its factors.  The associated graded module is an
+    S(n-_A)-module and revlex is invariant under translation: if the class
+    of t is a combination of those of tuples t' < t, the class of t + u is
+    the same combination of those of t' + u < t + u, so t + u is not kept
+    either.  The images are weight vectors, so this holds weight by
+    weight: t + u lies in the span of the earlier images of its weight.
+
+    Budget.  The image of s has the weight lambda - (b_1 alpha_1 + ... +
+    b_n alpha_n), b_k the sum of s over the roots that contain alpha_k; it
+    is keyed by the b_k packed into one int, `width` bits each.  A budget
     maps a weight (content vector) to the multiplicity of the target, a
     submodule holding every image, there; a weight it does not list has
-    none.  A tuple whose weight already has that many rows in the span
-    computes no image (`wanted`): its image is in the target's weight
-    space, which the span then holds, so it would not have been kept, and
-    the kept tuples and the ranks are those without a budget.
+    none.  An image whose weight already has that many rows in the span
+    is carried but not reduced: it is in the target's weight space, which
+    the span then holds, so it would not have been kept.  A weight fills
+    only once, so the earlier images of a tuple's weight were all reduced
+    while the tuple can still be kept, and the argument above compares
+    only with those.  So with any budget, even one that is too small, the
+    kept tuples are those of the walk over every tuple with that budget,
+    and with the target's own weights they are those without a budget.
 
     An image is nonzero only if its weight is one of the module's, whose
     depths b_k sum to at most H, the height of lambda - w0 lambda; a tuple
     of degree d has that sum at least d.  So all images of degree H + 1
-    vanish and the scan raises by then, every b_k it meets is at most
-    H + 1, and no field carries.  A degree whose computed images all vanish
-    is walked again over its tuples at the budget's weights, the only
-    ones whose skipped image can be nonzero, and the scan raises only when
-    all of those vanish too: exactly when every image of the degree does.
+    vanish, nothing is carried past degree H, and every exponent and b_k
+    of a candidate is at most H + 1: no field carries.  The scan raises
+    when a degree carries nothing while the rank is still short: then no
+    later tuple has a nonzero image or, for closed A, none would be kept.
     """
     parts = to_partition(module.weight)
     deepest = sum(accumulate(map(sub, parts, parts[::-1])))
@@ -629,35 +669,43 @@ def _scan(
             if depths.pop() == 0 and all(0 <= b <= deepest for b in depths):
                 room[sum([b << width * k for k, b in enumerate(depths)])] = mult
     held: dict[int, int] = {}
-
-    def wanted(s: tuple[int, ...]) -> bool:
-        key = sum(map(mul, s, steps))
-        return held.get(key, 0) < room.get(key, 0)
-
-    def targeted(s: tuple[int, ...]) -> bool:
-        return sum(map(mul, s, steps)) in room
-
-    span = IntSpan(module.space.dimension)
-    kept: list[tuple[int, ...]] = []
-    degree = 0
+    m = len(listing)
+    units = [1 << width * k for k in range(m)]
+    mask = (1 << width) - 1
+    closed = _closed(listing)
+    space = module.space
+    tables = [space.lowering_table(r) for r in listing]
+    span = IntSpan(space.dimension)
+    kept: list[int] = []
+    # (packed tuple, position of its leftmost factor or -1, image of its
+    # predecessor or its own at degree 0, packed depths, nonzero positions)
+    todo = [(0, -1, module.generator, 0, ())]
     while span.rank < dimension:
-        live = False
-        walk = _ordered_images(module, listing, _degree_compositions(degree, len(listing)),
-                               None if budget is None else wanted)
-        for s, image in walk:
-            if image:
-                live = True
-                if span.add(image) is not None:
-                    key = sum(map(mul, s, steps))
-                    held[key] = held.get(key, 0) + 1
-                    kept.append(s)
-                    if span.rank == dimension:
-                        break
-        if not live and budget is not None:
-            again = _degree_compositions(degree, len(listing))
-            live = any(image for _, image in _ordered_images(module, listing, again, targeted))
-        if not live:
+        todo.sort(key=itemgetter(0), reverse=True)
+        carried: dict[int, tuple] = {}
+        for s, k, vec, key, support in todo:
+            image = space.apply(tables[k], vec) if k >= 0 else vec
+            if not image:
+                continue
+            if budget is not None and held.get(key, 0) >= room.get(key, 0):
+                carried[s] = image, key, support
+            elif span.add(image) is not None:
+                held[key] = held.get(key, 0) + 1
+                kept.append(s)
+                carried[s] = image, key, support
+                if span.rank == dimension:
+                    break
+            elif not closed:
+                carried[s] = image, key, support
+        if not carried:
             raise ArithmeticError("essential monomial scan did not stabilize")
-        degree += 1
-    return kept
-
+        todo = []
+        for t, (vec, key, support) in carried.items():
+            first = support[0] if support else m
+            for k in range(min(first + 1, m)):
+                s = t + units[k]
+                # The lower covers of s other than t are s - e_j, j in t's support.
+                if closed and not all([s - units[j] in carried for j in support if j != k]):
+                    continue
+                todo.append((s, k, vec, key + steps[k], support if k == first else (k,) + support))
+    return [tuple([s >> width * k & mask for k in range(m)]) for s in kept]

@@ -719,9 +719,22 @@ def test_verify_rank5_triangular_elements_up_to_mass_500(capsys):
 
 
 @pytest.mark.slow
+def test_verify_rank5_triangular_elements(capsys):
+    """The whole bundle, module checks included, at rho(5) for all 366
+    triangular elements of S_6, about a minute."""
+    elements = [w for w in all_permutations(5) if is_triangular_element(w)]
+    assert len(elements) == 366
+    for w in elements:
+        code, out, _ = run(capsys, "verify", "--w-oneline", str(w),
+                           "--lambda", "1,1,1,1,1", "--max-dim", "40000")
+        data = json.loads(out)
+        assert (code, data["ok"], data["checks"]["rep"]["status"]) == (0, True, "pass"), w
+
+
+@pytest.mark.slow
 def test_verify_rank5_longest_element_with_modules(capsys):
     """The whole bundle of the rank-5 longest element at rho(5), module
-    checks included: a module of dimension 32,768, about 20 s."""
+    checks included: a module of dimension 32,768, about 5 s."""
     code, out, _ = run(capsys, "verify", "--w-oneline", "6 5 4 3 2 1",
                        "--lambda", "1,1,1,1,1", "--max-dim", "40000")
     assert code == 0

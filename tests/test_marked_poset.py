@@ -327,6 +327,28 @@ def test_counts_match_the_enumerators():
         assert count_chain_points(A, lam) == len(marked_chain_points(A, lam))
 
 
+def _packed_count_sweep(t):
+    """Every subset at rank 3 and every triangular subset at rank 4, at t
+    rho and at t times a weight with a zero coefficient."""
+    sweeps = [(A, rho(3).scale(t)) for A in all_subsets(3)]
+    sweeps += [(A, DominantWeight((2, 0, 1)).scale(t)) for A in all_subsets(3)]
+    triangular = [A for A in all_subsets(4) if is_triangular_subset(A)]
+    sweeps += [(A, rho(4).scale(t)) for A in triangular]
+    sweeps += [(A, DominantWeight((1, 0, 2, 1)).scale(t)) for A in triangular]
+    assert len(sweeps) == 2 * 64 + 2 * 199
+    return sweeps
+
+
+@pytest.mark.parametrize("t", [1, 2, pytest.param(3, marks=pytest.mark.slow)])
+def test_packed_counts_match_the_enumerators_at_dilations(t):
+    """The packed order count and the planned chain count against the point
+    lists, at t rho for t = 1, 2 (and 3, 3.7 million points at rank 4,
+    under `-m slow`)."""
+    for A, lam in _packed_count_sweep(t):
+        assert count_order_points(A, lam) == len(marked_order_points(A, lam)), (A, lam)
+        assert count_chain_points(A, lam) == len(marked_chain_points(A, lam)), (A, lam)
+
+
 def test_order_count_reaches_rank5_dilations():
     """The DP counts what no enumeration could list: 3 rho(5) is 4^15."""
     assert count_order_points(RootSubset.full(5), rho(5).scale(3)) == 4 ** 15

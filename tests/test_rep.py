@@ -1,9 +1,10 @@
 """Explicit modules, extremal vectors, monomial bases, and graded profiles."""
 
 import json
+import operator
 import warnings
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 
 import pytest
@@ -32,7 +33,7 @@ from fflv.rep import (
     subset_submodule,
     verify_monomial_basis,
 )
-from fflv.roots import DominantWeight, Root, all_positive_roots, rho
+from fflv.roots import DominantWeight, Root, all_positive_roots, parse_root, rho
 from fflv.weyl import (
     Permutation,
     RootSubset,
@@ -488,6 +489,73 @@ def _reference_ordered_image(module, listing, exponents):
     return vec
 
 
+def _degree_compositions(total, parts):
+    """Exponent tuples of one degree, increasing in revlex order (lex on
+    the reversed tuples, descending)."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for x in range(total, -1, -1):
+        for rest in _degree_compositions(total - x, parts - 1):
+            yield rest + (x,)
+
+
+def _reference_scan(module, listing, dimension, budget):
+    """The essential scan over every composition of each degree, in revlex
+    order: the tuples whose image enlarges the span of the earlier ones,
+    until the span has rank `dimension`.  A tuple whose weight the budget
+    says is full computes no image.  A degree whose computed images all
+    vanish is walked again over its tuples at the budget's weights, and
+    the scan raises when those vanish too."""
+    parts = fflv.rep.to_partition(module.weight)
+    deepest = sum(accumulate(map(operator.sub, parts, parts[::-1])))
+    width = (deepest + 1).bit_length()
+    steps = [sum([1 << width * (k - 1) for k in range(r.i, r.j + 1)]) for r in listing]
+    room = {}
+    if budget is not None:
+        for content, mult in budget.items():
+            depths = list(accumulate(map(operator.sub, parts, content)))
+            if depths.pop() == 0 and all(0 <= b <= deepest for b in depths):
+                room[sum([b << width * k for k, b in enumerate(depths)])] = mult
+    held = {}
+
+    def wanted(s):
+        key = sum(map(operator.mul, s, steps))
+        return held.get(key, 0) < room.get(key, 0)
+
+    def targeted(s):
+        return sum(map(operator.mul, s, steps)) in room
+
+    def walk(degree, keep):
+        # `filter` asks `keep` only when the walk takes the next tuple, so
+        # after the previous image has been added to the span.
+        tuples = _degree_compositions(degree, len(listing))
+        return fflv.rep._ordered_images(module, listing,
+                                        tuples if keep is None else filter(keep, tuples))
+
+    span = IntSpan(module.space.dimension)
+    kept = []
+    degree = 0
+    while span.rank < dimension:
+        live = False
+        for s, image in walk(degree, None if budget is None else wanted):
+            if image:
+                live = True
+                if span.add(image) is not None:
+                    key = sum(map(operator.mul, s, steps))
+                    held[key] = held.get(key, 0) + 1
+                    kept.append(s)
+                    if span.rank == dimension:
+                        break
+        if not live and budget is not None:
+            live = any(image for _, image in walk(degree, targeted))
+        if not live:
+            raise ArithmeticError("essential monomial scan did not stabilize")
+        degree += 1
+    return kept
+
+
 @lru_cache(maxsize=None)
 def _walk_module(lam):
     return build_highest_weight_module(lam)
@@ -519,10 +587,11 @@ def _walks(draw):
 def test_ordered_images_match_rebuilt_images(walk):
     """The suffix-sharing walk yields every tuple of the scan, in the scan's
     order, with the image rebuilt from the highest vector: with repeats,
-    zero tuples, vanishing images and unsorted scans.  With a `wanted`
-    predicate it yields the wanted tuples alone, each with its rebuilt
-    image after any run of skipped tuples, and asks the predicate once per
-    tuple, in scan order."""
+    zero tuples, vanishing images and unsorted scans.  Over a scan
+    filtered by a predicate, as the reference scan walks, it yields the
+    wanted tuples alone, each with its rebuilt image after any run of
+    skipped tuples, and the predicate is asked once per tuple, in scan
+    order."""
     lam, listing, scan, wanted = walk
     module = _walk_module(lam)
     walked = list(fflv.rep._ordered_images(module, listing, scan))
@@ -530,7 +599,7 @@ def test_ordered_images_match_rebuilt_images(walk):
     asked = []
     answers = iter(wanted)
     walked = list(fflv.rep._ordered_images(
-        module, listing, scan, lambda s: asked.append(s) or next(answers)))
+        module, listing, filter(lambda s: asked.append(s) or next(answers), scan)))
     assert asked == scan
     assert walked == [(s, _reference_ordered_image(module, listing, s))
                       for s, keep in zip(scan, wanted) if keep]
@@ -558,7 +627,7 @@ def test_degree_compositions_come_in_scan_order():
         for total in range(6):
             want = sorted((s for s in product(range(total + 1), repeat=parts)
                            if sum(s) == total), key=lambda s: tuple(-x for x in reversed(s)))
-            assert list(fflv.rep._degree_compositions(total, parts)) == want, (total, parts)
+            assert list(_degree_compositions(total, parts)) == want, (total, parts)
 
 
 def _weights(n, values):
@@ -779,3 +848,203 @@ def test_non_closed_subset_still_does_not_stabilize():
     for budget in (sub.weights, None):
         with pytest.raises(ArithmeticError, match="did not stabilize"):
             fflv.rep._scan(module, listing, sub.dimension, budget)
+
+
+NON_TRIANGULAR_4 = "1.1,1.3,2.2,2.3,2.4,3.3,4.4"
+
+
+def _subset(n, labels):
+    return RootSubset.of(n, {parse_root(t) for t in labels.split(",")})
+
+
+def _labels(A):
+    return ",".join(f"{r.i}.{r.j}" for r in A.sorted_roots())
+
+
+def _scan_outcome(scan, module, listing, dimension, budget):
+    """The kept tuples of a scan, or the message it raises."""
+    try:
+        return scan(module, listing, dimension, budget)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+def _scan_cases():
+    for n, weights in ((2, [rho(2), DominantWeight((2, 1)), DominantWeight((1, 2))]),
+                       (3, [rho(3), DominantWeight((2, 1, 1)), DominantWeight((1, 2, 1))])):
+        for lam in weights:
+            for w in all_permutations(n):
+                yield lam, inversion_roots(w)
+    roots = all_positive_roots(3)
+    for r in range(1, len(roots) + 1):
+        for subset in combinations(roots, r):
+            yield rho(3), RootSubset.of(3, set(subset))
+    yield rho(4), _subset(4, NON_TRIANGULAR_4)
+
+
+def _downward_closed(kept):
+    found = set(kept)
+    return all(s[:j] + (s[j] - 1,) + s[j + 1:] in found
+               for s in found for j in range(len(s)) if s[j])
+
+
+def test_order_ideal_scan_keeps_the_reference_scans_tuples():
+    """The order-ideal scan keeps the tuples of the scan over every
+    composition, in the same order, and raises where it raises, with the
+    target's weights as budget and with none: for every element of S_3
+    and S_4 at three weights each, every subset at rank 3 at rho(3),
+    closed under root addition or not, and the benchmark's non-triangular
+    face at rho(4).  For a closed subset the kept tuples are downward
+    closed."""
+    raised = []
+    for lam, A in _scan_cases():
+        module = _module(lam)
+        target = subset_submodule(module, A)
+        listing = fflv.rep._tall_first(A.members)
+        for budget in (target.weights, None):
+            kept = _scan_outcome(fflv.rep._scan, module, listing, target.dimension, budget)
+            assert kept == _scan_outcome(_reference_scan, module, listing, target.dimension,
+                                         budget), (lam, A, budget is None)
+            raised.append(isinstance(kept, str))
+            if fflv.rep._closed(A.members) and not isinstance(kept, str):
+                assert _downward_closed(kept), (lam, A)
+    assert len(raised) == 2 * (3 * 6 + 3 * 24 + 63 + 1)
+    assert 0 < sum(raised) < len(raised)
+
+
+@pytest.mark.parametrize("lam", [DominantWeight((2, 1)), DominantWeight((1, 2)), rho(3)])
+def test_order_ideal_scan_keeps_the_reference_tuples_under_a_short_budget(lam):
+    """A budget one short at any one weight changes the kept tuples and the
+    raise of the order-ideal scan as it changes those of the scan over
+    every composition, to the true dimension and to the budget's total:
+    for every element of S_3 and S_4."""
+    module = _module(lam)
+    for w in all_permutations(lam.n):
+        A = inversion_roots(w)
+        target = subset_submodule(module, A)
+        listing = fflv.rep._tall_first(A.members)
+        for at in target.weights:
+            short = _one_short(target.weights, at)
+            for dimension in (target.dimension, target.dimension - 1):
+                assert (_scan_outcome(fflv.rep._scan, module, listing, dimension, short)
+                        == _scan_outcome(_reference_scan, module, listing, dimension, short)), (
+                    w, at, dimension)
+
+
+def _spy(monkeypatch, owner, name):
+    """Record the arguments of every call of `owner.name`, which still runs."""
+    calls = []
+    inner = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or inner(*args))
+    return calls
+
+
+def test_certified_basis_matches_the_explicit_check(capsys, monkeypatch):
+    """On every subset closed under root addition at ranks 1-4, at rho,
+    the `basis_ok` of `verify --A` is that of `verify_monomial_basis` on
+    the face with the lowering closure's dimension, and the explicit check
+    runs exactly where the scan does not keep the face."""
+    monkeypatch.setattr(fflv.cli, "build_highest_weight_module", lambda lam, cap: _module(lam))
+    calls = _spy(monkeypatch, fflv.cli, "verify_monomial_basis")
+    statuses = {}
+    for n in (1, 2, 3, 4):
+        lam = rho(n)
+        module = _module(lam)
+        roots = all_positive_roots(n)
+        for r in range(1, len(roots) + 1):
+            for subset in combinations(roots, r):
+                if not fflv.rep._closed(subset):
+                    continue
+                A = RootSubset.of(n, set(subset))
+                calls.clear()
+                rep = _rep_block(capsys, "--A", _labels(A), "--lambda", ",".join(["1"] * n),
+                                 "--max-dim", "2000")
+                key = (rep["status"], not calls)
+                statuses[key] = statuses.get(key, 0) + 1
+                if rep["status"] == "skipped":
+                    continue
+                S = enumerate_lattice_points(A, lam)
+                explicit = verify_monomial_basis(module, S, subset_submodule(module, A).dimension)
+                assert rep["basis_ok"] == explicit.ok, A
+                assert len(calls) == (not rep["essential_ok"]), A
+    assert statuses == {("pass", True): 286, ("fail", False): 20, ("skipped", True): 96}
+
+
+def test_a_kept_set_that_is_not_certified_runs_the_explicit_check(capsys, monkeypatch):
+    """The certificate needs both a kept set equal to the face and a subset
+    closed under root addition.  A scan made to drop one tuple of a closed
+    subset's face, and a non-closed subset whose scan is made to return its
+    face, each run `verify_monomial_basis` once, and `basis_ok` is its
+    answer."""
+    calls = _spy(monkeypatch, fflv.cli, "verify_monomial_basis")
+    element = ("--w-oneline", "3 4 2 1", "--lambda", "2,1,1")
+    assert _rep_block(capsys, *element)["status"] == "pass"
+    assert calls == []
+    scan = fflv.cli.essential_monomials
+
+    def dropped(*args, **kwargs):
+        kept = scan(*args, **kwargs)
+        return PointSet(kept.n, kept.roots, kept.tuples[:-1])
+
+    monkeypatch.setattr(fflv.cli, "essential_monomials", dropped)
+    rep = _rep_block(capsys, *element)
+    assert len(calls) == 1
+    assert (rep["status"], rep["basis_ok"], rep["essential_ok"]) == ("fail", True, False)
+
+    calls.clear()
+    lam = DominantWeight((1, 1))
+    A = RootSubset.of(2, {Root(1, 1), Root(2, 2)})
+    assert not fflv.rep._closed(A.members)
+    face = enumerate_lattice_points(A, lam)
+    monkeypatch.setattr(fflv.cli, "essential_monomials", lambda module, A, weights: face)
+    rep = _rep_block(capsys, "--A", _labels(A), "--lambda", "1,1")
+    assert len(calls) == 1
+    module, S, dimension = calls[0]
+    assert rep["essential_ok"] is True
+    assert rep["basis_ok"] == verify_monomial_basis(module, S, dimension).ok
+
+
+def test_essential_scan_work_is_pinned(capsys, monkeypatch):
+    """`verify` of the longest element at rho(4) with `--max-dim 2000`
+    makes 1,670 applies and 1,152 reductions inside its essential scan;
+    the scan over every composition made 3,253 and 1,399.  No operator is
+    applied twice to one image.  Without a budget, the scan applies at
+    most once per candidate: the zero tuple, and each tuple whose lower
+    covers are all kept."""
+    applies, adds, inside = [], [], [False]
+    apply, add = TensorSpace.apply, IntSpan.add
+    monkeypatch.setattr(TensorSpace, "apply", lambda self, table, vec: (
+        inside[0] and applies.append((table, vec))) or apply(self, table, vec))
+    monkeypatch.setattr(IntSpan, "add", lambda self, vec: (
+        inside[0] and adds.append(vec)) or add(self, vec))
+    scan = fflv.cli.essential_monomials
+
+    def counted(*args, **kwargs):
+        inside[0] = True
+        try:
+            return scan(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(fflv.cli, "essential_monomials", counted)
+    assert main(["verify", "--w-oneline", "5 4 3 2 1", "--lambda", "1,1,1,1",
+                 "--max-dim", "2000"]) == 0
+    capsys.readouterr()
+    assert (len(applies), len(adds)) == (1670, 1152)
+    assert len({(id(table), id(vec)) for table, vec in applies}) == len(applies)
+
+    applies.clear()
+    module = _module(rho(4))
+    listing = fflv.rep._tall_first(inversion_roots(Permutation.longest(4)).members)
+    inside[0] = True
+    kept = set(fflv.rep._scan(module, listing, 1024, None))
+    inside[0] = False
+    m = len(listing)
+    candidates = {(0,) * m}
+    for t in kept:
+        first = next((k for k, x in enumerate(t) if x), m - 1)
+        for k in range(first + 1):
+            s = t[:k] + (t[k] + 1,) + t[k + 1:]
+            if all(s[:j] + (s[j] - 1,) + s[j + 1:] in kept for j in range(m) if s[j]):
+                candidates.add(s)
+    assert len(applies) <= len(candidates) - 1
