@@ -43,7 +43,6 @@ from .rep import (
     build_highest_weight_module,
     essential_monomials,
     lowering_weights,
-    pbw_filtration_profile,
     subset_submodule,
     verify_monomial_basis,
 )
@@ -391,11 +390,13 @@ def _verify_checks(args: argparse.Namespace) -> dict:
             # is U(n-_A) applied to the highest vector.  For an element its
             # dimension and weights are the Demazure character at w, its
             # profile comes from the essential scan (`fflv.rep`), and no
-            # closure is formed; a subset forms its lowering closure.
+            # closure is formed; a subset forms its lowering closure, whose
+            # profile is read off its degrees.
             module = build_highest_weight_module(lam, cap=args.max_dim)
             if w is None:
                 target = subset_submodule(module, A)
                 dimension, weights = target.dimension, target.weights
+                incs = [b - a for a, b in zip((0,) + target.profile, target.profile)]
             else:
                 dimension, weights = oracle.mass, lowering_weights(oracle.terms, w)
             dims = {"subset": dimension, "lattice": len(S)}
@@ -408,11 +409,7 @@ def _verify_checks(args: argparse.Namespace) -> dict:
                 basis_ok = True
             else:
                 basis_ok = verify_monomial_basis(module, S, dimension).ok
-            if w is None:
-                profile = pbw_filtration_profile(module, A)
-                incs = [profile[0]] + [profile[i] - profile[i - 1]
-                                       for i in range(1, len(profile))]
-            else:
+            if w is not None:
                 kept = degree_histogram(essential)
                 incs = [kept.get(d, 0) for d in range(max(kept) + 1)]
             hist = degree_histogram(S)

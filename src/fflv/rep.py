@@ -16,8 +16,8 @@ every closure row and every monomial image is a weight vector, whose support
 lies in one weight space, and applying an operator or eliminating against a
 span costs time in that support, not in the ambient dimension.  Lattice
 points arrive as the value tuples of a `PointSet` and are reported as such.
-Ordered lowering monomials share a stack of suffix images; bases walk colex,
-one apply a point.
+Faces are walked colex on one stack, one apply a point.  Every stage is
+handed its target: no default forms a closure, and none is kept.
 
 Lowering and raising follow the convention that the lowering operator for the
 positive root built on rows i..j is E_{j+1,i} and the raising operator is
@@ -89,7 +89,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 from math import gcd, prod
 from operator import itemgetter, sub
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .characters import demazure_character_oracle, to_partition, weyl_dimension
 from .linalg import IntSpan, SparseVector
@@ -239,15 +239,12 @@ class IrreducibleModule:
     of each weight (content vector, as `TensorSpace.weight_of` gives it)
     of the copy of V(lambda) that the generator spans under the lowerings
     (module docstring).  The character is computed on first read, so only
-    a stage that budgets a closure with it pays for it.  Lowering closures
-    of this module are kept per root subset, so each one is computed once.
+    a stage that budgets a closure with it pays for it.
     """
 
     space: TensorSpace
     weight: DominantWeight
     generator: SparseVector
-    _subsets: dict[tuple[Root, ...], ExplicitModule] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -419,60 +416,19 @@ def subset_submodule(module: IrreducibleModule, A: RootSubset) -> ExplicitModule
     """Span generated from the highest vector by the lowerings in A.
 
     The closure is defined for every subset A, triangular or not, and the
-    Weyl character is its budget.  It is computed once per module
-    and subset; later calls return the same object.
+    Weyl character is its budget.  Each call forms it anew.
     """
     space = module.space
     _check_rank(A.n, space)
-    roots = A.sorted_roots()
-    sub = module._subsets.get(roots)
-    if sub is None:
-        ops = [(r.j + 1, r.i) for r in roots]
-        basis, profile, weights = _closure(space, module.generator, ops,
-                                           what="lowering closure", budget=module.weights)
-        sub = ExplicitModule(space, module.weight, module.generator, basis, profile, weights)
-        module._subsets[roots] = sub
-    return sub
+    ops = [(r.j + 1, r.i) for r in A.sorted_roots()]
+    basis, profile, weights = _closure(space, module.generator, ops,
+                                       what="lowering closure", budget=module.weights)
+    return ExplicitModule(space, module.weight, module.generator, basis, profile, weights)
 
 
 def _check_rank(n: int, space: TensorSpace) -> None:
     if n != space.n:
         raise ValueError(f"subset rank {n} does not match module rank {space.n}")
-
-
-def _ordered_images(
-    module: IrreducibleModule,
-    listing: Sequence[Root],
-    scan: Iterable[tuple[int, ...]],
-) -> Iterator[tuple[tuple[int, ...], SparseVector]]:
-    """Yield (s, image of the highest vector under the ordered monomial s)
-    for each exponent tuple s of the scan, in any order.  The rightmost
-    factor acts first; for the last tuple, level k of a stack holds
-    L_k^{s_k} ... L_m^{s_m} v.  The next tuple keeps the levels above the
-    highest position p where it differs; level p goes on from its image if
-    s_p grew, and every other level from p down is rebuilt from the one
-    above.  A zero level is not applied to.  Walked over a downward closed
-    set in colex order, as `verify_monomial_basis` walks a face, each image
-    costs one apply.
-    """
-    space = module.space
-    tables = [space.lowering_table(r) for r in listing]
-    last = (0,) * len(listing)
-    levels = [module.generator] * (len(listing) + 1)
-    for s in scan:
-        p = len(s) - 1
-        while p >= 0 and s[p] == last[p]:
-            p -= 1
-        for k in range(p, -1, -1):
-            grew = k == p and s[k] > last[k]
-            vec = levels[k] if grew else levels[k + 1]
-            todo = s[k] - last[k] if grew else s[k]
-            while todo and vec:
-                vec = space.apply(tables[k], vec)
-                todo -= 1
-            levels[k] = vec
-        last = s
-        yield s, levels[0]
 
 
 @dataclass(frozen=True)
@@ -495,30 +451,51 @@ class MonomialBasisReport:
 
 
 def verify_monomial_basis(
-    module: IrreducibleModule, points: PointSet, dimension: Optional[int] = None
+    module: IrreducibleModule, points: PointSet, dimension: int
 ) -> MonomialBasisReport:
     """Check that the ordered monomials over the lattice points form a basis.
 
     `points` is the face polytope of A, the subset of its coordinates, at
     the module's weight.  For each lattice point, the ordered lowering
-    monomial is applied to the highest vector; the report records whether
-    those vectors are linearly independent and whether they span U(n-_A)
-    applied to the highest vector, which holds them all.  `dimension` is
-    the dimension of that submodule where it is known (for A = N(w), the
-    mass of the Demazure character at w, by the module docstring); without
-    it the lowering closure of A is formed.  Points are walked in colex order (lex on the
-    reversed tuple).  The face is downward closed, so a point's
-    predecessor is the point less one at its first nonzero exponent, and
-    each image costs one apply.
+    monomial is applied to the highest vector v; the report records whether
+    those vectors are linearly independent and whether they span U(n-_A) v,
+    which holds them all and has dimension `dimension`: for A = N(w) the
+    Demazure mass at w (module docstring), else the lowering closure's.
+
+    The face is an order ideal of N^m, walked in colex order (lex on the
+    reversed tuple), which extends the componentwise order.  So the colex
+    successor s of t raises the highest position p where they differ
+    (s_p > t_p) by one and is zero below p: s and t + e_p, each with its
+    entries below p set to zero, lie under s and above t, so each is s.
+    The origin comes first.  Any other step raises ValueError before its
+    image is formed.
+
+    Level k of one stack holds L_k^{s_k} ... L_m^{s_m} v for the last point
+    s, the rightmost factor acting first; level m + 1 is v.  A step keeps
+    the levels above p, applies L_p once to level p and copies it into the
+    levels below, whose exponents are zero.  So whenever the walk does not
+    raise, each image is exact, at one apply a point.
     """
-    _check_rank(points.n, module.space)
-    if dimension is None:
-        dimension = subset_submodule(module, RootSubset.of(points.n, points.roots)).dimension
-    span = IntSpan(module.space.dimension)
+    space = module.space
+    _check_rank(points.n, space)
+    tables = [space.lowering_table(r) for r in points.roots]
+    levels = [module.generator] * (len(tables) + 1)
+    span = IntSpan(space.dimension)
     witness: Optional[tuple[int, ...]] = None
-    colex = sorted(points.tuples, key=lambda s: s[::-1])
-    for s, image in _ordered_images(module, points.roots, colex):
-        if span.add(image) is None and witness is None:
+    last: Optional[tuple[int, ...]] = None
+    for s in sorted(points.tuples, key=lambda s: s[::-1]):
+        if last is None:
+            if any(s):
+                raise ValueError(f"colex walk starts at {s}, not at the origin")
+        else:
+            p = len(s) - 1
+            while p >= 0 and s[p] == last[p]:
+                p -= 1
+            if p < 0 or s[p] != last[p] + 1 or any(s[:p]):
+                raise ValueError(f"colex walk steps from {last} to {s}: not an order ideal")
+            levels[:p + 1] = [space.apply(tables[p], levels[p])] * (p + 1)
+        last = s
+        if span.add(levels[0]) is None and witness is None:
             witness = s
     return MonomialBasisReport(
         lattice_points=len(points),
@@ -547,9 +524,7 @@ def _tall_first(roots: Iterable[Root]) -> list[Root]:
 
 
 def essential_monomials(
-    module: IrreducibleModule,
-    A: RootSubset,
-    weights: Optional[Mapping[tuple[int, ...], int]] = None,
+    module: IrreducibleModule, A: RootSubset, weights: Mapping[tuple[int, ...], int]
 ) -> PointSet:
     """Exponents whose ordered monomial escapes the span of all smaller ones.
 
@@ -565,11 +540,10 @@ def essential_monomials(
 
     The scan runs until the span is U(n-_A) applied to the highest vector,
     which holds every monomial vector.  `weights` are that submodule's
-    weights with multiplicity where they are known (for A = N(w), the
-    Demazure character at w mapped by `lowering_weights`); without them
-    the lowering closure of A is formed and its rows' weights are taken.
-    Their total is the rank the scan stops at, and each is the budget of
-    its weight.
+    weights with multiplicity: for A = N(w), the Demazure character at w
+    mapped by `lowering_weights`, and otherwise the row weights of the
+    lowering closure of A (`subset_submodule`).  Their total is the rank
+    the scan stops at, and each is the budget of its weight.
 
     For closed A, the kept tuples equal to the face certify its monomial
     basis (module docstring), which `verify` reads instead of
@@ -580,8 +554,6 @@ def essential_monomials(
     so that degree always comes.
     """
     _check_rank(A.n, module.space)
-    if weights is None:
-        weights = subset_submodule(module, A).weights
     listing = _tall_first(A.members)
     kept = _scan(module, listing, sum(weights.values()), weights)
     roots = A.sorted_roots()

@@ -39,6 +39,7 @@ from fflv import (
     minkowski_sum,
     pbw_filtration_profile,
     rho,
+    subset_submodule,
     UnboundedFaceError,
     verify_monomial_basis,
     weyl_dimension,
@@ -225,7 +226,9 @@ def test_criterion_7_module_bases(capsys):
     def battery(module, w, lam):
         A = inversion_roots(w)
         S = enumerate_lattice_points(A, lam)
-        rep = verify_monomial_basis(module, S)
+        # The profile's last entry is the lowering closure's dimension.
+        dims = pbw_filtration_profile(module, A)
+        rep = verify_monomial_basis(module, S, dims[-1])
         if not rep.ok:
             problems.append(f"monomials fail at {w}, {lam.coeffs}: {rep}")
         dem = demazure_submodule(module, w).dimension
@@ -233,7 +236,6 @@ def test_criterion_7_module_bases(capsys):
             problems.append(
                 f"dimension mismatch at {w}, {lam.coeffs}: "
                 f"{rep.submodule_dimension}, {dem}, {rep.lattice_points}")
-        dims = pbw_filtration_profile(module, A)
         incs = [dims[0]] + [b - a for a, b in zip(dims, dims[1:])]
         hist = degree_histogram(S)
         if incs != [hist.get(d, 0) for d in range(max(hist) + 1)]:
@@ -260,7 +262,7 @@ def test_criterion_8_essential_monomials_and_products(capsys):
             if not is_triangular_subset(A):
                 continue
             S = enumerate_lattice_points(A, lam)
-            if essential_monomials(module, A) != S:
+            if essential_monomials(module, A, subset_submodule(module, A).weights) != S:
                 problems.append(f"essential != points, {lam.coeffs}, "
                                 f"A={[r.label for r in A.sorted_roots()]}")
             doubled = len(enumerate_lattice_points(A, lam.scale(2)))

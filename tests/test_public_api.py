@@ -71,6 +71,7 @@ UNREACHED = {
     "marked_chain_points": TRACED,
     "marked_order_points": TRACED,
     "minkowski_sum": TRACED,
+    "pbw_filtration_profile": TRACED,
     "rho": VOCABULARY,
 }
 

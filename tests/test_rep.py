@@ -20,7 +20,12 @@ from fflv.characters import (
 )
 from fflv.cli import main
 from fflv.linalg import IntSpan
-from fflv.polytope import PointSet, degree_histogram, enumerate_lattice_points
+from fflv.polytope import (
+    PointSet,
+    UnboundedFaceError,
+    degree_histogram,
+    enumerate_lattice_points,
+)
 from fflv.rep import (
     DimensionCapError,
     TensorSpace,
@@ -157,25 +162,18 @@ def test_subset_submodule_is_silent_when_not_triangular():
     assert sub.dimension == 13
 
 
-def test_subset_submodule_is_computed_once_per_subset():
-    module = build_highest_weight_module(DominantWeight((2, 1)))
-    A = RootSubset.full(2)
-    sub = subset_submodule(module, A)
-    assert subset_submodule(module, A) is sub
-    assert subset_submodule(module, inversion_roots(Permutation.from_word((1,), 2))) is not sub
-
-
 def test_monomial_basis_for_triangular_rank2():
     lam = DominantWeight((2, 1))
     module = build_highest_weight_module(lam)
     for w in all_permutations(2):
         A = inversion_roots(w)
-        report = verify_monomial_basis(module, enumerate_lattice_points(A, lam))
+        report = verify_monomial_basis(module, enumerate_lattice_points(A, lam),
+                                       demazure_character_oracle(w, lam).mass)
         assert report.ok
         assert report.witness is None
         assert report.lattice_points == report.rank == report.submodule_dimension
     with pytest.raises(ValueError):
-        verify_monomial_basis(module, enumerate_lattice_points(RootSubset.full(3), rho(3)))
+        verify_monomial_basis(module, enumerate_lattice_points(RootSubset.full(3), rho(3)), 64)
 
 
 def test_dependent_monomials_name_a_witness():
@@ -186,7 +184,7 @@ def test_dependent_monomials_name_a_witness():
     A = RootSubset.of(2, {Root(1, 1)})
     points = enumerate_lattice_points(A, module.weight)
     padded = PointSet(points.n, points.roots, tuple(sorted(points.tuples + ((2,),))))
-    report = verify_monomial_basis(module, padded)
+    report = verify_monomial_basis(module, padded, 2)
     assert report.independent is False
     assert report.spanning is True
     assert report.witness == (2,)
@@ -202,13 +200,13 @@ def test_non_triangular_example_still_has_a_monomial_basis():
     w = Permutation.from_word((1, 3, 2), 3)
     assert not is_triangular_element(w)
     A = inversion_roots(w)
-    report = verify_monomial_basis(module, enumerate_lattice_points(A, lam))
+    sub = subset_submodule(module, A)
+    report = verify_monomial_basis(module, enumerate_lattice_points(A, lam), sub.dimension)
     assert report.lattice_points == 13
     assert report.rank == 13
     assert report.submodule_dimension == 13
     assert report.ok
     assert demazure_submodule(module, w).dimension == 13
-    sub = subset_submodule(module, A)
     borel = demazure_submodule(module, w)
     sub_span = _span(module.space, sub.basis)
     assert any(row not in sub_span for row in borel.basis)
@@ -234,7 +232,7 @@ def test_essential_monomials_recover_lattice_points():
     for w in all_permutations(2):
         A = inversion_roots(w)
         pts = enumerate_lattice_points(A, lam)
-        ess = essential_monomials(module, A)
+        ess = essential_monomials(module, A, subset_submodule(module, A).weights)
         assert ess.roots == pts.roots
         assert set(ess.tuples) == set(pts.tuples)
 
@@ -528,11 +526,11 @@ def _reference_scan(module, listing, dimension, budget):
         return sum(map(operator.mul, s, steps)) in room
 
     def walk(degree, keep):
-        # `filter` asks `keep` only when the walk takes the next tuple, so
-        # after the previous image has been added to the span.
-        tuples = _degree_compositions(degree, len(listing))
-        return fflv.rep._ordered_images(module, listing,
-                                        tuples if keep is None else filter(keep, tuples))
+        # The generator asks `keep` only when the loop takes the next tuple,
+        # so after the previous image has been added to the span.
+        for s in _degree_compositions(degree, len(listing)):
+            if keep is None or keep(s):
+                yield s, _reference_ordered_image(module, listing, s)
 
     span = IntSpan(module.space.dimension)
     kept = []
@@ -556,69 +554,84 @@ def _reference_scan(module, listing, dimension, budget):
     return kept
 
 
-@lru_cache(maxsize=None)
-def _walk_module(lam):
-    return build_highest_weight_module(lam)
-
-
-@st.composite
-def _walks(draw):
-    """A module at rank 1-3, a listing of some of its roots in (row, column)
-    or tall-first order, a scan of exponent tuples in no order, and for
-    each tuple of the scan whether it is wanted."""
-    lam = draw(st.sampled_from([DominantWeight((3,)), DominantWeight((1, 2)),
-                                DominantWeight((2, 1)), rho(3), DominantWeight((0, 2, 1))]))
-    roots = draw(st.lists(st.sampled_from(all_positive_roots(lam.n)), min_size=1, unique=True))
-    listing = sorted(roots) if draw(st.booleans()) else fflv.rep._tall_first(roots)
-    exponents = st.tuples(*[st.integers(0, 4)] * len(listing))
-    scan = draw(st.lists(exponents, max_size=12))
-    wanted = draw(st.lists(st.booleans(), min_size=len(scan), max_size=len(scan)))
-    return lam, tuple(listing), scan, wanted
-
-
-@settings(max_examples=80, deadline=None)
-@given(_walks())
-@example((rho(3), (Root(1, 1), Root(1, 2), Root(2, 3)),
-          [(0, 0, 0), (1, 2, 1), (1, 2, 1), (0, 0, 0), (2, 0, 1), (3, 2, 0), (1, 2, 1)],
-          [True, False, True, False, False, True, True]))
-@example((DominantWeight((1, 2)), (Root(1, 2), Root(1, 1), Root(2, 2)),
-          [(0, 2, 0), (0, 1, 2), (1, 1, 2), (1, 4, 2), (0, 0, 1), (0, 0, 0)],
-          [False, False, True, False, True, True]))
-def test_ordered_images_match_rebuilt_images(walk):
-    """The suffix-sharing walk yields every tuple of the scan, in the scan's
-    order, with the image rebuilt from the highest vector: with repeats,
-    zero tuples, vanishing images and unsorted scans.  Over a scan
-    filtered by a predicate, as the reference scan walks, it yields the
-    wanted tuples alone, each with its rebuilt image after any run of
-    skipped tuples, and the predicate is asked once per tuple, in scan
-    order."""
-    lam, listing, scan, wanted = walk
-    module = _walk_module(lam)
-    walked = list(fflv.rep._ordered_images(module, listing, scan))
-    assert walked == [(s, _reference_ordered_image(module, listing, s)) for s in scan]
-    asked = []
-    answers = iter(wanted)
-    walked = list(fflv.rep._ordered_images(
-        module, listing, filter(lambda s: asked.append(s) or next(answers), scan)))
-    assert asked == scan
-    assert walked == [(s, _reference_ordered_image(module, listing, s))
-                      for s, keep in zip(scan, wanted) if keep]
-
-
 def test_monomial_basis_costs_one_apply_per_point(monkeypatch):
     """At rho(4), longest element, the colex walk makes |S| - 1 = 1,023
-    applies for the 1,024 points; the lowering closure is formed first, so
-    only the walk is counted."""
+    applies for the 1,024 points, with V(rho(4)) as its target."""
     module = build_highest_weight_module(rho(4), cap=2000)
     A = inversion_roots(Permutation.longest(4))
-    subset_submodule(module, A)
     calls = []
     apply = TensorSpace.apply
     monkeypatch.setattr(TensorSpace, "apply",
                         lambda self, table, vec: calls.append(1) or apply(self, table, vec))
-    report = verify_monomial_basis(module, enumerate_lattice_points(A, rho(4)))
+    report = verify_monomial_basis(module, enumerate_lattice_points(A, rho(4)), module.dimension)
     assert report.ok and report.lattice_points == 1024
     assert len(calls) == 1023
+
+
+def _reference_report(module, points, dimension):
+    """The basis report with every image rebuilt from the highest vector:
+    the witness is the first point, in colex order, whose image lies in
+    the span of the earlier ones."""
+    span = IntSpan(module.space.dimension)
+    witness = None
+    for s in sorted(points.tuples, key=lambda s: s[::-1]):
+        image = _reference_ordered_image(module, points.roots, s)
+        if span.add(image) is None and witness is None:
+            witness = s
+    return fflv.rep.MonomialBasisReport(len(points), span.rank, dimension, witness is None,
+                                        span.rank == dimension, witness)
+
+
+_WALK_WEIGHTS = {1: [DominantWeight((1,)), DominantWeight((3,))],
+                 2: [DominantWeight((1, 1)), DominantWeight((2, 1)), DominantWeight((0, 2))],
+                 3: [rho(3), DominantWeight((2, 0, 1)), DominantWeight((0, 1, 2))]}
+
+
+def test_colex_walk_reports_what_rebuilt_images_give():
+    """Every field of the basis report, the witness among them, is the one
+    that images rebuilt from the highest vector give: for every subset at
+    ranks 1-3 whose face is bounded, at two or three weights lambda a
+    rank, on its faces at lambda and at 2 lambda (order ideals too) in
+    V(lambda), with the lowering closure's dimension as target."""
+    reports = []
+    for n, weights in _WALK_WEIGHTS.items():
+        roots = all_positive_roots(n)
+        for lam in weights:
+            module = _module(lam)
+            for r in range(1, len(roots) + 1):
+                for subset in combinations(roots, r):
+                    A = RootSubset.of(n, set(subset))
+                    try:
+                        faces = [enumerate_lattice_points(A, lam.scale(t)) for t in (1, 2)]
+                    except UnboundedFaceError:
+                        continue
+                    dimension = subset_submodule(module, A).dimension
+                    for S in faces:
+                        report = verify_monomial_basis(module, S, dimension)
+                        assert report == _reference_report(module, S, dimension), (lam, A)
+                        reports.append((report.independent, report.spanning))
+    # At lambda, 125 of the 200 bounded faces are bases and 75 do not span;
+    # at 2 lambda, 3 are bases (the face at lambda is {0}) and 197 are dependent.
+    assert {k: reports.count(k) for k in set(reports)} == {
+        (True, True): 128, (True, False): 75, (False, True): 122, (False, False): 75}
+
+
+@pytest.mark.parametrize("tuples", [((-1,), (0,)), ((0,), (2,)), ((1,), (2,)),
+                                    ((0, 0), (1, 0), (1, 1))])
+def test_colex_walk_refuses_a_set_that_is_no_order_ideal(monkeypatch, tuples):
+    """A negative coordinate, a hole, a set without the origin and a step
+    from (1, 0) to (1, 1) over the missing (0, 1) raise ValueError before
+    the refused point's image is formed: here the last point, or the first
+    when it is not the origin, so only the steps before it apply."""
+    module = build_highest_weight_module(DominantWeight((1, 1)))
+    points = PointSet(2, (Root(1, 1), Root(2, 2))[:len(tuples[0])], tuples)
+    calls = []
+    apply = TensorSpace.apply
+    monkeypatch.setattr(TensorSpace, "apply",
+                        lambda self, table, vec: calls.append(1) or apply(self, table, vec))
+    with pytest.raises(ValueError, match="colex walk"):
+        verify_monomial_basis(module, points, 2)
+    assert len(calls) == len(tuples) - 2
 
 
 def test_degree_compositions_come_in_scan_order():
