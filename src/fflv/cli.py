@@ -391,10 +391,12 @@ def _verify_checks(args: argparse.Namespace) -> dict:
             # dimension and weights are the Demazure character at w, its
             # profile comes from the essential scan (`fflv.rep`), and no
             # closure is formed; a subset forms its lowering closure, whose
-            # profile is read off its degrees.
-            module = build_highest_weight_module(lam, cap=args.max_dim)
+            # profile is read off its degrees.  The cap bounds the target.
+            if w is not None and oracle.mass > args.max_dim:
+                raise DimensionCapError(oracle.mass, args.max_dim, "Demazure module")
+            module = build_highest_weight_module(lam)
             if w is None:
-                target = subset_submodule(module, A)
+                target = subset_submodule(module, A, args.max_dim)
                 dimension, weights = target.dimension, target.weights
                 incs = [b - a for a, b in zip((0,) + target.profile, target.profile)]
             else:
@@ -483,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--lambda", dest="lam", required=True)
     verify.add_argument("--mu", help="second weight for the Minkowski check (default: lambda)")
     verify.add_argument("--max-dim", type=int, default=400,
-                        help="dimension cap for the module checks")
+                        help="cap on the Demazure mass, or on the lowering closure for --A")
     verify.add_argument("--no-rep", action="store_true",
                         help="skip the explicit module checks")
     verify.add_argument("--format", choices=("text", "json"), default="json")

@@ -69,6 +69,8 @@ No stage does work whose result is already known:
   monomial image are lowerings of the highest vector, and the closures
   are spans of images of those.  So the Weyl character is a sound budget
   for the Borel closure, the lowering closures and the scan's target.
+  No stage checks V(lambda)'s dimension: `verify`'s cap bounds the target,
+  which holds every span a stage forms.
 - Weight budgets.  A closure or scan knows each image's weight before it
   computes it, and skips the image when the span's weight space there is
   already full (`_closure`, `_scan`): full against the Weyl character for
@@ -91,7 +93,7 @@ from math import gcd, prod
 from operator import itemgetter, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .characters import demazure_character_oracle, to_partition, weyl_dimension
+from .characters import demazure_character_oracle, to_partition
 from .linalg import IntSpan, SparseVector
 from .polytope import PointSet
 from .roots import DominantWeight, Root
@@ -102,12 +104,10 @@ _Op = tuple[tuple[int, int, tuple[Optional[tuple[int, int]], ...]], ...]
 
 
 class DimensionCapError(RuntimeError):
-    """A construction would exceed the configured dimension cap."""
+    """A stage would form a span over the cap; a closure needs "more than <cap>"."""
 
-    def __init__(self, needed: int, limit: int, what: str = "module") -> None:
+    def __init__(self, needed: int | str, limit: int, what: str) -> None:
         super().__init__(f"{what} needs dimension {needed}, cap is {limit}")
-        self.needed = needed
-        self.limit = limit
 
 
 def _wedge_action(a: int, b: int, subset: _SubsetKey) -> Optional[tuple[_SubsetKey, int]]:
@@ -234,21 +234,17 @@ class ExplicitModule:
 class IrreducibleModule:
     """The irreducible module V(lambda) in its tensor space, with no basis.
 
-    The generator is the highest vector, index 0; the dimension is the
-    Weyl dimension, and `weights` is the Weyl character: the multiplicity
-    of each weight (content vector, as `TensorSpace.weight_of` gives it)
-    of the copy of V(lambda) that the generator spans under the lowerings
-    (module docstring).  The character is computed on first read, so only
-    a stage that budgets a closure with it pays for it.
+    The generator is the highest vector, index 0, and `weights` is the
+    Weyl character: the multiplicity of each weight (content vector, as
+    `TensorSpace.weight_of` gives it) of the copy of V(lambda) that the
+    generator spans under the lowerings (module docstring).  The character
+    is computed on first read, so only a stage that budgets a closure with
+    it pays for it.
     """
 
     space: TensorSpace
     weight: DominantWeight
     generator: SparseVector
-
-    @property
-    def dimension(self) -> int:
-        return weyl_dimension(self.weight)
 
     @cached_property
     def weights(self) -> dict[tuple[int, ...], int]:
@@ -282,7 +278,8 @@ def _closure(
     holds the image.  A skipped image would not have enlarged the span, so
     the same images enter in the same order, and the rows and the profile
     are those without a budget.  A bound that is too small can only leave
-    the closure short.
+    the closure short.  A cap raises DimensionCapError at the first row
+    past it, when the closure's dimension is known only to exceed the cap.
     """
     span = IntSpan(space.dimension)
     moves = [(space.table(a, b), a - 1, b - 1) for a, b in ops]
@@ -308,7 +305,7 @@ def _closure(
                 row = span.add(space.apply(table, vec))
                 if row is not None:
                     if cap is not None and span.rank > cap:
-                        raise DimensionCapError(span.rank, cap, what)
+                        raise DimensionCapError(f"more than {cap}", cap, what)
                     counts[key] = held + 1
                     fresh.append((row, key))
         if fresh:
@@ -317,20 +314,16 @@ def _closure(
     return span.rows, tuple(profile), counts
 
 
-def build_highest_weight_module(lam: DominantWeight, cap: int = 400) -> IrreducibleModule:
+def build_highest_weight_module(lam: DominantWeight) -> IrreducibleModule:
     """The irreducible module of highest weight lambda, with no closure formed.
 
-    Returns the tensor space and the highest vector (index 0), with the
-    Weyl dimension checked against the cap first.  Index 0 is killed by
-    every E_{i,i+1} and has weight lambda, so it generates a copy of
-    V(lambda) holding every vector a stage forms (module docstring); the
-    module's weights, the Weyl character, bound each weight space of
-    those stages.  A character short at some weight only leaves a closure
-    or scan short, which the checks report.
+    Returns the tensor space and the highest vector (index 0) and checks
+    nothing.  Index 0 is killed by every E_{i,i+1} and has weight lambda,
+    so it generates a copy of V(lambda) holding every vector a stage forms
+    (module docstring); the module's weights, the Weyl character, bound
+    each weight space of those stages.  A character short at some weight
+    only leaves a closure or scan short, which the checks report.
     """
-    expected = weyl_dimension(lam)
-    if expected > cap:
-        raise DimensionCapError(expected, cap)
     space = TensorSpace.from_weight(lam)
     return IrreducibleModule(space, lam, space.highest_vector())
 
@@ -412,17 +405,20 @@ def lowering_weights(
     return {tuple([c[k] for k in reads]): m for c, m in weights.items()}
 
 
-def subset_submodule(module: IrreducibleModule, A: RootSubset) -> ExplicitModule:
+def subset_submodule(
+    module: IrreducibleModule, A: RootSubset, cap: Optional[int] = None
+) -> ExplicitModule:
     """Span generated from the highest vector by the lowerings in A.
 
     The closure is defined for every subset A, triangular or not, and the
-    Weyl character is its budget.  Each call forms it anew.
+    Weyl character is its budget.  Each call forms it anew, and raises
+    DimensionCapError at its first row past the cap.
     """
     space = module.space
     _check_rank(A.n, space)
     ops = [(r.j + 1, r.i) for r in A.sorted_roots()]
-    basis, profile, weights = _closure(space, module.generator, ops,
-                                       what="lowering closure", budget=module.weights)
+    basis, profile, weights = _closure(space, module.generator, ops, what="lowering closure",
+                                       cap=cap, budget=module.weights)
     return ExplicitModule(space, module.weight, module.generator, basis, profile, weights)
 
 

@@ -17,6 +17,7 @@ import fflv.characters
 import fflv.cli
 import fflv.marked_poset
 import fflv.polytope
+import fflv.rep
 import fflv.weyl
 from fflv.cli import main
 from fflv.polytope import enumerate_lattice_points, minkowski_sum
@@ -570,11 +571,61 @@ def test_verify_rank5_longest_element_without_modules(capsys):
 
 
 def test_verify_dimension_cap_skips_rep(capsys):
-    code, out, _ = run(capsys, "verify", "--w", "s1 s2", "--lambda", "1,1",
-                       "--max-dim", "5")
-    assert code == 0
-    data = json.loads(out)
-    assert data["checks"]["rep"]["status"] == "skipped"
+    """The cap bounds the Demazure mass, 5 here, not the Weyl dimension 8."""
+    reps = []
+    for cap in ("5", "4"):
+        code, out, _ = run(capsys, "verify", "--w", "s1 s2", "--lambda", "1,1",
+                           "--max-dim", cap)
+        assert code == 0
+        reps.append(json.loads(out)["checks"]["rep"])
+    assert reps[0]["status"] == "pass"
+    assert reps[1] == {"status": "skipped",
+                       "reason": "Demazure module needs dimension 5, cap is 4"}
+
+
+def test_verify_cap_bounds_the_demazure_mass_at_rank_6(capsys, monkeypatch):
+    """V(rho(6)) has dimension 2,097,152 and V_w(rho(6)) 9,888, so `rep`
+    runs under a cap of 10,000.  Under 9,887 it is skipped before the
+    essential scan runs."""
+    argv = ("verify", "--w-oneline", "7 2 1 6 4 3 5", "--lambda", "1,1,1,1,1,1", "--max-dim")
+    code, out, _ = run(capsys, *argv, "10000")
+    rep = json.loads(out)["checks"]["rep"]
+    assert (code, rep["status"]) == (0, "pass")
+    assert rep["dims"] == {"subset": 9888, "lattice": 9888, "demazure": 9888, "oracle": 9888}
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("essential scan ran over the cap")
+
+    monkeypatch.setattr(fflv.cli, "essential_monomials", unreached)
+    code, out, _ = run(capsys, *argv, "9887")
+    rep = json.loads(out)["checks"]["rep"]
+    assert (code, rep["status"]) == (0, "skipped")
+    assert "needs dimension 9888" in rep["reason"]
+
+
+def test_verify_cap_stops_the_lowering_closure(capsys, monkeypatch):
+    """`--A` bounds its lowering closure, of dimension 32 here, inside
+    V(2,1,1) of dimension 140.  Under a cap of 20 the closure stops at its
+    21st row and says only that it needs more than 20."""
+    ranks = []
+
+    class Recorded(fflv.rep.IntSpan):
+        def add(self, vector):
+            row = super().add(vector)
+            ranks.append(self.rank)
+            return row
+
+    monkeypatch.setattr(fflv.rep, "IntSpan", Recorded)
+    argv = ("verify", "--A", "1.3,2.2,2.3,3.3", "--lambda", "2,1,1", "--max-dim")
+    code, out, _ = run(capsys, *argv, "100")
+    rep = json.loads(out)["checks"]["rep"]
+    assert (code, rep["status"], rep["dims"]["subset"]) == (0, "pass", 32)
+    ranks.clear()
+    code, out, _ = run(capsys, *argv, "20")
+    rep = json.loads(out)["checks"]["rep"]
+    assert (code, rep["status"]) == (0, "skipped")
+    assert rep["reason"] == "lowering closure needs dimension more than 20, cap is 20"
+    assert max(ranks) == 21
 
 
 def test_verify_with_separate_mu(capsys):
@@ -817,22 +868,13 @@ def test_verify_rejects_dimension_cap_below_one(capsys, cap):
     assert err.startswith("error: ") and "dimension cap" in err
 
 
-def test_scan_output_is_thread_count_independent(capsys, monkeypatch):
-    # The scan runs in one thread; a leftover FFLV_THREADS setting is ignored.
-    monkeypatch.setenv("FFLV_THREADS", "1")
-    code1, out1, _ = run(capsys, "weyl-scan", "--n", "3", "--format", "json")
-    monkeypatch.setenv("FFLV_THREADS", "4")
-    code2, out2, _ = run(capsys, "weyl-scan", "--n", "3", "--format", "json")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_repeated_runs_are_byte_identical(capsys):
-    args = ("points", "--w", "s2 s1", "--lambda", "2,1", "--format", "json")
-    code1, out1, _ = run(capsys, *args)
-    code2, out2, _ = run(capsys, *args)
-    assert code1 == code2 == 0
-    assert out1 == out2
+    for args in [("points", "--w", "s2 s1", "--lambda", "2,1", "--format", "json"),
+                 ("weyl-scan", "--n", "3", "--format", "json")]:
+        code1, out1, _ = run(capsys, *args)
+        code2, out2, _ = run(capsys, *args)
+        assert code1 == code2 == 0
+        assert out1 == out2
 
 
 def test_module_entry_point():

@@ -13,11 +13,7 @@ from hypothesis import strategies as st
 
 import fflv.rep
 from cartan_component import cartan_component_dimension
-from fflv.characters import (
-    Character,
-    demazure_character_oracle,
-    weyl_dimension,
-)
+from fflv.characters import Character, demazure_character_oracle
 from fflv.cli import main
 from fflv.linalg import IntSpan
 from fflv.polytope import (
@@ -46,6 +42,7 @@ from fflv.weyl import (
     inversion_roots,
     is_triangular_element,
 )
+from weyl_formula import weyl_dimension
 
 
 @lru_cache(maxsize=None)
@@ -76,8 +73,8 @@ def test_reference_closure_is_the_weyl_character(lam):
     its weights; every simple raising kills the highest vector.  For every
     weight in {0,1,2}^n at ranks 1-3, and at rho(4)."""
     rows, profile, weights = _reference_closure(lam)
-    module = build_highest_weight_module(lam, cap=2000)
-    assert len(rows) == profile[-1] == weyl_dimension(lam) == module.dimension
+    module = build_highest_weight_module(lam)
+    assert len(rows) == profile[-1] == weyl_dimension(lam)
     assert weights == module.weights == demazure_character_oracle(
         Permutation.longest(lam.n), lam).terms
     space = module.space
@@ -97,7 +94,6 @@ def test_tensor_space_shape():
 def test_sl2_lowering_string():
     lam = DominantWeight((3,))
     module = build_highest_weight_module(lam)
-    assert module.dimension == 4
     space = module.space
     f = space.lowering_table(Root(1, 1))
     e = space.table(1, 2)
@@ -107,17 +103,6 @@ def test_sl2_lowering_string():
         vec = space.apply(f, vec)
         assert any(vec)
     assert not any(space.apply(f, vec))
-
-
-def test_module_dimensions_match_weyl_formula():
-    for lam in (DominantWeight((1, 1)), DominantWeight((2, 1)), rho(3)):
-        module = build_highest_weight_module(lam)
-        assert module.dimension == weyl_dimension(lam) == len(_reference_closure(lam)[0])
-
-
-def test_dimension_cap_is_enforced():
-    with pytest.raises(DimensionCapError):
-        build_highest_weight_module(rho(3), cap=10)
 
 
 def test_extremal_vector_weights():
@@ -223,7 +208,7 @@ def test_pbw_profile_matches_degree_histogram():
     increments = [dims[0]] + [b - a for a, b in zip(dims, dims[1:])]
     assert increments == [histogram[d] for d in sorted(histogram)]
     assert subset_submodule(module, A).profile == (1, 4, 8)
-    assert _reference_closure(lam)[1][-1] == module.dimension == 8
+    assert _reference_closure(lam)[1][-1] == weyl_dimension(lam) == 8
 
 
 def test_essential_monomials_recover_lattice_points():
@@ -464,8 +449,8 @@ def test_verify_of_an_element_reads_one_demazure_character(capsys, monkeypatch, 
 
 def test_rank4_closures_match_weyl_and_demazure_dimensions():
     lam = rho(4)
-    module = build_highest_weight_module(lam, cap=2000)
-    assert module.dimension == weyl_dimension(lam) == len(_reference_closure(lam)[0]) == 1024
+    module = build_highest_weight_module(lam)
+    assert weyl_dimension(lam) == len(_reference_closure(lam)[0]) == 1024
     for w in all_permutations(4):
         assert demazure_submodule(module, w).dimension == demazure_character_oracle(w, lam).mass
     full = RootSubset.full(4)
@@ -557,13 +542,14 @@ def _reference_scan(module, listing, dimension, budget):
 def test_monomial_basis_costs_one_apply_per_point(monkeypatch):
     """At rho(4), longest element, the colex walk makes |S| - 1 = 1,023
     applies for the 1,024 points, with V(rho(4)) as its target."""
-    module = build_highest_weight_module(rho(4), cap=2000)
+    module = build_highest_weight_module(rho(4))
     A = inversion_roots(Permutation.longest(4))
     calls = []
     apply = TensorSpace.apply
     monkeypatch.setattr(TensorSpace, "apply",
                         lambda self, table, vec: calls.append(1) or apply(self, table, vec))
-    report = verify_monomial_basis(module, enumerate_lattice_points(A, rho(4)), module.dimension)
+    report = verify_monomial_basis(module, enumerate_lattice_points(A, rho(4)),
+                                   weyl_dimension(rho(4)))
     assert report.ok and report.lattice_points == 1024
     assert len(calls) == 1023
 
@@ -649,7 +635,7 @@ def _weights(n, values):
 
 @lru_cache(maxsize=None)
 def _module(lam):
-    return build_highest_weight_module(lam, cap=2000)
+    return build_highest_weight_module(lam)
 
 
 def _rep_block(capsys, *argv):
@@ -660,8 +646,7 @@ def _rep_block(capsys, *argv):
 def _element_and_subset_blocks(capsys, monkeypatch, n, weights):
     """Compare the two `rep` blocks and the two weight maps for every
     element of rank n at each weight; return the blocks' statuses."""
-    monkeypatch.setattr(fflv.cli, "build_highest_weight_module",
-                        lambda lam, cap: _module(lam))
+    monkeypatch.setattr(fflv.cli, "build_highest_weight_module", _module)
     statuses = []
     for lam in weights:
         coeffs = ",".join(map(str, lam.coeffs))
@@ -957,7 +942,7 @@ def test_certified_basis_matches_the_explicit_check(capsys, monkeypatch):
     the `basis_ok` of `verify --A` is that of `verify_monomial_basis` on
     the face with the lowering closure's dimension, and the explicit check
     runs exactly where the scan does not keep the face."""
-    monkeypatch.setattr(fflv.cli, "build_highest_weight_module", lambda lam, cap: _module(lam))
+    monkeypatch.setattr(fflv.cli, "build_highest_weight_module", _module)
     calls = _spy(monkeypatch, fflv.cli, "verify_monomial_basis")
     statuses = {}
     for n in (1, 2, 3, 4):
