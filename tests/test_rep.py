@@ -105,6 +105,20 @@ def test_sl2_lowering_string():
     assert not any(space.apply(f, vec))
 
 
+def test_module_dimensions_match_weyl_formula():
+    for lam in (DominantWeight((1, 1)), DominantWeight((2, 1)), rho(3)):
+        module = build_highest_weight_module(lam)
+        assert (sum(module.weights.values()) == weyl_dimension(lam)
+                == len(_reference_closure(lam)[0]))
+
+
+def test_dimension_cap_is_enforced():
+    """The build forms nothing; the lowering closure is what the cap stops."""
+    module = build_highest_weight_module(rho(3))
+    with pytest.raises(DimensionCapError, match="more than 10"):
+        subset_submodule(module, RootSubset.full(3), cap=10)
+
+
 def test_extremal_vector_weights():
     lam = DominantWeight((2, 1))
     module = build_highest_weight_module(lam)
