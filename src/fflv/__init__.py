@@ -22,6 +22,7 @@ from .characters import (
     demazure_operator_division,
     face_character,
     to_partition,
+    weyl_dimension,
 )
 from .linalg import IntSpan
 from .marked_poset import (

@@ -1,6 +1,7 @@
-"""Formal characters on exponent vectors, Demazure operators, and the
-character of a face: from its weight-graded count (`face_character`), or
-from its listed lattice points (`character_from_lattice_points`).
+"""Formal characters on exponent vectors, Demazure operators, dimension
+formulas, and the character of a face: from its weight-graded count
+(`face_character`), or from its listed lattice points
+(`character_from_lattice_points`).
 
 Weights are encoded as exponent vectors in Z^{n+1}: a dominant weight with
 coefficients (m_1, ..., m_n) becomes the partition (m_1+...+m_n, m_2+...+m_n,
@@ -11,11 +12,12 @@ arithmetic and makes termwise comparison of characters trivial.
 
 from __future__ import annotations
 
+from math import prod
 from operator import sub
 from typing import Iterable, Mapping
 
 from .polytope import PointSet, build_inequalities, count_points_by_weight
-from .roots import DominantWeight
+from .roots import DominantWeight, all_positive_roots, pairing
 from .weyl import Permutation, inversion_roots, reduced_word
 
 
@@ -199,4 +201,14 @@ def face_character(w: Permutation, lam: DominantWeight) -> Character:
     for k, a in enumerate(to_partition(lam)):
         cols[w(k + 1) - 1] = map(a.__add__, map(sub, b[k], b[k + 1]))
     return Character._of(lam.n, dict(zip(zip(*cols), counts.values())))
+
+
+def weyl_dimension(lam: DominantWeight) -> int:
+    """Product over the root triangle of (pairing + height)/height, exactly."""
+    roots = all_positive_roots(lam.n)
+    num = prod(pairing(lam, r) + r.height for r in roots)
+    den = prod(r.height for r in roots)
+    if num % den:
+        raise ArithmeticError("dimension product is not an integer")
+    return num // den
 

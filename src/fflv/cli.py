@@ -393,7 +393,8 @@ def _verify_checks(args: argparse.Namespace) -> dict:
             # closure is formed; a subset forms its lowering closure, whose
             # profile is read off its degrees.  The cap bounds the target.
             if w is not None and oracle.mass > args.max_dim:
-                raise DimensionCapError(oracle.mass, args.max_dim, "Demazure module")
+                raise DimensionCapError(f"Demazure module needs dimension {oracle.mass}, "
+                                        f"cap is {args.max_dim}")
             module = build_highest_weight_module(lam)
             if w is None:
                 target = subset_submodule(module, A, args.max_dim)

@@ -70,7 +70,8 @@ No stage does work whose result is already known:
   are spans of images of those.  So the Weyl character is a sound budget
   for the Borel closure, the lowering closures and the scan's target.
   No stage checks V(lambda)'s dimension: `verify`'s cap bounds the target,
-  which holds every span a stage forms.
+  which holds every span a stage forms, and a capped lowering closure
+  reads the Weyl character only when V(lambda) fits the cap.
 - Weight budgets.  A closure or scan knows each image's weight before it
   computes it, and skips the image when the span's weight space there is
   already full (`_closure`, `_scan`): full against the Weyl character for
@@ -93,7 +94,7 @@ from math import gcd, prod
 from operator import itemgetter, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .characters import demazure_character_oracle, to_partition
+from .characters import demazure_character_oracle, to_partition, weyl_dimension
 from .linalg import IntSpan, SparseVector
 from .polytope import PointSet
 from .roots import DominantWeight, Root
@@ -104,10 +105,7 @@ _Op = tuple[tuple[int, int, tuple[Optional[tuple[int, int]], ...]], ...]
 
 
 class DimensionCapError(RuntimeError):
-    """A stage would form a span over the cap; a closure needs "more than <cap>"."""
-
-    def __init__(self, needed: int | str, limit: int, what: str) -> None:
-        super().__init__(f"{what} needs dimension {needed}, cap is {limit}")
+    """A stage would form a span over the dimension cap; the message names it."""
 
 
 def _wedge_action(a: int, b: int, subset: _SubsetKey) -> Optional[tuple[_SubsetKey, int]]:
@@ -305,7 +303,7 @@ def _closure(
                 row = span.add(space.apply(table, vec))
                 if row is not None:
                     if cap is not None and span.rank > cap:
-                        raise DimensionCapError(f"more than {cap}", cap, what)
+                        raise DimensionCapError(f"{what} needs dimension more than {cap}, the cap")
                     counts[key] = held + 1
                     fresh.append((row, key))
         if fresh:
@@ -410,15 +408,17 @@ def subset_submodule(
 ) -> ExplicitModule:
     """Span generated from the highest vector by the lowerings in A.
 
-    The closure is defined for every subset A, triangular or not, and the
-    Weyl character is its budget.  Each call forms it anew, and raises
-    DimensionCapError at its first row past the cap.
+    The closure is defined for every subset A, triangular or not.  Each
+    call forms it anew, and raises DimensionCapError at its first row past
+    the cap.  The Weyl character is its budget unless V(lambda) exceeds the
+    cap: a capped closure then makes at most (cap + 1)|A| applies.
     """
     space = module.space
     _check_rank(A.n, space)
     ops = [(r.j + 1, r.i) for r in A.sorted_roots()]
+    fits = cap is None or weyl_dimension(module.weight) <= cap
     basis, profile, weights = _closure(space, module.generator, ops, what="lowering closure",
-                                       cap=cap, budget=module.weights)
+                                       cap=cap, budget=module.weights if fits else None)
     return ExplicitModule(space, module.weight, module.generator, basis, profile, weights)
 
 

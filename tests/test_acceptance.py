@@ -42,10 +42,10 @@ from fflv import (
     subset_submodule,
     UnboundedFaceError,
     verify_monomial_basis,
+    weyl_dimension,
 )
 
 from cartan_component import cartan_component_dimension
-from weyl_formula import weyl_dimension
 
 
 def report(capsys, num, name, status, elapsed, budget=None):

@@ -14,11 +14,11 @@ from fflv.characters import (
     demazure_operator_division,
     face_character,
     to_partition,
+    weyl_dimension,
 )
 from fflv.polytope import UnboundedFaceError, enumerate_lattice_points
 from fflv.roots import DominantWeight, rho
 from fflv.weyl import Permutation, all_permutations, inversion_roots, is_triangular_element
-from weyl_formula import weyl_dimension
 
 
 def test_to_partition_tail_sums():

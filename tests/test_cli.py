@@ -624,8 +624,26 @@ def test_verify_cap_stops_the_lowering_closure(capsys, monkeypatch):
     code, out, _ = run(capsys, *argv, "20")
     rep = json.loads(out)["checks"]["rep"]
     assert (code, rep["status"]) == (0, "skipped")
-    assert rep["reason"] == "lowering closure needs dimension more than 20, cap is 20"
+    assert rep["reason"] == "lowering closure needs dimension more than 20, the cap"
     assert max(ranks) == 21
+
+
+def test_verify_cap_bounds_the_closure_where_v_lambda_does_not_fit(capsys, monkeypatch):
+    """V(rho(10)) has dimension 2^55, so a capped lowering closure runs
+    without the Weyl character as its budget and never expands it; the
+    closure of {alpha_11} at rho(10) has dimension 2."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("the Weyl character was expanded")
+
+    monkeypatch.setattr(fflv.rep, "demazure_character_oracle", unreached)
+    argv = ("verify", "--A", "1.1", "--lambda", ",".join(["1"] * 10))
+    code, out, _ = run(capsys, *argv)
+    rep = json.loads(out)["checks"]["rep"]
+    assert (code, rep["status"], rep["dims"]) == (0, "pass", {"subset": 2, "lattice": 2})
+    code, out, _ = run(capsys, *argv, "--max-dim", "1")
+    rep = json.loads(out)["checks"]["rep"]
+    assert (code, rep["status"]) == (0, "skipped")
+    assert rep["reason"] == "lowering closure needs dimension more than 1, the cap"
 
 
 def test_verify_with_separate_mu(capsys):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fflv.polytope
+from fflv.characters import weyl_dimension
 from fflv.cli import main
 from fflv.marked_poset import (
     _chain_supports,
@@ -50,7 +51,6 @@ from fflv.weyl import (
     inversion_roots,
     is_triangular_element,
 )
-from weyl_formula import weyl_dimension
 
 
 def full(n):

@@ -34,7 +34,7 @@ PUBLIC = [
     "minkowski_sum", "packed_fields", "pairing", "parse_permutation", "parse_root",
     "pbw_filtration_profile", "reduced_word", "rho",
     "subset_submodule", "support_inequalities", "to_partition", "verify_monomial_basis",
-    "weight_columns",
+    "weight_columns", "weyl_dimension",
 ]
 
 

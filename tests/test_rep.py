@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import fflv.rep
 from cartan_component import cartan_component_dimension
-from fflv.characters import Character, demazure_character_oracle
+from fflv.characters import Character, demazure_character_oracle, weyl_dimension
 from fflv.cli import main
 from fflv.linalg import IntSpan
 from fflv.polytope import (
@@ -42,7 +42,6 @@ from fflv.weyl import (
     inversion_roots,
     is_triangular_element,
 )
-from weyl_formula import weyl_dimension
 
 
 @lru_cache(maxsize=None)
