@@ -67,7 +67,6 @@ from .rep import (
     demazure_submodule,
     essential_monomials,
     extremal_vector,
-    lowering_weights,
     pbw_filtration_profile,
     subset_submodule,
     verify_monomial_basis,

@@ -42,7 +42,6 @@ from .rep import (
     _closed,
     build_highest_weight_module,
     essential_monomials,
-    lowering_weights,
     subset_submodule,
     verify_monomial_basis,
 )
@@ -384,46 +383,54 @@ def _verify_checks(args: argparse.Namespace) -> dict:
         record("rep", "skipped", reason="disabled")
     elif S is None:
         record("rep", "skipped", reason="unbounded face")
+    elif w is not None and oracle.mass > args.max_dim:
+        record("rep", "skipped", reason=f"Demazure module needs dimension {oracle.mass}, "
+                                        f"cap is {args.max_dim}")
     else:
         try:
-            # The module is its tensor space and highest vector.  The target
-            # is U(n-_A) applied to the highest vector.  For an element its
-            # dimension and weights are the Demazure character at w, its
-            # profile comes from the essential scan (`fflv.rep`), and no
-            # closure is formed; a subset forms its lowering closure, whose
-            # profile is read off its degrees.  The cap bounds the target.
-            if w is not None and oracle.mass > args.max_dim:
-                raise DimensionCapError(f"Demazure module needs dimension {oracle.mass}, "
-                                        f"cap is {args.max_dim}")
+            # The target is U(n-_A) applied to the highest vector.  For A
+            # closed under root addition, every N(w) among them, the essential
+            # scan alone gives a basis of its graded module (`fflv.rep`): its
+            # rank is the dimension, which for an element must be the Demazure
+            # mass, and its degrees the profile.  Any other subset forms its
+            # lowering closure and scans up to its dimension.  The cap bounds
+            # the span either forms.
             module = build_highest_weight_module(lam)
-            if w is None:
-                target = subset_submodule(module, A, args.max_dim)
-                dimension, weights = target.dimension, target.weights
-                incs = [b - a for a, b in zip((0,) + target.profile, target.profile)]
+            closed = _closed(A.members)
+            if closed:
+                essential = essential_monomials(module, A, args.max_dim)
+                dimension = len(essential)
+                kept = degree_histogram(essential)
+                incs = [kept.get(d, 0) for d in range(max(kept) + 1)]
             else:
-                dimension, weights = oracle.mass, lowering_weights(oracle.terms, w)
+                target = subset_submodule(module, A, args.max_dim)
+                dimension = target.dimension
+                incs = [b - a for a, b in zip((0,) + target.profile, target.profile)]
+                essential = essential_monomials(module, A, dimension)
             dims = {"subset": dimension, "lattice": len(S)}
             if w is not None:
                 dims["demazure"] = dims["oracle"] = oracle.mass
-            essential = essential_monomials(module, A, weights=weights)
             # The scan's kept set certifies the basis when it is S and A is
             # closed (`fflv.rep` docstring); otherwise S is checked.
-            if essential == S and _closed(A.members):
+            if essential == S and closed:
                 basis_ok = True
             else:
                 basis_ok = verify_monomial_basis(module, S, dimension).ok
-            if w is not None:
-                kept = degree_histogram(essential)
-                incs = [kept.get(d, 0) for d in range(max(kept) + 1)]
             hist = degree_histogram(S)
             want = [hist.get(d, 0) for d in range(max(hist) + 1)] if hist else [1]
             graded_ok = incs == want
             essential_ok = essential == S
-            status = "pass" if (basis_ok and graded_ok and essential_ok) else "fail"
+            mass_ok = w is None or dimension == oracle.mass
+            status = "pass" if (basis_ok and graded_ok and essential_ok and mass_ok) else "fail"
             record("rep", status, dims=dims, basis_ok=basis_ok,
                    graded_ok=graded_ok, essential_ok=essential_ok)
         except DimensionCapError as exc:
-            record("rep", "skipped", reason=str(exc))
+            # An element's mass fits the cap, so a scan past the cap has
+            # kept more than the mass.
+            if w is None:
+                record("rep", "skipped", reason=str(exc))
+            else:
+                record("rep", "fail", error=str(exc))
         except ArithmeticError as exc:
             record("rep", "fail", error=str(exc))
     return checks

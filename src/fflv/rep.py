@@ -16,8 +16,8 @@ every closure row and every monomial image is a weight vector, whose support
 lies in one weight space, and applying an operator or eliminating against a
 span costs time in that support, not in the ambient dimension.  Lattice
 points arrive as the value tuples of a `PointSet` and are reported as such.
-Faces are walked colex on one stack, one apply a point.  Every stage is
-handed its target: no default forms a closure, and none is kept.
+Faces are walked colex on one stack, one apply a point.  No default forms
+a closure, and none is kept.
 
 Lowering and raising follow the convention that the lowering operator for the
 positive root built on rows i..j is E_{j+1,i} and the raising operator is
@@ -29,19 +29,21 @@ No stage does work whose result is already known:
   Lie algebra (every e_alpha is an iterated commutator of them), so a
   subspace closed under them is closed under every e_alpha: the Borel
   closure of an extremal vector is taken over the e_i alone.
-- PBW and the twist by w.  For A = N(w), the inversion set of w, the
-  lowerings in A span n- intersected with w^-1 n+ w, so U(n-_A) v_lambda is
-  w^-1 V_w(lambda) for a lift of w: it has the dimension of V_w(lambda),
-  and the weights of V_w(lambda) mapped by w^-1 (`lowering_weights`).  By
-  Demazure's character formula those are the mass and the terms of the
-  Demazure character at w (`demazure_character_oracle`), so no closure is
-  formed for an element: neither V_w(lambda) nor a lowering closure.
-  N(w) is closed under root addition, so by PBW the ordered monomials of
-  degree at most d span the degree-d piece of the filtration, and the
-  essential scan's rank after each degree is the graded profile.  A subset
-  that is not closed (say {alpha11, alpha22}) keeps its lowering closure.
-  The Borel closure of the extremal vector (`demazure_submodule`) stays as
-  the tests' reference for that character.
+- PBW and the twist by w.  For A closed under root addition, by PBW the
+  ordered monomials of degree at most d span the degree-d piece of the
+  filtration, so the essential scan alone, run until a degree keeps
+  nothing, gives a basis of the associated graded module of U(n-_A)
+  v_lambda: its rank is the dimension and its degrees are the graded
+  profile.  No closure is formed for a closed subset: neither V(lambda)
+  nor a lowering closure.  A subset that is not closed (say {alpha11,
+  alpha22}) keeps its lowering closure.  For A = N(w), the inversion set
+  of w, which is closed, the lowerings in A span n- intersected with
+  w^-1 n+ w, so U(n-_A) v_lambda is w^-1 V_w(lambda) for a lift of w: its
+  dimension is the mass of the Demazure character at w
+  (`demazure_character_oracle`), which `verify` compares with the scan's
+  rank, two independent computations of one number.  The Borel closure of
+  the extremal vector (`demazure_submodule`) stays as the tests' reference
+  for that character.
 - The essential scan.  For A closed under root addition the associated
   graded module of the PBW filtration is cyclic over the symmetric
   algebra S(n-_A), and revlex is invariant under translation, so a tuple
@@ -52,10 +54,10 @@ No stage does work whose result is already known:
 - The monomial basis.  The kept tuples of degree d map to a basis of
   F_d / F_(d-1), in any order of factors, since reordering the factors of
   a degree-d monomial changes it by terms in F_(d-1).  So for closed A,
-  when the scan, budgeted by the target's own weights, keeps exactly the
-  lattice points, their ordered monomials (in the face's order of roots)
-  are a basis of the target, with rank the number of points: a set whose
-  images form a basis of the associated graded module is a basis.
+  when the scan keeps exactly the lattice points, their ordered monomials
+  (in the face's order of roots) are a basis of the target, with rank the
+  number of points: a set whose images form a basis of the associated
+  graded module is a basis.
   `verify` then runs no `verify_monomial_basis`; for a subset that is not
   closed, or a kept set that differs from the points, it does.
 - The irreducible module.  No closure of V(lambda) is formed
@@ -68,21 +70,19 @@ No stage does work whose result is already known:
   stage forms lies in that copy: the extremal vector and every ordered
   monomial image are lowerings of the highest vector, and the closures
   are spans of images of those.  So the Weyl character is a sound budget
-  for the Borel closure, the lowering closures and the scan's target.
-  No stage checks V(lambda)'s dimension: `verify`'s cap bounds the target,
-  which holds every span a stage forms, and a capped lowering closure
-  reads the Weyl character only when V(lambda) fits the cap.
-- Weight budgets.  A closure or scan knows each image's weight before it
-  computes it, and skips the image when the span's weight space there is
-  already full (`_closure`, `_scan`): full against the Weyl character for
-  the Borel and lowering closures, and against the target's weights for
-  the essential scan, which are the Demazure character mapped by w^-1 for
-  an element and the lowering closure's row weights for a subset.  A
-  skipped image lies in the span, so rows, ranks, profiles and kept sets
-  do not change.  A short budget can only leave a result short: a short
-  Weyl character, which no check reads, a lowering dimension that
-  disagrees with the oracle mass and the lattice count; a short Demazure
-  character, also the character check's oracle, a failed character check.
+  for the Borel closure and the lowering closures.  No stage checks
+  V(lambda)'s dimension: `verify`'s cap bounds the span a stage forms,
+  and a capped lowering closure reads the Weyl character only when
+  V(lambda) fits the cap.
+- Weight budgets.  A closure knows each image's weight before it computes
+  it, and skips the image when the span's weight space there is already
+  full against the Weyl character (`_closure`).  A skipped image lies in
+  the span, so rows, ranks and profiles do not change.  A short budget can
+  only leave a closure short: a short Weyl character, which no check
+  reads, gives a lowering dimension and profile that disagree with the
+  lattice count.  The essential scan has no budget: it stops where a
+  degree keeps nothing, or for a subset that is not closed at the
+  lowering closure's dimension.
 """
 
 from __future__ import annotations
@@ -319,8 +319,8 @@ def build_highest_weight_module(lam: DominantWeight) -> IrreducibleModule:
     nothing.  Index 0 is killed by every E_{i,i+1} and has weight lambda,
     so it generates a copy of V(lambda) holding every vector a stage forms
     (module docstring); the module's weights, the Weyl character, bound
-    each weight space of those stages.  A character short at some weight
-    only leaves a closure or scan short, which the checks report.
+    each weight space of the closures.  A character short at some weight
+    only leaves a closure short, which the checks report.
     """
     space = TensorSpace.from_weight(lam)
     return IrreducibleModule(space, lam, space.highest_vector())
@@ -375,9 +375,9 @@ def demazure_submodule(module: IrreducibleModule, w: Permutation) -> ExplicitMod
     docstring), with the Weyl character as its budget.  The Cartan
     subalgebra acts diagonally on every vector this produces (they are
     weight vectors), so no extra closure step is needed.  The profile
-    counts products of simple raisings.  `verify` takes V_w(lambda)'s
-    dimension and weights from its Demazure character instead; this
-    closure is the tests' reference for that character.
+    counts products of simple raisings.  `verify` reads V_w(lambda)'s
+    dimension off its Demazure character instead; this closure is the
+    tests' reference for that character.
     """
     space = module.space
     gen = extremal_vector(module, w)
@@ -385,22 +385,6 @@ def demazure_submodule(module: IrreducibleModule, w: Permutation) -> ExplicitMod
     basis, profile, weights = _closure(space, gen, simple, what="Borel closure",
                                        budget=module.weights)
     return ExplicitModule(space, module.weight, gen, basis, profile, weights)
-
-
-def lowering_weights(
-    weights: Mapping[tuple[int, ...], int], w: Permutation
-) -> dict[tuple[int, ...], int]:
-    """The weights of U(n-_A) v_lambda for A = N(w), with multiplicity,
-    from the weights of V_w(lambda): the terms of the Demazure character
-    at w, or the row weights of the Borel closure `demazure_submodule`.
-
-    A lift of w^-1 maps V_w(lambda) onto U(n-_A) v_lambda (module
-    docstring) and the weight space of content c onto that of the content
-    whose position i reads position w(i) of c.  That map is a bijection of
-    weights, so the multiplicities carry over.
-    """
-    reads = [w(i) - 1 for i in range(1, w.n + 2)]
-    return {tuple([c[k] for k in reads]): m for c, m in weights.items()}
 
 
 def subset_submodule(
@@ -455,8 +439,9 @@ def verify_monomial_basis(
     the module's weight.  For each lattice point, the ordered lowering
     monomial is applied to the highest vector v; the report records whether
     those vectors are linearly independent and whether they span U(n-_A) v,
-    which holds them all and has dimension `dimension`: for A = N(w) the
-    Demazure mass at w (module docstring), else the lowering closure's.
+    which holds them all and has dimension `dimension`: for A closed under
+    root addition the essential scan's rank (module docstring), else the
+    lowering closure's.
 
     The face is an order ideal of N^m, walked in colex order (lex on the
     reversed tuple), which extends the componentwise order.  So the colex
@@ -519,9 +504,7 @@ def _tall_first(roots: Iterable[Root]) -> list[Root]:
     return sorted(roots, key=lambda r: (-(r.j - r.i), r.i))
 
 
-def essential_monomials(
-    module: IrreducibleModule, A: RootSubset, weights: Mapping[tuple[int, ...], int]
-) -> PointSet:
+def essential_monomials(module: IrreducibleModule, A: RootSubset, cap: int) -> PointSet:
     """Exponents whose ordered monomial escapes the span of all smaller ones.
 
     Monomials are compared degree first, and within a degree by reverse
@@ -534,24 +517,26 @@ def essential_monomials(
     for A closed under root addition the kept tuples are an order ideal,
     and a tuple with a lower cover that was not kept is never imaged.
 
-    The scan runs until the span is U(n-_A) applied to the highest vector,
-    which holds every monomial vector.  `weights` are that submodule's
-    weights with multiplicity: for A = N(w), the Demazure character at w
-    mapped by `lowering_weights`, and otherwise the row weights of the
-    lowering closure of A (`subset_submodule`).  Their total is the rank
-    the scan stops at, and each is the budget of its weight.
+    For closed A the scan needs no target: it runs until a degree keeps
+    nothing, and the kept tuples are then a basis of the associated graded
+    module of U(n-_A) v_lambda, so their number is its dimension and their
+    degrees its graded profile.  DimensionCapError is raised at the first
+    kept tuple past `cap`.  For other A the monomials need not span, and
+    the scan stops once its rank reaches `cap`, which the caller sets to
+    the dimension of U(n-_A) v_lambda, the lowering closure's
+    (`subset_submodule`).
 
     For closed A, the kept tuples equal to the face certify its monomial
     basis (module docstring), which `verify` reads instead of
-    `verify_monomial_basis`.  When the monomials never span the target,
-    ArithmeticError is raised at the first degree that carries nothing:
-    an ordered monomial of degree d + 1 is its leftmost factor times an
-    ordered monomial of degree d, and lowering operators are nilpotent,
-    so that degree always comes.
+    `verify_monomial_basis`.  When the monomials of other A never span the
+    target, ArithmeticError is raised at the first degree that carries
+    nothing: an ordered monomial of degree d + 1 is its leftmost factor
+    times an ordered monomial of degree d, and lowering operators are
+    nilpotent, so that degree always comes.
     """
     _check_rank(A.n, module.space)
     listing = _tall_first(A.members)
-    kept = _scan(module, listing, sum(weights.values()), weights)
+    kept = _scan(module, listing, cap)
     roots = A.sorted_roots()
     at = [listing.index(r) for r in roots]
     # Each exponent tuple is scanned once, so the sorted tuples are distinct.
@@ -568,15 +553,12 @@ def _closed(roots: Iterable[Root]) -> bool:
     return all(Root(r.i, q.j) in held for r in held for q in held if q.i == r.j + 1)
 
 
-def _scan(
-    module: IrreducibleModule,
-    listing: Sequence[Root],
-    dimension: int,
-    budget: Optional[Mapping[tuple[int, ...], int]],
-) -> list[tuple[int, ...]]:
+def _scan(module: IrreducibleModule, listing: Sequence[Root], cap: int) -> list[tuple[int, ...]]:
     """The exponent tuples over `listing`, in scan order, whose ordered
-    monomial enlarges the span of the earlier ones, until the span has
-    rank `dimension` (`essential_monomials`).
+    monomial enlarges the span of the earlier ones (`essential_monomials`).
+    For A closed under root addition the scan runs until a degree keeps
+    nothing and raises DimensionCapError at the first kept tuple past the
+    cap; for other A it stops once its rank reaches the cap.
 
     Candidates.  A tuple s of degree d >= 1 is t + e_k for k its first
     nonzero position and t = s - e_k, whose first nonzero position is at
@@ -592,7 +574,7 @@ def _scan(
     has a zero image, so every nonzero image is formed and the kept tuples
     are those of a walk over every tuple.  If A is closed, a tuple is
     carried when it is kept, and s is a candidate only when every lower
-    cover s - e_j is carried.  By PBW the ordered monomials of degree at
+    cover s - e_j is kept.  By PBW the ordered monomials of degree at
     most d span F_d, the span of the products of at most d lowerings in
     A.  So a tuple of degree d is kept exactly when its class in F_d /
     F_(d-1) escapes those of the earlier tuples of its degree, whatever
@@ -600,43 +582,23 @@ def _scan(
     S(n-_A)-module and revlex is invariant under translation: if the class
     of t is a combination of those of tuples t' < t, the class of t + u is
     the same combination of those of t' + u < t + u, so t + u is not kept
-    either.  The images are weight vectors, so this holds weight by
-    weight: t + u lies in the span of the earlier images of its weight.
+    either.  The same holds for every tuple above a degree that keeps
+    nothing, so the scan stops there with the whole basis of the graded
+    module: its rank is the dimension of U(n-_A) v_lambda.
 
-    Budget.  The image of s has the weight lambda - (b_1 alpha_1 + ... +
-    b_n alpha_n), b_k the sum of s over the roots that contain alpha_k; it
-    is keyed by the b_k packed into one int, `width` bits each.  A budget
-    maps a weight (content vector) to the multiplicity of the target, a
-    submodule holding every image, there; a weight it does not list has
-    none.  An image whose weight already has that many rows in the span
-    is carried but not reduced: it is in the target's weight space, which
-    the span then holds, so it would not have been kept.  A weight fills
-    only once, so the earlier images of a tuple's weight were all reduced
-    while the tuple can still be kept, and the argument above compares
-    only with those.  So with any budget, even one that is too small, the
-    kept tuples are those of the walk over every tuple with that budget,
-    and with the target's own weights they are those without a budget.
-
-    An image is nonzero only if its weight is one of the module's, whose
-    depths b_k sum to at most H, the height of lambda - w0 lambda; a tuple
-    of degree d has that sum at least d.  So all images of degree H + 1
-    vanish, nothing is carried past degree H, and every exponent and b_k
-    of a candidate is at most H + 1: no field carries.  The scan raises
-    when a degree carries nothing while the rank is still short: then no
-    later tuple has a nonzero image or, for closed A, none would be kept.
+    The image of s has the weight lambda - (b_1 alpha_1 + ... + b_n
+    alpha_n), b_k the sum of s over the roots that contain alpha_k.  It is
+    nonzero only if that weight is one of the module's, whose depths b_k
+    sum to at most H, the height of lambda - w0 lambda; a tuple of degree
+    d has that sum at least d.  So all images of degree H + 1 vanish,
+    nothing is carried past degree H, and every exponent of a candidate is
+    at most H + 1: no field carries.  For A not closed the scan raises
+    when a degree carries nothing while the rank is still short of the
+    cap: then no later tuple has a nonzero image.
     """
     parts = to_partition(module.weight)
     deepest = sum(accumulate(map(sub, parts, parts[::-1])))
     width = (deepest + 1).bit_length()
-    steps = [sum([1 << width * (k - 1) for k in range(r.i, r.j + 1)]) for r in listing]
-    room: dict[int, int] = {}
-    if budget is not None:
-        for content, mult in budget.items():
-            depths = list(accumulate(map(sub, parts, content)))
-            # A weight out of these bounds is not the module's, so no image's.
-            if depths.pop() == 0 and all(0 <= b <= deepest for b in depths):
-                room[sum([b << width * k for k, b in enumerate(depths)])] = mult
-    held: dict[int, int] = {}
     m = len(listing)
     units = [1 << width * k for k in range(m)]
     mask = (1 << width) - 1
@@ -646,34 +608,34 @@ def _scan(
     span = IntSpan(space.dimension)
     kept: list[int] = []
     # (packed tuple, position of its leftmost factor or -1, image of its
-    # predecessor or its own at degree 0, packed depths, nonzero positions)
-    todo = [(0, -1, module.generator, 0, ())]
-    while span.rank < dimension:
+    # predecessor or its own at degree 0, nonzero positions)
+    todo = [(0, -1, module.generator, ())]
+    while todo and (closed or span.rank < cap):
         todo.sort(key=itemgetter(0), reverse=True)
         carried: dict[int, tuple] = {}
-        for s, k, vec, key, support in todo:
+        for s, k, vec, support in todo:
             image = space.apply(tables[k], vec) if k >= 0 else vec
             if not image:
                 continue
-            if budget is not None and held.get(key, 0) >= room.get(key, 0):
-                carried[s] = image, key, support
-            elif span.add(image) is not None:
-                held[key] = held.get(key, 0) + 1
+            if span.add(image) is not None:
+                if span.rank > cap:
+                    raise DimensionCapError(f"lowering closure needs dimension more than {cap}, "
+                                            "the cap")
                 kept.append(s)
-                carried[s] = image, key, support
-                if span.rank == dimension:
+                carried[s] = image, support
+                if not closed and span.rank == cap:
                     break
             elif not closed:
-                carried[s] = image, key, support
-        if not carried:
-            raise ArithmeticError("essential monomial scan did not stabilize")
+                carried[s] = image, support
         todo = []
-        for t, (vec, key, support) in carried.items():
+        for t, (vec, support) in carried.items():
             first = support[0] if support else m
             for k in range(min(first + 1, m)):
                 s = t + units[k]
                 # The lower covers of s other than t are s - e_j, j in t's support.
                 if closed and not all([s - units[j] in carried for j in support if j != k]):
                     continue
-                todo.append((s, k, vec, key + steps[k], support if k == first else (k,) + support))
+                todo.append((s, k, vec, support if k == first else (k,) + support))
+    if not closed and span.rank < cap:
+        raise ArithmeticError("essential monomial scan did not stabilize")
     return [tuple([s >> width * k & mask for k in range(m)]) for s in kept]

@@ -604,9 +604,11 @@ def test_verify_cap_bounds_the_demazure_mass_at_rank_6(capsys, monkeypatch):
 
 
 def test_verify_cap_stops_the_lowering_closure(capsys, monkeypatch):
-    """`--A` bounds its lowering closure, of dimension 32 here, inside
-    V(2,1,1) of dimension 140.  Under a cap of 20 the closure stops at its
-    21st row and says only that it needs more than 20."""
+    """`--A` on a subset closed under root addition bounds its essential
+    scan, whose rank is the dimension of the lowering closure, 32 here,
+    inside V(2,1,1) of dimension 140.  Under a cap of 20 the scan stops at
+    its 21st kept tuple and says only that the closure needs more than
+    20."""
     ranks = []
 
     class Recorded(fflv.rep.IntSpan):
@@ -629,9 +631,11 @@ def test_verify_cap_stops_the_lowering_closure(capsys, monkeypatch):
 
 
 def test_verify_cap_bounds_the_closure_where_v_lambda_does_not_fit(capsys, monkeypatch):
-    """V(rho(10)) has dimension 2^55, so a capped lowering closure runs
-    without the Weyl character as its budget and never expands it; the
-    closure of {alpha_11} at rho(10) has dimension 2."""
+    """V(rho(10)) has dimension 2^55, and no capped stage expands its Weyl
+    character.  {alpha_11} is closed under root addition, so it is scanned
+    with no closure, and its module has dimension 2.  {alpha_11, alpha_22}
+    is not, so its lowering closure, of dimension 8, runs without the Weyl
+    character as its budget; its monomials never span it."""
     def unreached(*args, **kwargs):
         raise AssertionError("the Weyl character was expanded")
 
@@ -644,6 +648,14 @@ def test_verify_cap_bounds_the_closure_where_v_lambda_does_not_fit(capsys, monke
     rep = json.loads(out)["checks"]["rep"]
     assert (code, rep["status"]) == (0, "skipped")
     assert rep["reason"] == "lowering closure needs dimension more than 1, the cap"
+    argv = ("verify", "--A", "1.1,2.2", "--lambda", ",".join(["1"] * 10))
+    code, out, _ = run(capsys, *argv)
+    rep = json.loads(out)["checks"]["rep"]
+    assert (code, rep) == (1, {"status": "fail", "error": "essential monomial scan did not stabilize"})
+    code, out, _ = run(capsys, *argv, "--max-dim", "7")
+    rep = json.loads(out)["checks"]["rep"]
+    assert (code, rep["status"]) == (0, "skipped")
+    assert rep["reason"] == "lowering closure needs dimension more than 7, the cap"
 
 
 def test_verify_with_separate_mu(capsys):

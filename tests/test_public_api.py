@@ -29,7 +29,7 @@ PUBLIC = [
     "essential_monomials", "extremal_vector", "face_character", "fundamental_weight",
     "inversion_roots", "is_dyck_path_for", "is_kempf", "is_marked_chain_face",
     "is_triangular_element", "is_triangular_subset",
-    "lattice_point_graph", "lowering_weights", "make_root",
+    "lattice_point_graph", "make_root",
     "marked_chain_points", "marked_order_points",
     "minkowski_sum", "packed_fields", "pairing", "parse_permutation", "parse_root",
     "pbw_filtration_profile", "reduced_word", "rho",

@@ -29,7 +29,6 @@ from fflv.rep import (
     demazure_submodule,
     essential_monomials,
     extremal_vector,
-    lowering_weights,
     pbw_filtration_profile,
     subset_submodule,
     verify_monomial_basis,
@@ -52,6 +51,34 @@ def _reference_closure(lam):
     space = TensorSpace.from_weight(lam)
     simple = [(i + 1, i) for i in range(1, lam.n + 1)]
     return fflv.rep._closure(space, space.highest_vector(), simple, what="reference module")
+
+
+def lowering_weights(weights, w):
+    """The weights of U(n-_A) v_lambda for A = N(w), with multiplicity,
+    from the weights of V_w(lambda): the terms of the Demazure character
+    at w, or the row weights of the Borel closure `demazure_submodule`.
+
+    A lift of w^-1 maps V_w(lambda) onto U(n-_A) v_lambda (`fflv.rep`
+    docstring) and the weight space of content c onto that of the content
+    whose position i reads position w(i) of c.  That map is a bijection of
+    weights, so the multiplicities carry over.
+    """
+    reads = [w(i) - 1 for i in range(1, w.n + 2)]
+    return {tuple([c[k] for k in reads]): m for c, m in weights.items()}
+
+
+def _kept_weights(lam, kept):
+    """The weights (content vectors) of the ordered monomial images of a
+    point set, with multiplicity: the lowering of the root on rows i..j
+    moves one unit of content from position i to position j + 1."""
+    weights = {}
+    for s in kept.tuples:
+        content = list(fflv.rep.to_partition(lam))
+        for r, e in zip(kept.roots, s):
+            content[r.i - 1] -= e
+            content[r.j] += e
+        weights[tuple(content)] = weights.get(tuple(content), 0) + 1
+    return weights
 
 
 def _span(space, rows):
@@ -230,7 +257,7 @@ def test_essential_monomials_recover_lattice_points():
     for w in all_permutations(2):
         A = inversion_roots(w)
         pts = enumerate_lattice_points(A, lam)
-        ess = essential_monomials(module, A, subset_submodule(module, A).weights)
+        ess = essential_monomials(module, A, weyl_dimension(lam))
         assert ess.roots == pts.roots
         assert set(ess.tuples) == set(pts.tuples)
 
@@ -407,10 +434,13 @@ def test_digit_ops_match_full_row_tables(space_and_vectors):
 
 
 def test_rank3_verify_runs_three_closures(capsys, monkeypatch):
-    """`verify` forms no closure of the irreducible module.  An element
-    forms no closure at all: the Demazure character gives the target's
-    dimension and weights.  A subset forms its lowering closure, and only
-    that.  So does the rank-4 longest element under `--max-dim 2000`."""
+    """`verify` forms no closure of the irreducible module.  An element,
+    and a subset closed under root addition, form no closure at all: the
+    essential scan gives the target's dimension and profile.  So do the
+    rank-4 longest element under `--max-dim 2000` and the inversion set of
+    7 2 1 6 4 3 5 at rho(6) under `--max-dim 10000`, whose `rep` block is
+    that of the element.  A subset that is not closed forms its lowering
+    closure, and only that."""
     formed = []
     closure = fflv.rep._closure
 
@@ -419,15 +449,23 @@ def test_rank3_verify_runs_three_closures(capsys, monkeypatch):
         return closure(space, start, ops, what=what, cap=cap, budget=budget)
 
     monkeypatch.setattr(fflv.rep, "_closure", counted)
-    for argv, whats in [
-        (("--w-oneline", "4 3 2 1", "--lambda", "1,1,1"), []),
-        (("--A", "1.1,1.2,1.3,2.2,2.3,3.3", "--lambda", "1,1,1"), ["lowering closure"]),
-        (("--w-oneline", "5 4 3 2 1", "--lambda", "1,1,1,1", "--max-dim", "2000"), []),
+    rho6 = ("--lambda", "1,1,1,1,1,1", "--max-dim", "10000")
+    blocks = []
+    for argv, code, whats in [
+        (("--w-oneline", "4 3 2 1", "--lambda", "1,1,1"), 0, []),
+        (("--A", "1.1,1.2,1.3,2.2,2.3,3.3", "--lambda", "1,1,1"), 0, []),
+        (("--A", "1.1,2.2", "--lambda", "1,1"), 1, ["lowering closure"]),
+        (("--w-oneline", "5 4 3 2 1", "--lambda", "1,1,1,1", "--max-dim", "2000"), 0, []),
+        (("--A", "1.1,1.2,1.3,1.4,1.5,1.6,2.2,4.4,4.5,4.6,5.5", *rho6), 0, []),
+        (("--w-oneline", "7 2 1 6 4 3 5", *rho6), 0, []),
     ]:
         formed.clear()
-        assert main(["verify", *argv]) == 0
-        capsys.readouterr()
+        assert main(["verify", *argv]) == code, argv
+        blocks.append(json.loads(capsys.readouterr().out)["checks"]["rep"])
         assert formed == whats, argv
+    subset, element = blocks[-2:]
+    assert element["dims"].pop("demazure") == element["dims"].pop("oracle") == 9888
+    assert subset == element
 
 
 @pytest.mark.parametrize("argv,oracles,reads", [
@@ -435,14 +473,14 @@ def test_rank3_verify_runs_three_closures(capsys, monkeypatch):
     (("--w-oneline", "3 4 2 1", "--lambda", "2,1,1"), [(3, 4, 2, 1)], 0),
     (("--w-oneline", "3 4 1 5 2", "--lambda", "1,1,1,1", "--max-dim", "2000"),
      [(3, 4, 1, 5, 2)], 0),
-    (("--A", "1.3,2.2,2.3,3.3", "--lambda", "2,1,1"), [(4, 3, 2, 1)], 1),
+    (("--A", "1.3,2.2,2.3,3.3", "--lambda", "2,1,1"), [], 0),
 ])
 def test_verify_of_an_element_reads_one_demazure_character(capsys, monkeypatch, argv, oracles, reads):
     """`verify --w` computes the Demazure character once, at w, for the
-    character check and the module target alike, and never reads the Weyl
-    character (`IrreducibleModule.weights`), so no oracle runs at the
-    longest element.  `verify --A` reads the Weyl character once, as the
-    budget of its lowering closure, and computes it once, at w0."""
+    character check and the module's mass check alike, and never reads the
+    Weyl character (`IrreducibleModule.weights`), so no oracle runs at the
+    longest element.  `verify --A` on a subset closed under root addition
+    computes no character and reads none."""
     calls, read = [], []
     oracle = fflv.characters.demazure_character_oracle
 
@@ -657,8 +695,8 @@ def _rep_block(capsys, *argv):
 
 
 def _element_and_subset_blocks(capsys, monkeypatch, n, weights):
-    """Compare the two `rep` blocks and the two weight maps for every
-    element of rank n at each weight; return the blocks' statuses."""
+    """Compare the two `rep` blocks and the weight maps for every element
+    of rank n at each weight; return the blocks' statuses."""
     monkeypatch.setattr(fflv.cli, "build_highest_weight_module", _module)
     statuses = []
     for lam in weights:
@@ -671,8 +709,9 @@ def _element_and_subset_blocks(capsys, monkeypatch, n, weights):
             sub = subset_submodule(module, A)
             borel = demazure_submodule(module, w)
             oracle = demazure_character_oracle(w, lam)
+            kept = essential_monomials(module, A, sub.dimension)
             assert (lowering_weights(borel.weights, w) == lowering_weights(oracle.terms, w)
-                    == sub.weights), (lam, w)
+                    == sub.weights == _kept_weights(lam, kept)), (lam, w)
             assert borel.dimension == oracle.mass == sub.dimension
             element = _rep_block(capsys, "--w-oneline", " ".join(map(str, w.images)),
                                  "--lambda", coeffs, "--max-dim", "2000")
@@ -696,12 +735,12 @@ def _element_and_subset_blocks(capsys, monkeypatch, n, weights):
 def test_element_and_its_inversion_set_give_one_rep_block(
         capsys, monkeypatch, n, weights, statuses):
     """For every element of S_2..S_4 at every weight in {0,1,2}^n, and of
-    S_5 at rho(4), the `rep` block of `verify --w` (target from the
-    Demazure character, profile from the essential scan) equals that of
-    `verify --A` on the inversion set (the lowering closure), and the
-    Borel closure's weights and the Demazure character's, each mapped by
-    w^-1, are the lowering closure's row weights.  The
-    blocks pass, or, for some non-triangular elements, are skipped on an
+    S_5 at rho(4), the `rep` block of `verify --w` (the essential scan,
+    its rank checked against the Demazure mass) equals that of `verify
+    --A` on the inversion set, and the Borel closure's weights and the
+    Demazure character's, each mapped by w^-1, are the lowering closure's
+    row weights and the weights of the scan's kept tuples.  The blocks
+    pass, or, for some non-triangular elements, are skipped on an
     unbounded face or fail alike at rank 4."""
     assert _element_and_subset_blocks(capsys, monkeypatch, n, weights) == statuses
 
@@ -717,11 +756,10 @@ def test_element_and_its_inversion_set_give_one_rep_block(
 def test_budgets_change_no_row_profile_or_kept_set(lam, elements):
     """Budgeted closures (Borel closures and lowering closures of
     inversion sets, on the Weyl character) give the rows, profile and
-    weights of the unbudgeted ones, and the budgeted essential scan keeps
-    the tuples of the unbudgeted one, in the same order: for every element
-    at ranks 2-3, and at rho(4) for the longest element, a triangular
-    non-Kempf one and a non-triangular one.  The Weyl character is the
-    row weights of the unbudgeted closure of the module."""
+    weights of the unbudgeted ones: for every element at ranks 2-3, and at
+    rho(4) for the longest element, a triangular non-Kempf one and a
+    non-triangular one.  The Weyl character is the row weights of the
+    unbudgeted closure of the module."""
     module = _module(lam)
     space, n = module.space, lam.n
     closure = fflv.rep._closure
@@ -735,10 +773,7 @@ def test_budgets_change_no_row_profile_or_kept_set(lam, elements):
         sub = subset_submodule(module, A)
         lowering = [(r.j + 1, r.i) for r in A.sorted_roots()]
         assert closure(space, module.generator, lowering, what="lowering closure") == (
-            sub.basis, sub.profile, sub.weights)
-        listing = fflv.rep._tall_first(A.members)
-        kept = fflv.rep._scan(module, listing, sub.dimension, sub.weights)
-        assert kept == fflv.rep._scan(module, listing, sub.dimension, None), w
+            sub.basis, sub.profile, sub.weights), w
 
 
 def _one_short(weights, at):
@@ -747,8 +782,8 @@ def _one_short(weights, at):
     return short
 
 
-# Weights and elements whose every `verify --w` and `verify --A` bundle
-# passes, for the short-character tests.
+# Weights and elements whose every `verify --w` bundle passes, for the
+# short Demazure character test.
 _SHORT_CHARACTER_CASES = [
     (DominantWeight((1, 1)), [Permutation.longest(2), Permutation.from_word((1,), 2)]),
     (DominantWeight((2, 1)), [Permutation.longest(2), Permutation.from_word((1, 2), 2)]),
@@ -756,51 +791,54 @@ _SHORT_CHARACTER_CASES = [
 ]
 
 
-@pytest.mark.parametrize("lam,elements", _SHORT_CHARACTER_CASES)
-def test_a_short_weyl_character_never_passes_another_bundle(capsys, monkeypatch, lam, elements):
+@pytest.mark.parametrize("lam,changed", [
+    (DominantWeight((1, 0, 0, 1)), {"2.2,3.3": 0, "1.3,2.2,3.3": 1, "1.4,2.2,3.3": 1}),
+    (DominantWeight((2, 0, 0, 1)),
+     {"1.2,1.3,2.2,3.3": 5, "1.3,1.4,2.2,3.3": 5, "1.4,2.2,2.4,3.3": 4}),
+    (DominantWeight((1, 1, 0, 0)),
+     {"1.1,1.4,3.3,4.4": 3, "1.3,1.4,3.3,4.4": 2, "1.4,2.4,3.3,4.4": 3}),
+])
+def test_a_short_weyl_character_never_passes_another_bundle(capsys, monkeypatch, lam, changed):
     """A Weyl character one short at any one weight, as the module's
-    weights, leaves `verify --w` byte-identical, since an element reads
-    no Weyl character, and `verify --A` byte-identical where its lowering
-    closure never fills that weight; where it does, it fails the `rep`
-    block.  It never gives another passing bundle.  For the longest
-    element the lowering closure is the whole module, so every short
-    weight fails it but the highest, whose row is the closure's start
-    vector and no image."""
-    character = demazure_character_oracle(Permutation.longest(lam.n), lam)
-    highest = fflv.rep.to_partition(lam)
+    weights, leaves `verify --w` and `verify --A` on an inversion set
+    byte-identical, since neither reads it.  Only a subset that is not
+    closed under root addition reads it, as the budget of its lowering
+    closure: its bundle stays byte-identical where the closure never fills
+    that weight, and where it does, it fails the `rep` block.  It never
+    gives another passing bundle.  Each subset below passes, and `changed`
+    counts the short weights that change its bundle."""
     coeffs = ",".join(map(str, lam.coeffs))
+    character = demazure_character_oracle(Permutation.longest(4), lam)
     runs = []
-    for w in elements:
-        labels = ",".join(f"{r.i}.{r.j}" for r in inversion_roots(w).sorted_roots())
-        runs += [("--w-oneline", " ".join(map(str, w.images)), "--lambda", coeffs),
-                 ("--A", labels, "--lambda", coeffs)]
+    for w in (Permutation.longest(4), Permutation((3, 4, 2, 5, 1))):
+        runs += [("--w-oneline", " ".join(map(str, w.images))), ("--A", _labels(inversion_roots(w)))]
+    runs += [("--A", labels) for labels in changed]
     honest = []
     for argv in runs:
-        code = main(["verify", *argv])
+        code = main(["verify", *argv, "--lambda", coeffs])
         honest.append((code, capsys.readouterr().out))
-        assert code == 0
+        assert code == 0, argv
+    seen = dict.fromkeys(changed, 0)
     for at in character.terms:
         short = Character(lam.n, _one_short(character.terms, at))
         monkeypatch.setattr(fflv.rep, "demazure_character_oracle", lambda w, lam: short)
-        failed = []
         for argv, (want_code, want) in zip(runs, honest):
-            code = main(["verify", *argv])
+            code = main(["verify", *argv, "--lambda", coeffs])
             out = capsys.readouterr().out
             if (code, out) != (want_code, want):
-                assert code == 1, (at, argv)
+                assert argv[1] in seen and code == 1, (at, argv)
                 assert json.loads(out)["checks"]["rep"]["status"] == "fail", (at, argv)
-                failed.append(argv)
-        assert not [argv for argv in failed if argv[0] == "--w-oneline"], at
-        assert (runs[1] in failed) == (at != highest), at
+                seen[argv[1]] += 1
+    assert seen == changed
 
 
 @pytest.mark.parametrize("lam,elements", _SHORT_CHARACTER_CASES)
 def test_a_short_demazure_character_never_passes_another_bundle(capsys, monkeypatch, lam, elements):
     """A Demazure character one short at any one weight, as `verify --w`'s
     oracle, fails both checks that read it: the character check against
-    the face, and the `rep` block, whose monomials span more than the
-    short target, or whose scan does not stabilize when the highest
-    weight is the short one.  It never gives another passing bundle."""
+    the face, and the `rep` block, whose scan's rank is one more than the
+    short mass.  The scan does not read the character, so the block's
+    other answers stay true.  It never gives another passing bundle."""
     coeffs = ",".join(map(str, lam.coeffs))
     for w in elements:
         argv = ["verify", "--w-oneline", " ".join(map(str, w.images)), "--lambda", coeffs]
@@ -813,9 +851,27 @@ def test_a_short_demazure_character_never_passes_another_bundle(capsys, monkeypa
             assert main(argv) == 1, (w, at)
             checks = json.loads(capsys.readouterr().out)["checks"]
             assert checks["character"]["status"] == "fail", (w, at)
-            assert checks["rep"]["status"] == "fail", (w, at)
-            assert checks["rep"].get("basis_ok") is not True, (w, at)
+            rep = checks["rep"]
+            assert rep["status"] == "fail", (w, at)
+            assert (rep["basis_ok"], rep["essential_ok"], rep["graded_ok"]) == (True,) * 3, (w, at)
+            assert rep["dims"]["subset"] == rep["dims"]["oracle"] + 1 == len(
+                enumerate_lattice_points(inversion_roots(w), lam)), (w, at)
             monkeypatch.undo()
+
+
+def test_a_short_demazure_mass_at_the_cap_fails_the_scan(capsys, monkeypatch):
+    """With the Demazure mass of s1 s2 at (1,1), 5, read one short and the
+    cap at the short mass, the mass check lets the scan run, and the scan
+    passes the cap: it has kept more than the mass, so the `rep` block
+    fails on the scan's message instead of being skipped."""
+    argv = ["verify", "--w", "s1 s2", "--lambda", "1,1", "--max-dim", "4"]
+    w = Permutation.from_word((1, 2), 2)
+    character = demazure_character_oracle(w, DominantWeight((1, 1)))
+    short = Character(2, _one_short(character.terms, next(iter(character.terms))))
+    monkeypatch.setattr(fflv.cli, "demazure_character_oracle", lambda w, lam: short)
+    assert main(argv) == 1
+    rep = json.loads(capsys.readouterr().out)["checks"]["rep"]
+    assert rep == {"status": "fail", "error": "lowering closure needs dimension more than 4, the cap"}
 
 
 @pytest.mark.parametrize("lam,w", [
@@ -823,42 +879,40 @@ def test_a_short_demazure_character_never_passes_another_bundle(capsys, monkeypa
     (DominantWeight((2, 1)), Permutation.from_word((1, 2), 2)),
     (rho(3), Permutation((3, 4, 2, 1))),
 ])
-def test_a_short_scan_budget_can_only_fail(capsys, monkeypatch, lam, w):
-    """A scan budget one short at any one weight never passes: scanning to
-    the true dimension, the weight never fills and the scan does not
-    stabilize; scanning to the budget's total, it keeps one tuple too few.
-    Through `verify --w`, a short weight map fails the `rep` block."""
+def test_a_scan_cap_one_short_can_only_skip(capsys, lam, w):
+    """A cap one short of the face's count stops the target-free scan at
+    its first kept tuple past the cap; a cap at the count keeps the face.
+    Through `verify`, the cap one short skips the `rep` block of `--A` on
+    the scan's message and that of `--w` on the mass, and the cap at the
+    count passes both."""
     module = _module(lam)
     A = inversion_roots(w)
     S = enumerate_lattice_points(A, lam)
-    oracle = demazure_character_oracle(w, lam)
-    weights = lowering_weights(oracle.terms, w)
-    listing = fflv.rep._tall_first(A.members)
-    for at in weights:
-        short = _one_short(weights, at)
-        with pytest.raises(ArithmeticError, match="did not stabilize"):
-            fflv.rep._scan(module, listing, oracle.mass, short)
-        kept = essential_monomials(module, A, weights=short)
-        assert len(kept) == len(S) - 1
-    at = next(iter(weights))
-    monkeypatch.setattr(fflv.cli, "lowering_weights", lambda terms, w: _one_short(weights, at))
-    rep = _rep_block(capsys, "--w-oneline", " ".join(map(str, w.images)),
-                     "--lambda", ",".join(map(str, lam.coeffs)))
-    assert rep["status"] == "fail"
-    assert (rep["basis_ok"], rep["essential_ok"], rep["graded_ok"]) == (True, False, False)
+    with pytest.raises(DimensionCapError,
+                       match=f"^lowering closure needs dimension more than {len(S) - 1}, the cap$"):
+        essential_monomials(module, A, len(S) - 1)
+    assert essential_monomials(module, A, len(S)).tuples == S.tuples
+    coeffs = ",".join(map(str, lam.coeffs))
+    runs = {"--A": _labels(A), "--w-oneline": " ".join(map(str, w.images))}
+    reasons = {"--A": f"lowering closure needs dimension more than {len(S) - 1}, the cap",
+               "--w-oneline": f"Demazure module needs dimension {len(S)}, cap is {len(S) - 1}"}
+    for flag, value in runs.items():
+        rep = _rep_block(capsys, flag, value, "--lambda", coeffs, "--max-dim", str(len(S) - 1))
+        assert rep == {"status": "skipped", "reason": reasons[flag]}, flag
+        rep = _rep_block(capsys, flag, value, "--lambda", coeffs, "--max-dim", str(len(S)))
+        assert rep["status"] == "pass" and rep["dims"]["subset"] == len(S), flag
 
 
 def test_non_closed_subset_still_does_not_stabilize():
     """{alpha11, alpha22} is not closed under root addition: its ordered
-    monomials never span the lowering closure, budget or no budget."""
+    monomials never span the lowering closure."""
     module = _module(DominantWeight((1, 1)))
     A = RootSubset.of(2, {Root(1, 1), Root(2, 2)})
     sub = subset_submodule(module, A)
     assert sub.profile == (1, 3, 5, 7, 8)
     listing = fflv.rep._tall_first(A.members)
-    for budget in (sub.weights, None):
-        with pytest.raises(ArithmeticError, match="did not stabilize"):
-            fflv.rep._scan(module, listing, sub.dimension, budget)
+    with pytest.raises(ArithmeticError, match="did not stabilize"):
+        fflv.rep._scan(module, listing, sub.dimension)
 
 
 NON_TRIANGULAR_4 = "1.1,1.3,2.2,2.3,2.4,3.3,4.4"
@@ -872,10 +926,10 @@ def _labels(A):
     return ",".join(f"{r.i}.{r.j}" for r in A.sorted_roots())
 
 
-def _scan_outcome(scan, module, listing, dimension, budget):
+def _scan_outcome(scan, *args):
     """The kept tuples of a scan, or the message it raises."""
     try:
-        return scan(module, listing, dimension, budget)
+        return scan(*args)
     except ArithmeticError as exc:
         return str(exc)
 
@@ -901,45 +955,63 @@ def _downward_closed(kept):
 
 def test_order_ideal_scan_keeps_the_reference_scans_tuples():
     """The order-ideal scan keeps the tuples of the scan over every
-    composition, in the same order, and raises where it raises, with the
-    target's weights as budget and with none: for every element of S_3
-    and S_4 at three weights each, every subset at rank 3 at rho(3),
-    closed under root addition or not, and the benchmark's non-triangular
-    face at rho(4).  For a closed subset the kept tuples are downward
-    closed."""
+    composition, run to the lowering closure's dimension with its weights
+    as budget and with none, in the same order, and raises where it
+    raises: for every element of S_3 and S_4 at three weights each, every
+    subset at rank 3 at rho(3), closed under root addition or not, and the
+    benchmark's non-triangular face at rho(4).  For a closed subset the
+    scan runs until a degree keeps nothing, never raises, and keeps a
+    downward closed set."""
     raised = []
     for lam, A in _scan_cases():
         module = _module(lam)
         target = subset_submodule(module, A)
         listing = fflv.rep._tall_first(A.members)
+        kept = _scan_outcome(fflv.rep._scan, module, listing, target.dimension)
         for budget in (target.weights, None):
-            kept = _scan_outcome(fflv.rep._scan, module, listing, target.dimension, budget)
             assert kept == _scan_outcome(_reference_scan, module, listing, target.dimension,
                                          budget), (lam, A, budget is None)
-            raised.append(isinstance(kept, str))
-            if fflv.rep._closed(A.members) and not isinstance(kept, str):
-                assert _downward_closed(kept), (lam, A)
-    assert len(raised) == 2 * (3 * 6 + 3 * 24 + 63 + 1)
+        raised.append(isinstance(kept, str))
+        if fflv.rep._closed(A.members):
+            assert not isinstance(kept, str) and _downward_closed(kept), (lam, A)
+    assert len(raised) == 3 * 6 + 3 * 24 + 63 + 1
     assert 0 < sum(raised) < len(raised)
 
 
-@pytest.mark.parametrize("lam", [DominantWeight((2, 1)), DominantWeight((1, 2)), rho(3)])
-def test_order_ideal_scan_keeps_the_reference_tuples_under_a_short_budget(lam):
-    """A budget one short at any one weight changes the kept tuples and the
-    raise of the order-ideal scan as it changes those of the scan over
-    every composition, to the true dimension and to the budget's total:
-    for every element of S_3 and S_4."""
+@pytest.mark.parametrize("lam", [rho(3), DominantWeight((2, 1, 1)), DominantWeight((1, 2, 1))])
+def test_order_ideal_scan_keeps_the_reference_tuples_to_a_short_dimension(lam):
+    """For a subset not closed under root addition the scan stops at the
+    dimension it is handed.  At rank 3 the ordered monomials of every such
+    subset reach some rank r short of the lowering closure's dimension.
+    Handed r, the scan keeps the tuples of the unbudgeted scan over every
+    composition; handed less, the first of them; handed r + 1, it raises
+    as that scan does."""
     module = _module(lam)
-    for w in all_permutations(lam.n):
-        A = inversion_roots(w)
-        target = subset_submodule(module, A)
-        listing = fflv.rep._tall_first(A.members)
-        for at in target.weights:
-            short = _one_short(target.weights, at)
-            for dimension in (target.dimension, target.dimension - 1):
-                assert (_scan_outcome(fflv.rep._scan, module, listing, dimension, short)
-                        == _scan_outcome(_reference_scan, module, listing, dimension, short)), (
-                    w, at, dimension)
+    roots = all_positive_roots(3)
+    ranks = []
+    for r in range(2, len(roots) + 1):
+        for subset in combinations(roots, r):
+            if fflv.rep._closed(subset):
+                continue
+            A = RootSubset.of(3, set(subset))
+            listing = fflv.rep._tall_first(A.members)
+            low, high = 0, subset_submodule(module, A).dimension
+            assert isinstance(_scan_outcome(fflv.rep._scan, module, listing, high), str), A
+            while high - low > 1:
+                middle = (low + high) // 2
+                if isinstance(_scan_outcome(fflv.rep._scan, module, listing, middle), str):
+                    high = middle
+                else:
+                    low = middle
+            kept = fflv.rep._scan(module, listing, low)
+            assert kept == _reference_scan(module, listing, low, None), (lam, A)
+            for short in (1, low // 2, low - 1):
+                assert fflv.rep._scan(module, listing, short) == kept[:short], (lam, A, short)
+            for scan in (fflv.rep._scan, _reference_scan):
+                with pytest.raises(ArithmeticError, match="did not stabilize"):
+                    scan(module, listing, low + 1, *([None] if scan is _reference_scan else []))
+            ranks.append(low)
+    assert len(ranks) == 24 and min(ranks) > 1
 
 
 def _spy(monkeypatch, owner, name):
@@ -952,9 +1024,11 @@ def _spy(monkeypatch, owner, name):
 
 def test_certified_basis_matches_the_explicit_check(capsys, monkeypatch):
     """On every subset closed under root addition at ranks 1-4, at rho,
-    the `basis_ok` of `verify --A` is that of `verify_monomial_basis` on
-    the face with the lowering closure's dimension, and the explicit check
-    runs exactly where the scan does not keep the face."""
+    the essential scan's rank and degree histogram are the lowering
+    closure's dimension and profile increments, the `basis_ok` of `verify
+    --A` is that of `verify_monomial_basis` on the face with the lowering
+    closure's dimension, and the explicit check runs exactly where the
+    scan does not keep the face."""
     monkeypatch.setattr(fflv.cli, "build_highest_weight_module", _module)
     calls = _spy(monkeypatch, fflv.cli, "verify_monomial_basis")
     statuses = {}
@@ -967,6 +1041,10 @@ def test_certified_basis_matches_the_explicit_check(capsys, monkeypatch):
                 if not fflv.rep._closed(subset):
                     continue
                 A = RootSubset.of(n, set(subset))
+                sub = subset_submodule(module, A)
+                kept = degree_histogram(essential_monomials(module, A, weyl_dimension(lam)))
+                assert [kept[d] for d in range(len(kept))] == [
+                    b - a for a, b in zip((0,) + sub.profile, sub.profile)], A
                 calls.clear()
                 rep = _rep_block(capsys, "--A", _labels(A), "--lambda", ",".join(["1"] * n),
                                  "--max-dim", "2000")
@@ -974,8 +1052,9 @@ def test_certified_basis_matches_the_explicit_check(capsys, monkeypatch):
                 statuses[key] = statuses.get(key, 0) + 1
                 if rep["status"] == "skipped":
                     continue
+                assert rep["dims"]["subset"] == sub.dimension, A
                 S = enumerate_lattice_points(A, lam)
-                explicit = verify_monomial_basis(module, S, subset_submodule(module, A).dimension)
+                explicit = verify_monomial_basis(module, S, sub.dimension)
                 assert rep["basis_ok"] == explicit.ok, A
                 assert len(calls) == (not rep["essential_ok"]), A
     assert statuses == {("pass", True): 286, ("fail", False): 20, ("skipped", True): 96}
@@ -985,8 +1064,8 @@ def test_a_kept_set_that_is_not_certified_runs_the_explicit_check(capsys, monkey
     """The certificate needs both a kept set equal to the face and a subset
     closed under root addition.  A scan made to drop one tuple of a closed
     subset's face, and a non-closed subset whose scan is made to return its
-    face, each run `verify_monomial_basis` once, and `basis_ok` is its
-    answer."""
+    face, each run `verify_monomial_basis` once, with the dimension the
+    scan or the lowering closure gave, and `basis_ok` is its answer."""
     calls = _spy(monkeypatch, fflv.cli, "verify_monomial_basis")
     element = ("--w-oneline", "3 4 2 1", "--lambda", "2,1,1")
     assert _rep_block(capsys, *element)["status"] == "pass"
@@ -1000,14 +1079,17 @@ def test_a_kept_set_that_is_not_certified_runs_the_explicit_check(capsys, monkey
     monkeypatch.setattr(fflv.cli, "essential_monomials", dropped)
     rep = _rep_block(capsys, *element)
     assert len(calls) == 1
-    assert (rep["status"], rep["basis_ok"], rep["essential_ok"]) == ("fail", True, False)
+    module, S, dimension = calls[0]
+    assert dimension == rep["dims"]["subset"] == len(S) - 1
+    assert rep["basis_ok"] == verify_monomial_basis(module, S, dimension).ok
+    assert (rep["status"], rep["basis_ok"], rep["essential_ok"]) == ("fail", False, False)
 
     calls.clear()
     lam = DominantWeight((1, 1))
     A = RootSubset.of(2, {Root(1, 1), Root(2, 2)})
     assert not fflv.rep._closed(A.members)
     face = enumerate_lattice_points(A, lam)
-    monkeypatch.setattr(fflv.cli, "essential_monomials", lambda module, A, weights: face)
+    monkeypatch.setattr(fflv.cli, "essential_monomials", lambda module, A, cap: face)
     rep = _rep_block(capsys, "--A", _labels(A), "--lambda", "1,1")
     assert len(calls) == 1
     module, S, dimension = calls[0]
@@ -1017,11 +1099,11 @@ def test_a_kept_set_that_is_not_certified_runs_the_explicit_check(capsys, monkey
 
 def test_essential_scan_work_is_pinned(capsys, monkeypatch):
     """`verify` of the longest element at rho(4) with `--max-dim 2000`
-    makes 1,670 applies and 1,152 reductions inside its essential scan;
+    makes 1,285 applies and 1,219 reductions inside its essential scan;
     the scan over every composition made 3,253 and 1,399.  No operator is
-    applied twice to one image.  Without a budget, the scan applies at
-    most once per candidate: the zero tuple, and each tuple whose lower
-    covers are all kept."""
+    applied twice to one image.  The scan applies once per candidate but
+    the zero tuple: each tuple whose lower covers are all kept, the
+    candidates of the degree that keeps nothing among them."""
     applies, adds, inside = [], [], [False]
     apply, add = TensorSpace.apply, IntSpan.add
     monkeypatch.setattr(TensorSpace, "apply", lambda self, table, vec: (
@@ -1041,14 +1123,14 @@ def test_essential_scan_work_is_pinned(capsys, monkeypatch):
     assert main(["verify", "--w-oneline", "5 4 3 2 1", "--lambda", "1,1,1,1",
                  "--max-dim", "2000"]) == 0
     capsys.readouterr()
-    assert (len(applies), len(adds)) == (1670, 1152)
+    assert (len(applies), len(adds)) == (1285, 1219)
     assert len({(id(table), id(vec)) for table, vec in applies}) == len(applies)
 
     applies.clear()
     module = _module(rho(4))
     listing = fflv.rep._tall_first(inversion_roots(Permutation.longest(4)).members)
     inside[0] = True
-    kept = set(fflv.rep._scan(module, listing, 1024, None))
+    kept = set(fflv.rep._scan(module, listing, 1024))
     inside[0] = False
     m = len(listing)
     candidates = {(0,) * m}
@@ -1058,4 +1140,4 @@ def test_essential_scan_work_is_pinned(capsys, monkeypatch):
             s = t[:k] + (t[k] + 1,) + t[k + 1:]
             if all(s[:j] + (s[j] - 1,) + s[j + 1:] in kept for j in range(m) if s[j]):
                 candidates.add(s)
-    assert len(applies) <= len(candidates) - 1
+    assert len(applies) == len(candidates) - 1 == 1285
